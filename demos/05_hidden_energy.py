@@ -14,8 +14,7 @@ Dirichlet energy, unit trace) drives it negative as well.
 """
 
 from hardylab import Dimension, hardy, kelvin
-from hardylab.cli import _log_ramp_profile
-from hardylab.profiles import make_e1
+from hardylab.profiles import make_e1, named_profile
 
 print("inversion identities for the ground mode (dimension 3)")
 dim = Dimension(3)
@@ -50,7 +49,7 @@ print("  (the hidden term overtakes the whole norm from dimension 4 on)")
 print()
 
 print("dimension 3, logarithmic ramp: the hidden term dominates there too")
-ramp = _log_ramp_profile(dim, delta=1e-6)
+ramp = named_profile(dim, "log_ramp(1e-6)")
 qr = kelvin.kelvin_map(ramp)
 val = kelvin.exterior_functional(qr, 1e7)
 print(f"  Dirichlet energy = {hardy.weighted_dirichlet(ramp, 0.0):.6f}, "

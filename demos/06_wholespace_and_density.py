@@ -16,20 +16,17 @@ Three desk experiments:
 """
 
 import math
+from dataclasses import replace
 
 from hardylab import Dimension, approx, wholespace
-from hardylab.profiles import RadialProfile, _smooth_step, _smooth_step_deriv, make_named
+from hardylab.profiles import make_named
 
 dim = Dimension(3)
 
 print("1. improvement by the L2 norm on the whole space")
 for plateau, hi in ((0.5, 3.0), (1.0, 5.0), (2.0, 9.0)):
-    w = hi - plateau
-    p = wholespace.JProfile.from_v(
-        dim,
-        lambda r, hi=hi, w=w: _smooth_step((hi - r) / w),
-        lambda r, hi=hi, w=w: -_smooth_step_deriv((hi - r) / w) / w,
-        (0.0, hi))
+    cap = make_named(dim, "bump", fall=(plateau, hi))
+    p = wholespace.JProfile.from_v(dim, cap.v, cap.dv, cap.support)
     res = wholespace.hardy_poincare_check(p)
     print(f"  support (0,{hi:3.0f}): functional={res.i_value:9.5f}  "
           f"L2={res.l2_value:9.5f}  margin={res.margin:8.5f}  "
@@ -58,9 +55,8 @@ print("3. dimension reduction: weighted ball energy vs flat whole-space energy")
 for n in (3, 4, 5):
     d = Dimension(n)
     for radius in (1.0, 7.0):
-        base = make_named(d, "bump", fall=(0.4 * radius, 0.8 * radius))
-        p = RadialProfile(dim=d, v=base.v, dv=base.dv, support=(0.0, radius),
-                          origin_class="finite_limit", boundary_zero=True)
+        p = replace(make_named(d, "bump", fall=(0.4 * radius, 0.8 * radius)),
+                    support=(0.0, radius))
         res = approx.dim_reduction(p, radius)
         print(f"  N={n} R={radius:g}: ratio = {res.ratio:.12f}"
               f"   (exact 1/(N-2) = {1.0/(n-2):.12f})")

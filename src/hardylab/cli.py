@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -191,7 +192,7 @@ def suite_kelvin(dim: Dimension, eps_min: float):
     if dim.n >= 4:
         checks.append(_check_true("exterior_functional_negative", i_ext < 0.0, i_ext))
     else:
-        ramp = _log_ramp_profile(dim, delta=1e-6)
+        ramp = make_named(dim, "log_ramp", delta=1e-6)
         qr = kelvin.kelvin_map(ramp)
         i_neg = kelvin.exterior_functional(qr, 1e7)
         rows.append((1e-6, hardy.weighted_dirichlet(ramp, 0.0), i_neg,
@@ -200,42 +201,18 @@ def suite_kelvin(dim: Dimension, eps_min: float):
     return ("eps,I_interior,I_exterior,L_interior,L_exterior,defect", rows, checks)
 
 
-def _log_ramp_profile(dim: Dimension, delta: float):
-    """v = 1 below delta, log(r)/log(delta) up to 1: nearly minimizes the
-    weighted Dirichlet energy at fixed unit trace, so the surface energy
-    dominates the functional."""
-    from .profiles import RadialProfile
-
-    ln_d = math.log(delta)
-
-    def v(r: float) -> float:
-        if r <= delta:
-            return 1.0
-        if r >= 1.0:
-            return 0.0
-        return math.log(r) / ln_d
-
-    def dv(r: float) -> float:
-        if r <= delta or r >= 1.0:
-            return 0.0
-        return 1.0 / (r * ln_d)
-
-    return RadialProfile(dim=dim, v=v, dv=dv, support=(0.0, 1.0),
-                         origin_class="finite_limit", boundary_zero=True,
-                         name="log_ramp", quad_levels=80)
+def _cap(dim: Dimension, plateau: float, hi: float, name: str = "") -> wholespace.JProfile:
+    """J-profile with v = 1 on [0, plateau] and a smooth fall to 0 at hi."""
+    b = make_named(dim, "bump", fall=(plateau, hi))
+    return wholespace.JProfile.from_v(dim, b.v, b.dv, b.support, name=name)
 
 
 def suite_poincare(dim: Dimension):
-    from .profiles import _smooth_step, _smooth_step_deriv
-
     rows, checks = [], []
     shapes = [(0.5, 3.0), (1.0, 5.0), (2.0, 9.0)]
     worst_defect = 0.0
     for lo, hi in shapes:
-        w = hi - lo
-        v = lambda r, hi=hi, w=w: _smooth_step((hi - r) / w)
-        dv = lambda r, hi=hi, w=w: -_smooth_step_deriv((hi - r) / w) / w
-        p = wholespace.JProfile.from_v(dim, v, dv, (0.0, hi), name=f"bump{hi:g}")
+        p = _cap(dim, lo, hi, name=f"bump{hi:g}")
         res = wholespace.hardy_poincare_check(p)
         rows.append((hi, res.i_value, res.l2_value, res.margin, res.defect))
         worst_defect = max(worst_defect, res.defect)
@@ -253,11 +230,7 @@ def suite_poincare(dim: Dimension):
                               and quots[64] < quots[32]))
     checks.append(_check_true("quotient_small_at_64", quots[64] < 0.05, quots[64]))
 
-    wide = wholespace.JProfile.from_v(
-        dim,
-        lambda r: _smooth_step((9.0 - r) / 7.0),
-        lambda r: -_smooth_step_deriv((9.0 - r) / 7.0) / 7.0,
-        (0.0, 9.0))
+    wide = _cap(dim, 2.0, 9.0)
     for m in (1, 2):
         lp, lm = wholespace.zero_singularity_energies(wide, m, 1e-3)
         rows.append((float(m), lp, lm, 0.0, 0.0))
@@ -296,10 +269,8 @@ def suite_density(dim: Dimension, eps_min: float):
     for n in (3, 4, 5):
         dn = Dimension(n)
         for radius in (1.0, 7.0):
-            pb = make_named(dn, "bump", fall=(0.4 * radius, 0.8 * radius))
-            pb = type(pb)(dim=dn, v=pb.v, dv=pb.dv, support=(0.0, radius),
-                          origin_class=pb.origin_class, boundary_zero=True,
-                          name=pb.name, quad_levels=pb.quad_levels)
+            pb = replace(make_named(dn, "bump", fall=(0.4 * radius, 0.8 * radius)),
+                         support=(0.0, radius))
             res = approx.dim_reduction(pb, radius)
             rows.append((float(n), radius, res.ratio, 1.0 / (n - 2)))
             checks.append(_check(f"dim_reduction_N{n}_R{radius:g}", res.ratio,

@@ -15,9 +15,10 @@ exists (and equals D(0, R)) even when I alone oscillates or diverges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
-from .profiles import MOLLIFY_RADIUS, RadialProfile
+from .profiles import MOLLIFY_RADIUS, Dimension, RadialProfile
 from .quadrature import (
     DEEP_EPS_SEQUENCE,
     DEFAULT_EPS_SEQUENCE,
@@ -29,6 +30,10 @@ from .quadrature import (
 
 __all__ = [
     "HardyBreakdown",
+    "energy_density",
+    "reduced_density",
+    "limit_method",
+    "needs_deep_grid",
     "annulus_functional",
     "weighted_dirichlet",
     "weighted_l2_sq",
@@ -49,6 +54,50 @@ class HardyBreakdown:
     singularity: float
     dirichlet: float
     residual: float
+
+
+def energy_density(dim: Dimension, u: Callable[[float], float],
+                   du: Callable[[float], float]) -> Callable[[float], float]:
+    r"""The u-form Hardy density (u'^2 - c* u^2/r^2) r^{N-1} as a function of r.
+
+    Each square carries half the radial weight, so the two terms stay
+    representable wherever u and u' do.
+    """
+    n = dim.n
+    c_star = dim.critical_coefficient
+
+    def f(r: float) -> float:
+        grad = (du(r) * r ** (0.5 * (n - 1))) ** 2
+        pot = c_star * (u(r) * r ** (0.5 * (n - 3))) ** 2
+        return grad - pot
+
+    return f
+
+
+def reduced_density(dim: Dimension, v: Callable[[float], float],
+                    dv: Callable[[float], float]) -> Callable[[float], float]:
+    r"""The same density in the regular part, v'^2 r - 2 lam v v', obtained by
+    expanding the square pointwise (no integration by parts).  It never forms
+    r^-lam, so it stays representable down to r ~ 1e-250."""
+    lam = dim.singular_exponent
+
+    def f(r: float) -> float:
+        d = dv(r)
+        return (d * math.sqrt(r)) ** 2 - 2.0 * lam * v(r) * d
+
+    return f
+
+
+def limit_method(eps_sequence) -> str:
+    """Integrand form for a cutoff sequence: the u-form while u stays
+    representable, the reduced form once eps goes below 1e-7."""
+    return "direct" if min(eps_sequence) >= 1e-7 else "reduced"
+
+
+def needs_deep_grid(p: RadialProfile) -> bool:
+    """Whether p's behavior at the origin only shows on DEEP_EPS_SEQUENCE:
+    powers of log(1/r) and profiles outside the weighted Dirichlet space."""
+    return p.origin_class in ("oscillating", "log_divergent") or not p.member
 
 
 def _left_cfg(p: RadialProfile, lo: float, hi: float) -> QuadConfig:
@@ -104,25 +153,15 @@ def annulus_functional(p: RadialProfile, eps: float, R: float | None = None,
     R = _outer(p, R)
     if not 0.0 < eps < R:
         raise ValueError(f"need 0 < eps < R, got eps={eps}, R={R}")
-    dim = p.dim
-    lam = dim.singular_exponent
-    c_star = dim.critical_coefficient
-    n = dim.n
-
     if method == "direct":
-        def f(r: float) -> float:
-            grad = (p.du(r) * r ** (0.5 * (n - 1))) ** 2
-            pot = c_star * (p.u(r) * r ** (0.5 * (n - 3))) ** 2
-            return grad - pot
+        f = energy_density(p.dim, p.u, p.du)
     elif method == "reduced":
-        def f(r: float) -> float:
-            dv = p.dv(r)
-            return (dv * math.sqrt(r)) ** 2 - 2.0 * lam * p.v(r) * dv
+        f = reduced_density(p.dim, p.v, p.dv)
     else:
         raise ValueError(f"unknown method {method!r}")
 
     res = integrate(f, eps, R, _left_cfg(p, eps, R), singular_end="left")
-    return dim.surface_factor * res.value
+    return p.dim.surface_factor * res.value
 
 
 def breakdown(p: RadialProfile, eps: float, R: float | None = None) -> HardyBreakdown:
@@ -148,7 +187,7 @@ def _eps_grid(p: RadialProfile, eps_sequence):
     sampled geometrically to reveal their behavior."""
     if eps_sequence is not None:
         return eps_sequence
-    if p.origin_class in ("oscillating", "log_divergent") or not p.member:
+    if needs_deep_grid(p):
         return DEEP_EPS_SEQUENCE
     return DEFAULT_EPS_SEQUENCE
 
@@ -164,10 +203,9 @@ def cutoff_norm(p: RadialProfile, R: float | None = None,
     """
     R = _outer(p, R)
     eps_sequence = _eps_grid(p, eps_sequence)
-    if (p.origin_class in ("oscillating", "log_divergent") or not p.member) \
-            and _dirichlet_diverges(p, R):
+    if needs_deep_grid(p) and _dirichlet_diverges(p, R):
         return LimitResult(float("nan"), "diverging")
-    method = "direct" if min(eps_sequence) >= 1e-7 else "reduced"
+    method = limit_method(eps_sequence)
 
     def regularized(eps: float) -> float:
         return annulus_functional(p, eps, R, method=method) - singularity_energy(p, eps)
@@ -182,18 +220,21 @@ def principal_value(p: RadialProfile, R: float | None = None,
     or diverges exactly when the singularity energy does."""
     R = _outer(p, R)
     eps_sequence = _eps_grid(p, eps_sequence)
-    method = "direct" if min(eps_sequence) >= 1e-7 else "reduced"
+    method = limit_method(eps_sequence)
     return integrate_to_limit(
         lambda eps: annulus_functional(p, eps, R, method=method), eps_sequence)
 
 
 def inner_product(p1: RadialProfile, p2: RadialProfile,
                   R: float | None = None) -> float:
-    r"""Bilinear form of the cutoff norm: Hardy bilinear form minus the cross
-    singularity term N(N-2)/2 omega_N v1(eps) v2(eps), in the limit.
+    r"""Bilinear form of the cutoff norm, by polarization:
 
-    Restricted to finite_limit and vanishing classes, where the polarization
-    identity is meaningful; equals s_N \int v1' v2' r dr.
+        <u1, u2> = (||u1 + u2||^2 - ||u1 - u2||^2) / 4,
+
+    which subtracts the cross singularity term N(N-2)/2 omega_N v1(eps)
+    v2(eps) in the limit.  Restricted to finite_limit and vanishing classes,
+    where both norms converge on the default grid; equals
+    s_N \int v1' v2' r dr.
     """
     for p in (p1, p2):
         if p.origin_class not in ("finite_limit", "vanishing"):
@@ -201,18 +242,11 @@ def inner_product(p1: RadialProfile, p2: RadialProfile,
                 f"inner product needs finite_limit/vanishing classes, got {p.origin_class}")
     if p1.dim != p2.dim:
         raise ValueError("profiles live in different dimensions")
-    R1 = _outer(p1, R)
-    dim = p1.dim
-    n = dim.n
-    c_star = dim.critical_coefficient
+    R = _outer(p1, R)
 
-    def bilinear(eps: float) -> float:
-        def f(r: float) -> float:
-            w = r ** (0.5 * (n - 1))
-            wp = r ** (0.5 * (n - 3))
-            return (p1.du(r) * w) * (p2.du(r) * w) - c_star * (p1.u(r) * wp) * (p2.u(r) * wp)
-        res = integrate(f, eps, R1, _left_cfg(p1, eps, R1), singular_end="left")
-        return dim.surface_factor * res.value - dim.hs_constant * p1.v(eps) * p2.v(eps)
+    def norm_sq(sign: float) -> float:
+        combo = replace(p1, v=lambda r: p1.v(r) + sign * p2.v(r),
+                        dv=lambda r: p1.dv(r) + sign * p2.dv(r), name="")
+        return cutoff_norm(combo, R, DEFAULT_EPS_SEQUENCE).limit
 
-    out = integrate_to_limit(bilinear, DEFAULT_EPS_SEQUENCE)
-    return out.limit
+    return 0.25 * (norm_sq(1.0) - norm_sq(-1.0))

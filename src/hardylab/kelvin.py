@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from . import hardy
 from .profiles import Dimension, RadialProfile
 from .quadrature import (
     DEFAULT_EPS_SEQUENCE,
@@ -118,19 +119,10 @@ def exterior_functional(q: ExteriorProfile, S: float, method: str = "direct") ->
     if not S > 1.0:
         raise ValueError(f"need S > 1, got {S}")
     dim = q.dim
-    n = dim.n
-    c_star = dim.critical_coefficient
-    lam = dim.singular_exponent
-
     if method == "direct":
-        def f(s: float) -> float:
-            grad = (q.dw(s) * s ** (0.5 * (n - 1))) ** 2
-            pot = c_star * (q.w(s) * s ** (0.5 * (n - 3))) ** 2
-            return grad - pot
+        f = hardy.energy_density(dim, q.w, q.dw)
     elif method == "reduced":
-        def f(s: float) -> float:
-            dom = q.dregular(s)
-            return (dom * math.sqrt(s)) ** 2 - 2.0 * lam * q.regular(s) * dom
+        f = hardy.reduced_density(dim, q.regular, q.dregular)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -171,8 +163,6 @@ def identity_check(p: RadialProfile, eps: float) -> IdentityCheck:
         I_interior(eps, 1) = I_exterior(1, 1/eps) + 2 L_exterior(1/eps)
         L_interior(eps)    = L_exterior(1/eps)
     """
-    from . import hardy  # local import to keep module load order simple
-
     if not 0.0 < eps < 1.0:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
     q = kelvin_map(p)
@@ -200,7 +190,7 @@ def exterior_norm(q: ExteriorProfile,
     away, and the sum is the quantity unitarily equivalent to the interior
     cutoff norm.
     """
-    method = "direct" if min(eps_sequence) >= 1e-7 else "reduced"
+    method = hardy.limit_method(eps_sequence)
 
     def surface(S: float) -> float:
         if method == "direct":

@@ -346,12 +346,38 @@ def _constant_plateau(dim: Dimension, plateau_end: float, support_end: float,
     )
 
 
+def _log_ramp(dim: Dimension, delta: float) -> RadialProfile:
+    """v = 1 below delta, log(r)/log(delta) up to r = 1: nearly minimizes the
+    weighted Dirichlet energy at fixed unit trace, so the surface energy
+    dominates the functional."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"need 0 < delta < 1, got {delta}")
+    ln_d = math.log(delta)
+
+    def v(r: float) -> float:
+        if r <= delta:
+            return 1.0
+        if r >= 1.0:
+            return 0.0
+        return math.log(r) / ln_d
+
+    def dv(r: float) -> float:
+        if r <= delta or r >= 1.0:
+            return 0.0
+        return 1.0 / (r * ln_d)
+
+    return RadialProfile(dim=dim, v=v, dv=dv, support=(0.0, 1.0),
+                         origin_class="finite_limit", boundary_zero=True,
+                         name=f"log_ramp({delta:g})", quad_levels=80)
+
+
 def make_named(dim: Dimension, kind: str, **params) -> RadialProfile:
     """Construct a profile of a named kind.
 
     kinds: ``log_power`` (param a), ``oscillating`` (param a), ``bump``
     (params fall=(b0, b1), rise=None, height=1), ``constant_plateau``
-    (params plateau_end, support_end, height=1).
+    (params plateau_end, support_end, height=1), ``log_ramp`` (param
+    delta=1e-6).
     """
     if kind == "log_power":
         return _log_family(dim, float(params.get("a", 0.3)), oscillate=False)
@@ -367,6 +393,8 @@ def make_named(dim: Dimension, kind: str, **params) -> RadialProfile:
                                  plateau_end=float(params.get("plateau_end", 0.4)),
                                  support_end=float(params.get("support_end", 0.9)),
                                  height=float(params.get("height", 1.0)))
+    if kind == "log_ramp":
+        return _log_ramp(dim, float(params.get("delta", 1e-6)))
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
@@ -378,7 +406,7 @@ def named_profile(dim: Dimension, text: str) -> RadialProfile:
 
     Accepted: ``e1``, ``mode(K)``, ``bump``, ``annular_bump``,
     ``constant_plateau``, ``log_power(A)``, ``oscillating(A)``,
-    ``subcritical(C)``.
+    ``subcritical(C)``, ``log_ramp(D)``.
     """
     m = _NAME_RE.match(text.strip())
     if not m:
@@ -400,6 +428,8 @@ def named_profile(dim: Dimension, text: str) -> RadialProfile:
         return make_named(dim, "oscillating", a=float(arg or 0.3))
     if head == "subcritical":
         return make_subcritical(dim, float(arg or 0.0))
+    if head == "log_ramp":
+        return make_named(dim, "log_ramp", delta=float(arg or 1e-6))
     raise ValueError(f"unknown profile name {text!r}")
 
 

@@ -167,10 +167,3 @@ def subcritical_rayleigh_quadrature(dim: Dimension, c: float,
                     floor, 1.0, cfg, singular_end="left").value
     return num / den
 
-
-def mode_profile(dim: Dimension, k: int) -> RadialProfile:
-    return make_mode(dim, k)
-
-
-def subcritical_profile(dim: Dimension, c: float) -> RadialProfile:
-    return make_subcritical(dim, c)

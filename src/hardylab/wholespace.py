@@ -10,7 +10,7 @@ circle carries a pair of one-sided surface energies of opposite sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import hardy
@@ -53,7 +53,6 @@ class JProfile:
     v: Callable[[float], float]
     dv: Callable[[float], float]
     support: tuple[float, float]
-    zero_traces: dict = field(default_factory=dict)
     name: str = ""
     _u: Callable[[float], float] | None = None
     _du: Callable[[float], float] | None = None
@@ -77,8 +76,7 @@ class JProfile:
         return cls(dim=dim, v=v, dv=dv, support=tuple(support), name=name)
 
     @classmethod
-    def from_u(cls, dim: Dimension, u, du, support, zero_traces=None,
-               name: str = "") -> "JProfile":
+    def from_u(cls, dim: Dimension, u, du, support, name: str = "") -> "JProfile":
         lam = dim.singular_exponent
 
         def v(r: float) -> float:
@@ -89,8 +87,7 @@ class JProfile:
             j0p = -bessel_j(1.0, r)
             return r**lam * ((lam / r) * u(r) / j0 + du(r) / j0 - u(r) * j0p / (j0 * j0))
 
-        return cls(dim=dim, v=v, dv=dv, support=tuple(support),
-                   zero_traces=dict(zero_traces or {}), name=name,
+        return cls(dim=dim, v=v, dv=dv, support=tuple(support), name=name,
                    _u=u, _du=du)
 
     def critical_profile(self) -> RadialProfile:
@@ -283,16 +280,9 @@ def norm_decomposition(p: JProfile, eps: float) -> tuple[float, float, float]:
     """
     crit = p.critical_profile()
     dim = p.dim
-    n = dim.n
-    c_star = dim.critical_coefficient
     lo, hi = p.support
     zeros = [z for z in bessel_zeros_upto(hi) if lo + eps < z < hi - eps]
-
-    def f(r: float) -> float:
-        grad = (crit.du(r) * r ** (0.5 * (n - 1))) ** 2
-        pot = c_star * (crit.u(r) * r ** (0.5 * (n - 3))) ** 2
-        return grad - pot
-
+    f = hardy.energy_density(dim, crit.u, crit.du)
     cfg = QuadConfig(endpoint_grading=40, max_depth=40)
     bounds = [max(lo, eps)]
     for z in zeros:

@@ -14,8 +14,6 @@ import pytest
 from hardylab import approx, evolution, hardy, kelvin, spectrum, wholespace
 from hardylab.profiles import (
     Dimension,
-    _smooth_step,
-    _smooth_step_deriv,
     make_e1,
     make_named,
     named_profile,
@@ -211,12 +209,8 @@ def test_criterion_08_evolution():
 
 
 def _wide_bump(dim, plateau, hi):
-    w = hi - plateau
-    return wholespace.JProfile.from_v(
-        dim,
-        lambda r: _smooth_step((hi - r) / w),
-        lambda r: -_smooth_step_deriv((hi - r) / w) / w,
-        (0.0, hi))
+    cap = make_named(dim, "bump", fall=(plateau, hi))
+    return wholespace.JProfile.from_v(dim, cap.v, cap.dv, cap.support)
 
 
 def test_criterion_09_hardy_poincare():
@@ -245,8 +239,7 @@ def test_criterion_10_zero_circle_energies():
     a = 0.25
     u = lambda r: abs(r - z1) ** a * math.exp(-4.0 * (r - z1) ** 2)
     du = lambda r, h=1e-9: (u(r + h) - u(r - h)) / (2.0 * h)
-    bad = wholespace.JProfile.from_u(DIM3, u, du, (z1 - 1.0, z1 + 1.0),
-                                     zero_traces={1: a})
+    bad = wholespace.JProfile.from_u(DIM3, u, du, (z1 - 1.0, z1 + 1.0))
     res = integrate_to_limit(
         lambda e: wholespace.zero_singularity_energies(bad, 1, e)[0],
         (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7))

@@ -151,9 +151,7 @@ def test_exterior_functional_ground_image_sign_higher_dim(n, sign):
 def test_exterior_functional_negative_for_slow_profile_dim3(dim3):
     # in dimension 3 the hidden term dominates for a profile that carries
     # unit trace with nearly minimal Dirichlet energy (logarithmic ramp)
-    from hardylab.cli import _log_ramp_profile
-
-    ramp = _log_ramp_profile(dim3, delta=1e-6)
+    ramp = named_profile(dim3, "log_ramp(1e-6)")
     q = kelvin.kelvin_map(ramp)
     val = kelvin.exterior_functional(q, 1e7)
     want = hardy.weighted_dirichlet(ramp, 0.0) - dim3.hs_constant

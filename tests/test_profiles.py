@@ -84,6 +84,7 @@ def test_subcritical_domain(dim3):
     ("subcritical(0.2)", "vanishing"),
     ("log_power(0.3)", "log_divergent"),
     ("oscillating(0.3)", "oscillating"),
+    ("log_ramp(1e-6)", "finite_limit"),
 ])
 def test_declared_class_matches_sampled_class(dim3, name, expected):
     p = named_profile(dim3, name)
@@ -120,7 +121,7 @@ def test_bump_singularity_energy_value(dim3):
 
 @pytest.mark.parametrize("name", ["e1", "bump", "constant_plateau",
                                   "log_power(0.3)", "oscillating(0.3)",
-                                  "subcritical(0.1)"])
+                                  "subcritical(0.1)", "log_ramp(1e-6)"])
 def test_derivative_consistency(dim3, name):
     p = named_profile(dim3, name)
     for r in (0.02, 0.11, 0.37, 0.52, 0.78):
@@ -147,6 +148,7 @@ def test_mode_profiles(dim3):
 def test_named_profile_parser(dim3):
     assert named_profile(dim3, "mode(2)").name == "mode2"
     assert named_profile(dim3, "log_power(0.45)").name == "log_power(0.45)"
+    assert named_profile(dim3, "log_ramp(1e-6)").name == "log_ramp(1e-06)"
     with pytest.raises(ValueError):
         named_profile(dim3, "nonsense")
 

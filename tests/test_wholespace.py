@@ -3,24 +3,15 @@ import math
 import pytest
 
 from hardylab import hardy, wholespace
-from hardylab.profiles import _smooth_step, _smooth_step_deriv
+from hardylab.profiles import Dimension, make_named
 from hardylab.quadrature import integrate_to_limit
 from hardylab.specfun import bessel_zero
-
-from oracles import Z01
 
 
 def smooth_cap(plateau: float, hi: float):
     """v = 1 on [0, plateau], smooth decay to 0 at hi."""
-    w = hi - plateau
-
-    def v(r: float) -> float:
-        return _smooth_step((hi - r) / w)
-
-    def dv(r: float) -> float:
-        return -_smooth_step_deriv((hi - r) / w) / w
-
-    return v, dv
+    cap = make_named(Dimension(3), "bump", fall=(plateau, hi))  # v does not depend on N
+    return cap.v, cap.dv
 
 
 def test_mass_term_is_plain_l2(dim3):
@@ -193,8 +184,7 @@ def test_zero_energy_trace_rates(dim3):
     for a, expect in ((1.0, "converged"), (0.25, "diverging")):
         u = lambda r, a=a: abs(r - z1) ** a * math.exp(-4.0 * (r - z1) ** 2)
         du = lambda r, a=a, h=1e-9: (u(r + h) - u(r - h)) / (2.0 * h)
-        p = wholespace.JProfile.from_u(dim3, u, du, (z1 - 1.0, z1 + 1.0),
-                                       zero_traces={1: a})
+        p = wholespace.JProfile.from_u(dim3, u, du, (z1 - 1.0, z1 + 1.0))
         plus = [wholespace.zero_singularity_energies(p, 1, e)[0] for e in eps_seq]
         res = integrate_to_limit(lambda e: wholespace.zero_singularity_energies(p, 1, e)[0],
                                  eps_seq)
