@@ -119,13 +119,24 @@ def integrate(f, a: float, b: float, cfg: QuadConfig | None = None,
     """Integrate f over (a, b); f is never evaluated at the endpoints.
 
     Returns a QuadResult; ``converged`` is False when max_depth was exhausted
-    before the tolerance was met (the best value is still returned).
+    before the tolerance was met (the best value is still returned), when
+    the value or its error estimate is not finite, and when f raised an
+    ArithmeticError (value nan).  Any other exception from f propagates.
     """
     if cfg is None:
         cfg = QuadConfig()
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
+    try:
+        total, err_total, exhausted = _refine(f, a, b, cfg, singular_end)
+    except ArithmeticError:
+        return QuadResult(math.nan, math.inf, converged=False)
+    finite = math.isfinite(total) and math.isfinite(err_total)
+    return QuadResult(total, err_total, converged=finite and not exhausted)
 
+
+def _refine(f, a: float, b: float, cfg: QuadConfig, singular_end: str):
+    """(value, error estimate, depth exhausted) of the adaptive bisection."""
     edges = _initial_edges(a, b, singular_end, cfg.endpoint_grading)
     heap = []
     counter = 0
@@ -142,7 +153,8 @@ def integrate(f, a: float, b: float, cfg: QuadConfig | None = None,
     splits = 0
     while heap:
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if err_total <= tol:
+        # a nan or inf never refines away: the running total keeps it
+        if err_total <= tol or not (math.isfinite(total) and math.isfinite(err_total)):
             break
         neg_err, _, lo, hi, val, depth = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
@@ -165,8 +177,7 @@ def integrate(f, a: float, b: float, cfg: QuadConfig | None = None,
         if splits % 512 == 0:
             err_total = sum(-item[0] for item in heap)
 
-    err_total = sum(-item[0] for item in heap)
-    return QuadResult(total, err_total, converged=not exhausted)
+    return total, sum(-item[0] for item in heap), exhausted
 
 
 @dataclass

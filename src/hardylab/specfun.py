@@ -1,10 +1,11 @@
 """Bessel functions J_nu of real order nu >= 0, derivatives, and positive zeros.
 
-Evaluation strategy: ascending power series for small argument, backward
-(Miller-type) recurrence with series normalization for large argument.  The
-recurrence branch is free of the Stokes-line bookkeeping an asymptotic
-expansion would need and holds absolute error near 1e-14 over the range used
-here (x <= a few hundred, nu <= ~3).
+Values come from ``scipy.special.jv``; this module adds the domain the rest
+of the library relies on (nu >= 0 and x >= 0, enforced with BesselError),
+the derivative through orders nu and nu + 1 only, and a cached zero finder
+for the real orders nu = sqrt(c* - c) of the subcritical family.  A float
+argument takes a scalar path that builds no numpy array: the integrands call
+it one point at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
 __all__ = ["bessel_j", "bessel_j_deriv", "bessel_zero", "BesselError"]
 
@@ -21,119 +23,19 @@ class BesselError(ValueError):
     """Invalid argument or failed zero bracket."""
 
 
-# switchover between ascending series and backward recurrence; beyond ~9 the
-# alternating series loses more than 1e-12 to cancellation in double precision
-_SERIES_CUTOFF = 9.0
-_SERIES_MAX_TERMS = 60
-
-# Lanczos approximation, g = 7, 9 coefficients
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _gamma(z: float) -> float:
-    """Gamma function by the Lanczos approximation (z > 0 is all we need)."""
-    if z < 0.5:
-        # reflection, only reachable for z in (0, 0.5)
-        return math.pi / (math.sin(math.pi * z) * _gamma(1.0 - z))
-    z -= 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-def _j_series(nu: float, x: float) -> float:
-    """Ascending series sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1))."""
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
-    half = 0.5 * x
-    term = half**nu / _gamma(nu + 1.0)
-    total = term
-    for k in range(1, _SERIES_MAX_TERMS):
-        term *= -(half * half) / (k * (nu + k))
-        total += term
-        if abs(term) <= 1e-18 * abs(total) + 5e-324:
-            break
-    return total
-
-
-def _j_recurrence(nu: float, x: float) -> float:
-    """Backward recurrence J_{mu+m-1} = 2(mu+m)/x J_{mu+m} - J_{mu+m+1}.
-
-    Normalized with  (x/2)^mu = sum_k (mu+2k) Gamma(mu+k)/k! J_{mu+2k}(x),
-    which reduces to  1 = J_0 + 2 J_2 + 2 J_4 + ...  for integer order.
-    """
-    n_int = int(math.floor(nu))
-    mu = nu - n_int
-    start = int(x + 1.5 * math.sqrt(max(x, 1.0)) + 36.0) + n_int
-    if start % 2:
-        start += 1
-
-    # normalization weights: w_0 = Gamma(mu+1), w_k = (mu+2k) Gamma(mu+k)/k!,
-    # built iteratively (all 1s and 2s for integer order)
-    kmax = start // 2
-    if mu == 0.0:
-        weights = [1.0] + [2.0] * kmax
-    else:
-        weights = [0.0] * (kmax + 1)
-        weights[0] = _gamma(mu + 1.0)
-        g = weights[0]  # Gamma(mu+k)/k! at k = 1
-        for k in range(1, kmax + 1):
-            weights[k] = (mu + 2.0 * k) * g
-            g *= (mu + k) / (k + 1.0)
-
-    jp1, j = 0.0, 1e-30
-    norm = 0.0
-    wanted = None
-    for m in range(start, -1, -1):
-        jm1 = (2.0 * (mu + m + 1.0) / x) * j - jp1
-        jp1, j = j, jm1
-        if m % 2 == 0:
-            norm += weights[m // 2] * j
-        if m == n_int:
-            wanted = j
-        if abs(j) > 1e250:
-            j *= 1e-250
-            jp1 *= 1e-250
-            norm *= 1e-250
-            if wanted is not None and m > n_int:
-                wanted *= 1e-250
-    return wanted * (0.5 * x) ** mu / norm
-
-
-def _bessel_j_scalar(nu: float, x: float) -> float:
-    if nu < 0.0:
-        raise BesselError(f"order must be nonnegative, got nu={nu}")
-    if x < 0.0:
-        raise BesselError(f"argument must be nonnegative, got x={x}")
-    if x < _SERIES_CUTOFF:
-        return _j_series(nu, x)
-    return _j_recurrence(nu, x)
-
-
 def bessel_j(nu: float, x):
     """J_nu(x) for nu >= 0 and x >= 0; accepts a scalar or an ndarray x."""
-    if np.ndim(x) == 0:
-        return _bessel_j_scalar(nu, float(x))
+    if nu < 0.0:
+        raise BesselError(f"order must be nonnegative, got nu={nu}")
+    if isinstance(x, float):
+        if x < 0.0:
+            raise BesselError(f"argument must be nonnegative, got x={x}")
+        return float(special.jv(nu, x))
     arr = np.asarray(x, dtype=float)
-    out = np.empty(arr.shape, dtype=float)
-    flat = arr.ravel()
-    res = out.ravel()
-    for i in range(flat.size):
-        res[i] = _bessel_j_scalar(nu, flat[i])
-    return out
+    if np.any(arr < 0.0):
+        raise BesselError(f"argument must be nonnegative, got min x={arr.min()}")
+    out = special.jv(nu, arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def bessel_j_deriv(nu: float, x):
@@ -150,7 +52,7 @@ def bessel_j_deriv(nu: float, x):
             if x == 0.0 and nu == 1.0:
                 return 0.5
             raise BesselError(f"derivative needs x > 0 for fractional order, got x={x}")
-        return (nu / x) * _bessel_j_scalar(nu, x) - _bessel_j_scalar(nu + 1.0, x)
+        return (nu / x) * bessel_j(nu, x) - bessel_j(nu + 1.0, x)
     arr = np.asarray(x, dtype=float)
     return np.array([bessel_j_deriv(nu, xi) for xi in arr.ravel()]).reshape(arr.shape)
 
@@ -182,19 +84,21 @@ def bessel_zero(nu: float, k: int, tol: float = 1e-13) -> float:
     width = 0.25 * math.pi
     lo, hi = guess - width, guess + width
     lo = max(lo, 1e-8 if k == 1 else _mcmahon_guess(nu, k - 1) + 1e-8)
-    flo, fhi = _bessel_j_scalar(nu, lo), _bessel_j_scalar(nu, hi)
+    flo, fhi = bessel_j(nu, lo), bessel_j(nu, hi)
     tries = 0
     while flo * fhi > 0.0:
         lo = max(lo - 0.5 * width, 1e-10)
         hi = hi + 0.5 * width
-        flo, fhi = _bessel_j_scalar(nu, lo), _bessel_j_scalar(nu, hi)
+        flo, fhi = bessel_j(nu, lo), bessel_j(nu, hi)
         tries += 1
         if tries > 40:
             raise BesselError(f"could not bracket zero {k} of J_{nu}")
 
     x = guess if lo < guess < hi else 0.5 * (lo + hi)
     for _ in range(100):
-        f = _bessel_j_scalar(nu, x)
+        f = bessel_j(nu, x)
+        if f == 0.0:
+            return x
         if f * flo < 0.0:
             hi = x
         else:

@@ -12,6 +12,10 @@ from oracles import Z01, simpson
 LIBRARY = ["e1", "bump", "annular_bump", "constant_plateau",
            "log_power(0.3)", "oscillating(0.3)", "subcritical(0.1)"]
 
+#: integrand evaluations one cutoff_norm call may spend in N = 3; a change
+#: may lower these bounds, never raise them
+CUTOFF_NORM_EVAL_BOUNDS = {"e1": 13_995, "bump": 16_020, "log_power(0.3)": 185_580}
+
 
 @pytest.mark.parametrize("name", LIBRARY)
 def test_decomposition_identity(dim3, name):
@@ -212,3 +216,22 @@ def test_breakdown_row(dim3):
     assert b.eps == 1e-2
     assert b.singularity >= 0.0
     assert abs(b.residual) < 1e-8
+
+
+@pytest.mark.parametrize("name", list(CUTOFF_NORM_EVAL_BOUNDS))
+def test_cutoff_norm_evaluation_budget(dim3, monkeypatch, name):
+    evals = 0
+    plain = hardy.integrate
+
+    def counting(f, *args, **kwargs):
+        def counted(r):
+            nonlocal evals
+            evals += 1
+            return f(r)
+
+        return plain(counted, *args, **kwargs)
+
+    monkeypatch.setattr(hardy, "integrate", counting)
+    res = hardy.cutoff_norm(named_profile(dim3, name))
+    assert res.classification == "converged"
+    assert evals <= CUTOFF_NORM_EVAL_BOUNDS[name]

@@ -138,3 +138,26 @@ def test_non_integrable_pole_flagged():
     res = integrate(lambda r: 1.0 / r ** 1.5, 0.0, 1.0,
                     QuadConfig(max_depth=30), singular_end="left")
     assert not res.converged
+
+
+def test_nan_on_subinterval_is_not_converged():
+    res = integrate(lambda r: math.nan if 0.3 < r < 0.4 else r, 0.0, 1.0)
+    assert res.converged is False
+
+
+def test_raising_integrand_is_not_converged():
+    def f(r):
+        if r > 0.5:
+            raise ZeroDivisionError("pole")
+        return r
+
+    res = integrate(f, 0.0, 1.0)
+    assert res.converged is False
+
+
+def test_value_error_from_integrand_propagates():
+    def bad(r):
+        raise ValueError("outside the domain")
+
+    with pytest.raises(ValueError):
+        integrate(bad, 0.0, 1.0)

@@ -76,11 +76,23 @@ def test_half_order_zeros_are_multiples_of_pi():
         assert abs(bessel_zero(0.5, k) - k * math.pi) < 1e-12
 
 
-@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.7])
+# sqrt(1/2) and sqrt(0.13) are subcritical orders sqrt(c* - c): c = 1/2 in
+# N = 4, c = 0.12 in N = 3
+IRRATIONAL_ORDERS = [math.sqrt(0.5), math.sqrt(0.13)]
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.7] + IRRATIONAL_ORDERS)
 def test_zeros_are_zeros(nu):
     for k in range(1, 6):
         z = bessel_zero(nu, k)
         assert abs(bessel_j(nu, z)) < 1e-11
+
+
+@pytest.mark.parametrize("nu", IRRATIONAL_ORDERS)
+def test_irrational_order_zeros_against_mpmath(nu):
+    mpmath = pytest.importorskip("mpmath")
+    for k in range(1, 6):
+        assert abs(bessel_zero(nu, k) - float(mpmath.besseljzero(nu, k))) < 1e-12
 
 
 def test_first_zero_increasing_in_order():
@@ -105,14 +117,6 @@ def test_half_order_closed_form():
         assert abs(bessel_j(0.5, x) - exact) < 1e-12
 
 
-def test_series_recurrence_seam():
-    # continuity across the evaluation switchover
-    for nu in (0.0, 0.5, 1.0, 1.7):
-        below = bessel_j(nu, 8.9999999)
-        above = bessel_j(nu, 9.0000001)
-        assert abs(below - above) < 1e-6
-
-
 def test_array_input():
     x = np.linspace(0.0, 20.0, 41)
     vals = bessel_j(0.0, x)
@@ -131,11 +135,12 @@ def test_domain_errors():
         bessel_j_deriv(0.7, 0.0)
 
 
-def test_against_scipy_reference():
-    # cross-library regression; the in-tree oracles above are the primary ones
-    sp = pytest.importorskip("scipy.special")
+def test_against_mpmath_reference():
+    # independent route: mpmath's own series and asymptotics, not scipy
+    mpmath = pytest.importorskip("mpmath")
     worst = 0.0
     for nu in (0.0, 0.5, 1.0, 1.7, 2.3):
         for x in np.linspace(0.01, 50.0, 400):
-            worst = max(worst, abs(bessel_j(nu, float(x)) - sp.jv(nu, x)))
+            x = float(x)
+            worst = max(worst, abs(bessel_j(nu, x) - float(mpmath.besselj(nu, x))))
     assert worst < 5e-13
