@@ -130,6 +130,8 @@ def test_domain_errors():
     with pytest.raises(BesselError):
         bessel_j(0.0, -1.0)
     with pytest.raises(BesselError):
+        bessel_j(0.0, np.array([1.0, -1.0]))
+    with pytest.raises(BesselError):
         bessel_zero(0.0, 0)
     with pytest.raises(BesselError):
         bessel_j_deriv(0.7, 0.0)
