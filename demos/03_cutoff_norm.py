@@ -13,6 +13,8 @@ infimum.
 
 import math
 
+import numpy as np
+
 from hardylab import Dimension, hardy, spectrum
 from hardylab.profiles import named_profile
 
@@ -46,8 +48,9 @@ for eps in (1e-2, 1e-4, 1e-6):
     c = 1.0 / math.log(1.0 / eps)
     e2 = eps * eps
     ramp = lambda r, c=c, e2=e2, eps=eps: \
-        0.0 if r <= e2 else (1.0 if r >= eps else c * math.log(r / e2))
-    dramp = lambda r, c=c, e2=e2, eps=eps: c / r if e2 < r < eps else 0.0
+        np.where(r >= eps, 1.0, c * np.log(np.clip(r, e2, eps) / e2))
+    dramp = lambda r, c=c, e2=e2, eps=eps: \
+        np.where((e2 < r) & (r < eps), c / np.clip(r, e2, eps), 0.0)
     p = RadialProfile(
         dim=dim,
         v=lambda r, ramp=ramp: ramp(r) * e1.v(r),

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import hardy
 from .profiles import RadialProfile
 from .quadrature import QuadConfig, integrate
@@ -43,18 +45,12 @@ class Smoothstep:
 def cubic_smoothstep() -> Smoothstep:
     """rho(t) = 3(t-1)^2 - 2(t-1)^3 on [1, 2], clamped outside."""
 
-    def rho(t: float) -> float:
-        if t <= 1.0:
-            return 0.0
-        if t >= 2.0:
-            return 1.0
-        s = t - 1.0
+    def rho(t):
+        s = np.clip(t - 1.0, 0.0, 1.0)
         return s * s * (3.0 - 2.0 * s)
 
-    def drho(t: float) -> float:
-        if t <= 1.0 or t >= 2.0:
-            return 0.0
-        s = t - 1.0
+    def drho(t):
+        s = np.clip(t - 1.0, 0.0, 1.0)
         return 6.0 * s * (1.0 - s)
 
     return Smoothstep(rho, drho)
@@ -105,12 +101,12 @@ def log_cutoff_defect(p: RadialProfile, eps: float) -> float:
     c = 1.0 / math.log(1.0 / eps)
     e2 = eps * eps
 
-    def ramp(r: float) -> float:
-        d = c * p.v(r) / math.sqrt(r) + (c * math.log(r / e2) - 1.0) * p.dv(r) * math.sqrt(r)
+    def ramp(r):
+        d = c * p.v(r) / np.sqrt(r) + (c * np.log(r / e2) - 1.0) * p.dv(r) * np.sqrt(r)
         return d * d
 
-    def head(r: float) -> float:
-        return (p.dv(r) * math.sqrt(r)) ** 2
+    def head(r):
+        return (p.dv(r) * np.sqrt(r)) ** 2
 
     cfg = QuadConfig(endpoint_grading=min(p.quad_levels + 16, 1040), max_depth=60)
     mid = integrate(ramp, e2, eps, cfg, singular_end="left").value
@@ -167,12 +163,10 @@ def dim_reduction(p: RadialProfile, R: float | None = None) -> DimReduction:
 
     lhs = hardy.weighted_dirichlet(p, 0.0, R)
 
-    def w_integrand(t: float) -> float:
-        r = R * math.exp(-t ** (-nm2))
-        if r == 0.0:
-            return 0.0
+    def w_integrand(t):
+        r = R * np.exp(-t ** (-nm2))
         drdt = r * nm2 * t ** (-(n - 1.0))
-        return (p.dv(r) * drdt) ** 2 * t ** (n - 1.0)
+        return np.where(r == 0.0, 0.0, (p.dv(r) * drdt) ** 2 * t ** (n - 1.0))
 
     cfg = QuadConfig(endpoint_grading=60, max_depth=60)
     near = integrate(w_integrand, 0.0, 1.0, cfg, singular_end="left").value
@@ -193,10 +187,8 @@ def level_truncation_defect(p: RadialProfile, level: float) -> float:
     if level <= 0.0:
         raise ValueError("level must be positive")
 
-    def f(r: float) -> float:
-        if abs(p.v(r)) <= level:
-            return 0.0
-        return (p.dv(r) * math.sqrt(r)) ** 2
+    def f(r):
+        return np.where(np.abs(p.v(r)) <= level, 0.0, (p.dv(r) * np.sqrt(r)) ** 2)
 
     cfg = QuadConfig(endpoint_grading=min(p.quad_levels + 16, 1040), max_depth=60)
     res = integrate(f, 0.0, p.support[1], cfg, singular_end="left")

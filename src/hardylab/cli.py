@@ -142,7 +142,7 @@ def suite_evolve(dim: Dimension, profile_name: str, t_final: float, grid_m: int)
     r = grid.nodes
     v_fd = frun.state(steps * grid.dt)
     f_t = evolution.evolve_spectral(field0, t_final)
-    v_sp = np.array([f_t.v(rj) for rj in r])
+    v_sp = f_t.v(r)
     dist2 = dim.surface_factor * grid.h * float(np.sum((v_fd - v_sp) ** 2 * r))
     checks.append(_check("fd_vs_spectral_L2", math.sqrt(dist2), 0.0, 1e-4))
 

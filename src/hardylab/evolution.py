@@ -86,8 +86,7 @@ class FDRun:
             raise ValueError("t_final must be a positive multiple of dt")
         self.steps = steps
 
-        r = grid.nodes
-        state = np.array([p.v(rj) for rj in r])
+        state = np.array(p.v(grid.nodes), dtype=float)
         state[-1] = 0.0
 
         lower, main, upper = _operator_diagonals(grid)
@@ -203,7 +202,7 @@ def energy_trace(run, times) -> list[EnergySample]:
 def evolve_fd(p: RadialProfile, t: float, grid: FDGrid) -> np.ndarray:
     """theta-scheme solution sampled on the grid nodes at time t."""
     if t == 0.0:
-        v = np.array([p.v(rj) for rj in grid.nodes])
+        v = np.array(p.v(grid.nodes), dtype=float)
         v[-1] = 0.0
         return v
     return FDRun(p, grid, t).state(t)
@@ -230,12 +229,12 @@ def evolve_exterior(w0: ExteriorProfile, t: float, modes: int = 40,
         v = run.state(t) if run else evolve_fd(u0, 0.0, grid)
         r = grid.nodes
         # cubic-free reconstruction: linear interpolation of grid samples
-        def v_interp(x: float) -> float:
-            return float(np.interp(x, r, v))
+        def v_interp(x):
+            return np.interp(x, r, v)
 
-        def dv_interp(x: float) -> float:
+        def dv_interp(x):
             h = grid.h
-            x = min(max(x, h), 1.0 - h)
+            x = np.clip(x, h, 1.0 - h)
             return (v_interp(x + 0.5 * h) - v_interp(x - 0.5 * h)) / h
 
         prof = RadialProfile(dim=u0.dim, v=v_interp, dv=dv_interp,

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
+import numpy as np
+
 from .profiles import MOLLIFY_RADIUS, Dimension, RadialProfile
 from .quadrature import (
     DEEP_EPS_SEQUENCE,
@@ -83,7 +85,7 @@ def reduced_density(dim: Dimension, v: Callable[[float], float],
 
     def f(r: float) -> float:
         d = dv(r)
-        return (d * math.sqrt(r)) ** 2 - 2.0 * lam * v(r) * d
+        return (d * np.sqrt(r)) ** 2 - 2.0 * lam * v(r) * d
 
     return f
 
@@ -119,7 +121,7 @@ def weighted_l2_sq(p: RadialProfile, R: float | None = None) -> float:
     weighted space), and the v-form never evaluates the singular u near 0.
     """
     R = _outer(p, R)
-    f = lambda r: (p.v(r) * math.sqrt(r)) ** 2
+    f = lambda r: (p.v(r) * np.sqrt(r)) ** 2
     res = integrate(f, 0.0, R, _left_cfg(p, 0.0, R), singular_end="left")
     return p.dim.surface_factor * res.value
 
@@ -129,7 +131,7 @@ def weighted_dirichlet(p: RadialProfile, eps: float, R: float | None = None) -> 
     R = _outer(p, R)
     if eps < 0.0 or eps >= R:
         raise ValueError(f"need 0 <= eps < R, got eps={eps}, R={R}")
-    f = lambda r: (p.dv(r) * math.sqrt(r)) ** 2
+    f = lambda r: (p.dv(r) * np.sqrt(r)) ** 2
     res = integrate(f, eps, R, _left_cfg(p, eps, R), singular_end="left")
     return p.dim.surface_factor * res.value
 

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import hardy
 from .profiles import Dimension, RadialProfile
 from .quadrature import (
@@ -81,12 +83,12 @@ def kelvin_unmap(q: ExteriorProfile) -> RadialProfile:
     """Pull an exterior profile back to the ball (involution partner)."""
     lo = 0.0 if math.isinf(q.support[1]) else 1.0 / q.support[1]
 
-    def v(r: float) -> float:
-        s = 1.0 / max(r, 1e-300)  # the axis maps to the far field
+    def v(r):
+        s = 1.0 / np.maximum(r, 1e-300)  # the axis maps to the far field
         return q.regular(s)
 
-    def dv(r: float) -> float:
-        s = 1.0 / max(r, 1e-300)
+    def dv(r):
+        s = 1.0 / np.maximum(r, 1e-300)
         return -(q.dregular(s) * s) * s
 
     return RadialProfile(

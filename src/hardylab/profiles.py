@@ -15,6 +15,9 @@ Profiles whose regular part involves powers of log(1/r) are frozen to a
 constant below MOLLIFY_RADIUS so that every evaluation stays finite.  The
 freeze radius is far below anything probed numerically: classification
 experiments sample down to r ~ 1e-250.
+
+``v`` and ``dv`` are array functions without branches on their argument: an
+array of radii gives an array, and a float radius gives a float.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import math
 import re
 from dataclasses import dataclass, replace
 from typing import Callable
+
+import numpy as np
 
 from .quadrature import classify_sequence
 from .specfun import bessel_j, bessel_zero
@@ -164,9 +169,10 @@ def make_subcritical(dim: Dimension, c: float) -> RadialProfile:
     def v(r: float) -> float:
         return bessel_j(m, z * r)
 
-    def dv(r: float) -> float:
+    def dv(r):
         # J_m'(x) = (m/x) J_m(x) - J_{m+1}(x)
-        return (m / r) * bessel_j(m, z * r) - z * bessel_j(m + 1.0, z * r)
+        r = np.asarray(r, dtype=float)
+        return ((m / r) * bessel_j(m, z * r) - z * bessel_j(m + 1.0, z * r))[()]
 
     return RadialProfile(
         dim=dim,
@@ -179,22 +185,21 @@ def make_subcritical(dim: Dimension, c: float) -> RadialProfile:
     )
 
 
-def _smooth_step(t: float) -> float:
+def _step_parts(t):
+    """(t, exp(-1/t), exp(-1/(1-t))) with t clipped into (0, 1): at the clip
+    ends one exponential is exactly 0, so the step is exactly 0 or 1 there."""
+    t = np.clip(t, 1e-150, np.nextafter(1.0, 0.0))
+    return t, np.exp(-1.0 / t), np.exp(-1.0 / (1.0 - t))
+
+
+def _smooth_step(t):
     """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
-    a = math.exp(-1.0 / t)
-    b = math.exp(-1.0 / (1.0 - t))
+    _, a, b = _step_parts(t)
     return a / (a + b)
 
 
-def _smooth_step_deriv(t: float) -> float:
-    if t <= 0.0 or t >= 1.0:
-        return 0.0
-    a = math.exp(-1.0 / t)
-    b = math.exp(-1.0 / (1.0 - t))
+def _smooth_step_deriv(t):
+    t, a, b = _step_parts(t)
     da = a / (t * t)
     db = -b / ((1.0 - t) * (1.0 - t))
     return (da * (a + b) - a * (da + db)) / (a + b) ** 2
@@ -239,28 +244,26 @@ def _log_family(dim: Dimension, a: float, oscillate: bool) -> RadialProfile:
         p_c = 1.0
         m_c = -a / r_c
     bridge, dbridge = _hermite(r_c, 1.0, p_c, m_c, 0.0, 0.0)
-    s_freeze = math.log(1.0 / MOLLIFY_RADIUS)
-    frozen = math.sin(s_freeze**a) if oscillate else s_freeze**a
 
-    def v(r: float) -> float:
-        if r >= 1.0:
-            return 0.0
-        if r > r_c:
-            return bridge(r)
-        if r <= MOLLIFY_RADIUS:
-            return frozen
-        s = math.log(1.0 / r)
-        return math.sin(s**a) if oscillate else s**a
+    def law(r):
+        """(r, s = log(1/r)) with r clipped to the pure law's range; the
+        clip at MOLLIFY_RADIUS is the freeze."""
+        r = np.clip(r, MOLLIFY_RADIUS, r_c)
+        return r, np.log(1.0 / r)
 
-    def dv(r: float) -> float:
-        if r >= 1.0 or r <= MOLLIFY_RADIUS:
-            return 0.0
-        if r > r_c:
-            return dbridge(r)
-        s = math.log(1.0 / r)
+    def v(r):
+        _, s = law(r)
+        pure = np.sin(s**a) if oscillate else s**a
+        return np.where(r >= 1.0, 0.0, np.where(r > r_c, bridge(r), pure))[()]
+
+    def dv(r):
+        rl, s = law(r)
         if oscillate:
-            return -a * math.cos(s**a) * s ** (a - 1.0) / r
-        return -a * s ** (a - 1.0) / r
+            pure = -a * np.cos(s**a) * s ** (a - 1.0) / rl
+        else:
+            pure = -a * s ** (a - 1.0) / rl
+        out = np.where(r > r_c, dbridge(r), pure)
+        return np.where((r >= 1.0) | (r <= MOLLIFY_RADIUS), 0.0, out)[()]
 
     kind = "oscillating" if oscillate else "log_power"
     return RadialProfile(
@@ -288,13 +291,13 @@ def _bump(dim: Dimension, fall: tuple[float, float],
     if not 0.0 <= b0 < b1:
         raise ValueError("bad fall window")
 
-    def v(r: float) -> float:
+    def v(r):
         out = height * _smooth_step((b1 - r) / (b1 - b0))
         if rise is not None:
-            out *= _smooth_step((r - rise[0]) / (rise[1] - rise[0]))
+            out = out * _smooth_step((r - rise[0]) / (rise[1] - rise[0]))
         return out
 
-    def dv(r: float) -> float:
+    def dv(r):
         down = _smooth_step((b1 - r) / (b1 - b0))
         ddown = -_smooth_step_deriv((b1 - r) / (b1 - b0)) / (b1 - b0)
         if rise is None:
@@ -321,18 +324,12 @@ def _constant_plateau(dim: Dimension, plateau_end: float, support_end: float,
         raise ValueError("need 0 < plateau_end < support_end")
     w = support_end - plateau_end
 
-    def v(r: float) -> float:
-        if r <= plateau_end:
-            return height
-        if r >= support_end:
-            return 0.0
-        t = (r - plateau_end) / w
+    def v(r):
+        t = np.clip((r - plateau_end) / w, 0.0, 1.0)
         return height * (1.0 - t * t * (3.0 - 2.0 * t))
 
-    def dv(r: float) -> float:
-        if r <= plateau_end or r >= support_end:
-            return 0.0
-        t = (r - plateau_end) / w
+    def dv(r):
+        t = np.clip((r - plateau_end) / w, 0.0, 1.0)
         return -height * 6.0 * t * (1.0 - t) / w
 
     return RadialProfile(
@@ -354,17 +351,12 @@ def _log_ramp(dim: Dimension, delta: float) -> RadialProfile:
         raise ValueError(f"need 0 < delta < 1, got {delta}")
     ln_d = math.log(delta)
 
-    def v(r: float) -> float:
-        if r <= delta:
-            return 1.0
-        if r >= 1.0:
-            return 0.0
-        return math.log(r) / ln_d
+    def v(r):
+        return np.where(r <= delta, 1.0, np.log(np.clip(r, delta, 1.0)) / ln_d)[()]
 
-    def dv(r: float) -> float:
-        if r <= delta or r >= 1.0:
-            return 0.0
-        return 1.0 / (r * ln_d)
+    def dv(r):
+        inside = (r > delta) & (r < 1.0)
+        return np.where(inside, 1.0 / (np.clip(r, delta, 1.0) * ln_d), 0.0)[()]
 
     return RadialProfile(dim=dim, v=v, dv=dv, support=(0.0, 1.0),
                          origin_class="finite_limit", boundary_zero=True,
@@ -441,8 +433,7 @@ def classify_origin(p: RadialProfile) -> str:
     limit, monotone non-contracting growth is ``log_divergent``, and bounded
     non-convergent behavior is ``oscillating``.
     """
-    radii = [10.0**-g for g in CLASSIFY_EXPONENTS]
-    vals = [p.v(r) for r in radii]
+    vals = p.v(np.array([10.0**-g for g in CLASSIFY_EXPONENTS]))
     cls, limit = classify_sequence(vals, abs_tol=1e-12, rel_tol=1e-9)
     if cls == "converged":
         scale = max(max(abs(x) for x in vals), 1e-300)

@@ -4,8 +4,8 @@ Values come from ``scipy.special.jv``; this module adds the domain the rest
 of the library relies on (nu >= 0 and x >= 0, enforced with BesselError),
 the derivative through orders nu and nu + 1 only, and a cached zero finder
 for the real orders nu = sqrt(c* - c) of the subcritical family.  A float
-argument takes a scalar path that builds no numpy array: the integrands call
-it one point at a time.
+argument takes a scalar path that builds no numpy array (the zero finder
+calls it one point at a time); an array argument is evaluated elementwise.
 """
 
 from __future__ import annotations

@@ -79,17 +79,8 @@ class SpectralField:
                          for c, m in zip(self.coeffs, self.modes)))
 
     def profile(self) -> RadialProfile:
-        zs = [m.zero for m in self.modes]
-        cs = list(self.coeffs)
-
-        def v(r: float) -> float:
-            return sum(c * bessel_j(0.0, z * r) for c, z in zip(cs, zs))
-
-        def dv(r: float) -> float:
-            return -sum(c * z * bessel_j(1.0, z * r) for c, z in zip(cs, zs))
-
         dim = self.modes[0].dim
-        return RadialProfile(dim=dim, v=v, dv=dv, support=(0.0, 1.0),
+        return RadialProfile(dim=dim, v=self.v, dv=self.dv, support=(0.0, 1.0),
                              origin_class="finite_limit", boundary_zero=True,
                              name="spectral_field")
 
@@ -158,12 +149,12 @@ def subcritical_rayleigh_quadrature(dim: Dimension, c: float,
     p = make_subcritical(dim, c)
     cfg = QuadConfig(endpoint_grading=64, max_depth=60)
 
-    def num_f(r: float) -> float:
-        over = p.v(r) / math.sqrt(r)
-        return (p.dv(r) * math.sqrt(r)) ** 2 + m * m * over * over
+    def num_f(r):
+        over = p.v(r) / np.sqrt(r)
+        return (p.dv(r) * np.sqrt(r)) ** 2 + m * m * over * over
 
     num = integrate(num_f, floor, 1.0, cfg, singular_end="left").value
-    den = integrate(lambda r: (p.v(r) * math.sqrt(r)) ** 2,
+    den = integrate(lambda r: (p.v(r) * np.sqrt(r)) ** 2,
                     floor, 1.0, cfg, singular_end="left").value
     return num / den
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hardylab import approx, hardy
@@ -96,14 +97,10 @@ def test_e1_obstruction_never_below_bound(dim3):
         e2 = eps * eps
 
         def ramp(r, c=c, e2=e2, eps=eps):
-            if r <= e2:
-                return 0.0
-            if r >= eps:
-                return 1.0
-            return c * math.log(r / e2)
+            return np.where(r >= eps, 1.0, c * np.log(np.clip(r, e2, eps) / e2))
 
         def dramp(r, c=c, e2=e2, eps=eps):
-            return c / r if e2 < r < eps else 0.0
+            return np.where((e2 < r) & (r < eps), c / np.clip(r, e2, eps), 0.0)
 
         phi = RadialProfile(
             dim=dim3,

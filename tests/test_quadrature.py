@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hardylab.quadrature import (
@@ -37,7 +38,7 @@ def j0sq(r):
 
 
 def test_log_singularity_left():
-    res = integrate(lambda r: math.log(1.0 / r), 0.0, 1.0, singular_end="left")
+    res = integrate(lambda r: np.log(1.0 / r), 0.0, 1.0, singular_end="left")
     assert abs(res.value - 1.0) < 1e-10
     assert res.converged
 
@@ -45,12 +46,12 @@ def test_log_singularity_left():
 def test_inverse_sqrt_right_endpoint():
     # the untruncatable tail below one float spacing of the endpoint carries
     # mass ~ sqrt(ulp), which floors the achievable accuracy near 1.5e-8
-    res = integrate(lambda r: 1.0 / math.sqrt(1.0 - r), 0.0, 1.0, singular_end="right")
+    res = integrate(lambda r: 1.0 / np.sqrt(1.0 - r), 0.0, 1.0, singular_end="right")
     assert abs(res.value - 2.0) < 5e-8
 
 
 def test_additivity():
-    f = lambda r: math.sin(3.0 * r) + 1.0 / math.sqrt(r + 1e-6)
+    f = lambda r: np.sin(3.0 * r) + 1.0 / np.sqrt(r + 1e-6)
     whole = integrate(f, 0.0, 1.0, singular_end="left").value
     left = integrate(f, 0.0, 0.37, singular_end="left").value
     right = integrate(f, 0.37, 1.0).value
@@ -60,7 +61,7 @@ def test_additivity():
 def test_depth_doubling_invariance():
     cfg1 = QuadConfig(max_depth=24)
     cfg2 = QuadConfig(max_depth=48)
-    f = lambda r: math.log(1.0 / r) ** 2
+    f = lambda r: np.log(1.0 / r) ** 2
     v1 = integrate(f, 0.0, 1.0, cfg1, singular_end="left").value
     v2 = integrate(f, 0.0, 1.0, cfg2, singular_end="left").value
     assert abs(v1 - v2) < 1e-10
@@ -141,13 +142,13 @@ def test_non_integrable_pole_flagged():
 
 
 def test_nan_on_subinterval_is_not_converged():
-    res = integrate(lambda r: math.nan if 0.3 < r < 0.4 else r, 0.0, 1.0)
+    res = integrate(lambda r: np.where((0.3 < r) & (r < 0.4), math.nan, r), 0.0, 1.0)
     assert res.converged is False
 
 
 def test_raising_integrand_is_not_converged():
     def f(r):
-        if r > 0.5:
+        if np.any(r > 0.5):
             raise ZeroDivisionError("pole")
         return r
 

@@ -114,6 +114,8 @@ def test_r2_poincare_margin_shrinks_relative_to_mass():
     # per unit mass shrinks (the planar analogue of the vanishing infimum)
     import math as _m
 
+    import numpy as np
+
     from hardylab.quadrature import QuadConfig, integrate
     from hardylab.specfun import bessel_j
 
@@ -121,8 +123,8 @@ def test_r2_poincare_margin_shrinks_relative_to_mass():
         r1 = n * _m.pi / 4.0
         r2 = (n + 1) * _m.pi / 4.0
         slope = 4.0 / _m.pi
-        v = lambda r: 1.0 if r <= r1 else (max(0.0, (r2 - r) * slope) if r < r2 else 0.0)
-        dv = lambda r: -slope if r1 < r < r2 else 0.0
+        v = lambda r: np.where(r <= r1, 1.0, np.maximum((r2 - r) * slope, 0.0))
+        dv = lambda r: np.where((r1 < r) & (r < r2), -slope, 0.0)
         return v, dv, (0.0, r2)
 
     rel = []
