@@ -13,9 +13,7 @@ infimum.
 
 import math
 
-import numpy as np
-
-from hardylab import Dimension, hardy, spectrum
+from hardylab import Dimension, approx, hardy, spectrum
 from hardylab.profiles import named_profile
 
 dim = Dimension(3)
@@ -41,22 +39,9 @@ print(f"ground eigenvalue                   : {spectrum.eigenmode(dim, 1).eigenv
 print()
 
 print("cutting the ground mode off near the origin (log ramp at scale eps):")
-from hardylab.profiles import RadialProfile
-
 mu1 = spectrum.eigenmode(dim, 1).eigenvalue
 for eps in (1e-2, 1e-4, 1e-6):
-    c = 1.0 / math.log(1.0 / eps)
-    e2 = eps * eps
-    ramp = lambda r, c=c, e2=e2, eps=eps: \
-        np.where(r >= eps, 1.0, c * np.log(np.clip(r, e2, eps) / e2))
-    dramp = lambda r, c=c, e2=e2, eps=eps: \
-        np.where((e2 < r) & (r < eps), c / np.clip(r, e2, eps), 0.0)
-    p = RadialProfile(
-        dim=dim,
-        v=lambda r, ramp=ramp: ramp(r) * e1.v(r),
-        dv=lambda r, ramp=ramp, dramp=dramp: dramp(r) * e1.v(r) + ramp(r) * e1.dv(r),
-        support=(0.0, 1.0), origin_class="vanishing", boundary_zero=True,
-        quad_levels=120)
+    p = approx.log_cutoff(e1, eps)
     q = hardy.annulus_functional(p, 1e-13, 1.0) / hardy.weighted_l2_sq(p)
     print(f"  eps = {eps:5.0e}: bare quotient = {q:.6f}  (> mu_1 = {mu1:.6f})")
 print("  the quotient decreases toward mu_1 but the excess ~ 1/log(1/eps)")

@@ -22,8 +22,8 @@ from .profiles import RadialProfile
 from .quadrature import QuadConfig, integrate
 
 __all__ = ["Smoothstep", "cubic_smoothstep", "smoothstep_energy",
-           "naive_cutoff_defect", "naive_cutoff_limit", "log_cutoff_defect",
-           "e1_obstruction", "dim_reduction", "DimReduction",
+           "naive_cutoff_defect", "naive_cutoff_limit", "log_cutoff",
+           "log_cutoff_defect", "e1_obstruction", "dim_reduction", "DimReduction",
            "level_truncation_defect"]
 
 
@@ -58,7 +58,7 @@ def cubic_smoothstep() -> Smoothstep:
 
 def smoothstep_energy(step: Smoothstep) -> float:
     r"""\int_1^2 t rho'(t)^2 dt (equals 9/5 for the cubic ramp)."""
-    return integrate(lambda t: t * step.drho(t) ** 2, 1.0, 2.0).value
+    return integrate(lambda t: t * step.drho(t) ** 2, 1.0, 2.0).value_or_raise()
 
 
 def naive_cutoff_defect(p: RadialProfile, eps: float,
@@ -81,8 +81,8 @@ def naive_cutoff_defect(p: RadialProfile, eps: float,
         return d * d * r
 
     cfg = QuadConfig(endpoint_grading=min(p.quad_levels, 64), max_depth=60)
-    inner = integrate(f, 0.0, eps, cfg, singular_end="left").value
-    outer = integrate(f, eps, 2.0 * eps, cfg).value
+    inner = integrate(f, 0.0, eps, cfg, singular_end="left").value_or_raise()
+    outer = integrate(f, eps, 2.0 * eps, cfg).value_or_raise()
     return p.dim.surface_factor * (inner + outer)
 
 
@@ -91,6 +91,33 @@ def naive_cutoff_limit(p: RadialProfile, step: Smoothstep | None = None) -> floa
     if step is None:
         step = cubic_smoothstep()
     return p.dim.surface_factor * p.v_origin() ** 2 * smoothstep_energy(step)
+
+
+def log_cutoff(p: RadialProfile, eps: float) -> RadialProfile:
+    """p times the logarithmic ramp: 0 below eps^2, log(r/eps^2)/log(1/eps)
+    up to eps, 1 beyond.  Its regular part vanishes at the origin."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"need 0 < eps < 1, got {eps}")
+    c = 1.0 / math.log(1.0 / eps)
+    e2 = eps * eps
+
+    def ramp(r):
+        return np.where(r >= eps, 1.0, c * np.log(np.clip(r, e2, eps) / e2))
+
+    def dramp(r):
+        return np.where((e2 < r) & (r < eps), c / np.clip(r, e2, eps), 0.0)
+
+    return RadialProfile(
+        dim=p.dim,
+        v=lambda r: ramp(r) * p.v(r),
+        dv=lambda r: dramp(r) * p.v(r) + ramp(r) * p.dv(r),
+        support=p.support,
+        origin_class="vanishing",
+        boundary_zero=p.boundary_zero,
+        name=f"log_cutoff({eps:g})[{p.name}]",
+        # grade past the ramp's inner edge eps^2
+        quad_levels=max(p.quad_levels, int(math.log2(1.0 / e2)) + 32),
+    )
 
 
 def log_cutoff_defect(p: RadialProfile, eps: float) -> float:
@@ -109,8 +136,8 @@ def log_cutoff_defect(p: RadialProfile, eps: float) -> float:
         return (p.dv(r) * np.sqrt(r)) ** 2
 
     cfg = QuadConfig(endpoint_grading=min(p.quad_levels + 16, 1040), max_depth=60)
-    mid = integrate(ramp, e2, eps, cfg, singular_end="left").value
-    low = integrate(head, 0.0, e2, cfg, singular_end="left").value
+    mid = integrate(ramp, e2, eps, cfg, singular_end="left").value_or_raise()
+    low = integrate(head, 0.0, e2, cfg, singular_end="left").value_or_raise()
     return p.dim.surface_factor * (mid + low)
 
 
@@ -169,11 +196,11 @@ def dim_reduction(p: RadialProfile, R: float | None = None) -> DimReduction:
         return np.where(r == 0.0, 0.0, (p.dv(r) * drdt) ** 2 * t ** (n - 1.0))
 
     cfg = QuadConfig(endpoint_grading=60, max_depth=60)
-    near = integrate(w_integrand, 0.0, 1.0, cfg, singular_end="left").value
+    near = integrate(w_integrand, 0.0, 1.0, cfg, singular_end="left").value_or_raise()
     # map t in [1, inf) to tau = 1/t in (0, 1]; the transformed integrand is
     # bounded (~ tau^{N-3}) at tau = 0
     far = integrate(lambda tau: w_integrand(1.0 / tau) / (tau * tau),
-                    0.0, 1.0, cfg, singular_end="left").value
+                    0.0, 1.0, cfg, singular_end="left").value_or_raise()
     rhs = dim.surface_factor * (near + far)
     return DimReduction(lhs, rhs, lhs / rhs)
 
@@ -192,4 +219,4 @@ def level_truncation_defect(p: RadialProfile, level: float) -> float:
 
     cfg = QuadConfig(endpoint_grading=min(p.quad_levels + 16, 1040), max_depth=60)
     res = integrate(f, 0.0, p.support[1], cfg, singular_end="left")
-    return p.dim.surface_factor * res.value
+    return p.dim.surface_factor * res.value_or_raise()

@@ -123,7 +123,7 @@ def weighted_l2_sq(p: RadialProfile, R: float | None = None) -> float:
     R = _outer(p, R)
     f = lambda r: (p.v(r) * np.sqrt(r)) ** 2
     res = integrate(f, 0.0, R, _left_cfg(p, 0.0, R), singular_end="left")
-    return p.dim.surface_factor * res.value
+    return p.dim.surface_factor * res.value_or_raise()
 
 
 def weighted_dirichlet(p: RadialProfile, eps: float, R: float | None = None) -> float:
@@ -133,7 +133,7 @@ def weighted_dirichlet(p: RadialProfile, eps: float, R: float | None = None) -> 
         raise ValueError(f"need 0 <= eps < R, got eps={eps}, R={R}")
     f = lambda r: (p.dv(r) * np.sqrt(r)) ** 2
     res = integrate(f, eps, R, _left_cfg(p, eps, R), singular_end="left")
-    return p.dim.surface_factor * res.value
+    return p.dim.surface_factor * res.value_or_raise()
 
 
 def singularity_energy(p: RadialProfile, eps: float) -> float:
@@ -163,7 +163,7 @@ def annulus_functional(p: RadialProfile, eps: float, R: float | None = None,
         raise ValueError(f"unknown method {method!r}")
 
     res = integrate(f, eps, R, _left_cfg(p, eps, R), singular_end="left")
-    return p.dim.surface_factor * res.value
+    return p.dim.surface_factor * res.value_or_raise()
 
 
 def breakdown(p: RadialProfile, eps: float, R: float | None = None) -> HardyBreakdown:

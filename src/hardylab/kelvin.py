@@ -138,7 +138,7 @@ def exterior_functional(q: ExteriorProfile, S: float, method: str = "direct") ->
     # s - lo, i.e. roughly one per octave of s: the only way to cover energy
     # spread over dozens of decades up to the truncation radius
     res = integrate(f, lo, hi, _annulus_cfg(q, hi), singular_end="left")
-    return dim.surface_factor * res.value
+    return dim.surface_factor * res.value_or_raise()
 
 
 def exterior_singularity_energy(q: ExteriorProfile, S: float) -> float:

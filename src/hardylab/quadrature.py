@@ -26,6 +26,7 @@ __all__ = [
     "QuadResult",
     "LimitResult",
     "InsufficientSamplesError",
+    "NonConvergenceError",
     "integrate",
     "integrate_to_limit",
     "DEFAULT_EPS_SEQUENCE",
@@ -46,6 +47,10 @@ DEEP_EPS_SEQUENCE = tuple(10.0**-g for g in (1, 2, 4, 8, 16, 32, 64, 128, 250))
 
 class InsufficientSamplesError(RuntimeError):
     """Fewer than four usable evaluations in a limit computation."""
+
+
+class NonConvergenceError(ArithmeticError):
+    """An integral was asked for its value but carries converged=False."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,13 @@ class QuadResult:
     def __iter__(self):
         yield self.value
         yield self.err_est
+
+    def value_or_raise(self) -> float:
+        """The value, or NonConvergenceError when it carries no verdict."""
+        if not self.converged:
+            raise NonConvergenceError(
+                f"integral did not converge: value {self.value}, error {self.err_est}")
+        return self.value
 
 
 def _panels(f, lo: np.ndarray, hi: np.ndarray):
@@ -184,6 +196,7 @@ class LimitResult:
     limit: float
     classification: str  # converged | oscillating | diverging
     samples: list = field(default_factory=list)
+    dropped: list = field(default_factory=list)  # (eps, reason) per unusable sample
 
     def __iter__(self):
         yield self.limit
@@ -251,22 +264,27 @@ def classify_sequence(values, abs_tol: float = 1e-10, rel_tol: float = 1e-9):
 def integrate_to_limit(F, eps_sequence) -> LimitResult:
     """Evaluate F along a decreasing eps sequence and extrapolate the limit.
 
-    Evaluations that raise or return non-finite values are dropped; at least
-    four successes are required.
+    Evaluations that raise ArithmeticError or ValueError or return non-finite
+    values are dropped and recorded with their reason; at least four
+    successes are required.
     """
     eps = list(eps_sequence)
     if len(eps) < 4 or any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])) or eps[-1] <= 0:
         raise ValueError("eps_sequence must be strictly decreasing, positive, length >= 4")
-    samples = []
+    samples, dropped = [], []
     for e in eps:
         try:
             val = float(F(e))
-        except (ArithmeticError, ValueError):
+        except (ArithmeticError, ValueError) as exc:
+            dropped.append((e, f"{type(exc).__name__}: {exc}"))
             continue
         if math.isfinite(val):
             samples.append(val)
+        else:
+            dropped.append((e, f"non-finite value {val}"))
     if len(samples) < 4:
+        first = f"; first dropped at eps={dropped[0][0]:g}: {dropped[0][1]}" if dropped else ""
         raise InsufficientSamplesError(
-            f"only {len(samples)} of {len(eps)} evaluations usable")
+            f"only {len(samples)} of {len(eps)} evaluations usable{first}")
     cls, limit = classify_sequence(samples)
-    return LimitResult(limit, cls, samples)
+    return LimitResult(limit, cls, samples, dropped)

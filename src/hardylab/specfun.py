@@ -46,15 +46,14 @@ def bessel_j_deriv(nu: float, x):
     """
     if nu == 0.0:
         return -bessel_j(1.0, x)
-    if np.ndim(x) == 0:
-        x = float(x)
-        if x <= 0.0:
-            if x == 0.0 and nu == 1.0:
-                return 0.5
-            raise BesselError(f"derivative needs x > 0 for fractional order, got x={x}")
-        return (nu / x) * bessel_j(nu, x) - bessel_j(nu + 1.0, x)
     arr = np.asarray(x, dtype=float)
-    return np.array([bessel_j_deriv(nu, xi) for xi in arr.ravel()]).reshape(arr.shape)
+    origin = arr == 0.0
+    if np.any(arr < 0.0) or (nu != 1.0 and np.any(origin)):
+        raise BesselError(f"derivative needs x > 0 for fractional order, got min x={arr.min()}")
+    # J_1'(0) = 1/2; elsewhere the recurrence at x > 0
+    safe = np.where(origin, 1.0, arr)
+    out = np.where(origin, 0.5, (nu / safe) * bessel_j(nu, safe) - bessel_j(nu + 1.0, safe))
+    return float(out) if arr.ndim == 0 else out
 
 
 def _mcmahon_guess(nu: float, k: int) -> float:

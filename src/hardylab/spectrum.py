@@ -107,7 +107,7 @@ def expand(p: RadialProfile, K: int) -> SpectralField:
     cfg = QuadConfig(endpoint_grading=52, max_depth=60)
     for mode in modes:
         f = lambda r, z=mode.zero: p.v(r) * bessel_j(0.0, z * r) * r
-        val = integrate(f, 0.0, R, cfg, singular_end="left").value
+        val = integrate(f, 0.0, R, cfg, singular_end="left").value_or_raise()
         coeffs.append(dim.surface_factor * val / mode.norm2)
     return SpectralField(modes, np.array(coeffs), time=0.0)
 
@@ -153,8 +153,8 @@ def subcritical_rayleigh_quadrature(dim: Dimension, c: float,
         over = p.v(r) / np.sqrt(r)
         return (p.dv(r) * np.sqrt(r)) ** 2 + m * m * over * over
 
-    num = integrate(num_f, floor, 1.0, cfg, singular_end="left").value
+    num = integrate(num_f, floor, 1.0, cfg, singular_end="left").value_or_raise()
     den = integrate(lambda r: (p.v(r) * np.sqrt(r)) ** 2,
-                    floor, 1.0, cfg, singular_end="left").value
+                    floor, 1.0, cfg, singular_end="left").value_or_raise()
     return num / den
 

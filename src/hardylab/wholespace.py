@@ -290,7 +290,7 @@ def norm_decomposition(p: JProfile, eps: float) -> tuple[float, float, float]:
     bounds.append(hi)
     i_total = 0.0
     for a, b in zip(bounds[::2], bounds[1::2]):
-        i_total += integrate(f, a, b, cfg, singular_end="left").value
+        i_total += integrate(f, a, b, cfg, singular_end="left").value_or_raise()
     i_total *= dim.surface_factor
 
     rhs = i_total - dim.hs_constant * crit.v(max(lo, eps)) ** 2

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hardylab import hardy
+from hardylab import approx, hardy
 from hardylab.profiles import make_e1, make_mode, make_named, named_profile
-from hardylab.quadrature import DEFAULT_EPS_SEQUENCE
+from hardylab.quadrature import DEFAULT_EPS_SEQUENCE, NonConvergenceError
 from hardylab.specfun import bessel_j
 
 from oracles import Z01, simpson
@@ -152,22 +153,7 @@ def test_vanishing_approximants_stay_above_ground_eigenvalue(dim3):
     mu1 = Z01 * Z01
     prev = None
     for eps in (1e-2, 1e-4, 1e-6):
-        c = 1.0 / math.log(1.0 / eps)
-        e2 = eps * eps
-
-        def ramp(r, c=c, e2=e2, eps=eps):
-            return np.where(r >= eps, 1.0, c * np.log(np.clip(r, e2, eps) / e2))
-
-        def dramp(r, c=c, e2=e2, eps=eps):
-            return np.where((e2 < r) & (r < eps), c / np.clip(r, e2, eps), 0.0)
-
-        from hardylab.profiles import RadialProfile
-        p = RadialProfile(
-            dim=dim3,
-            v=lambda r, ramp=ramp: ramp(r) * e1.v(r),
-            dv=lambda r, ramp=ramp, dramp=dramp: dramp(r) * e1.v(r) + ramp(r) * e1.dv(r),
-            support=(0.0, 1.0), origin_class="vanishing", boundary_zero=True,
-            quad_levels=120)
+        p = approx.log_cutoff(e1, eps)
         q = hardy.annulus_functional(p, 1e-13, 1.0) / hardy.weighted_l2_sq(p)
         assert q > mu1
         if prev is not None:
@@ -204,6 +190,15 @@ def test_inner_product_vanishing_pair_is_plain_bilinear(dim3):
 def test_inner_product_rejects_bad_classes(dim3):
     with pytest.raises(ValueError):
         hardy.inner_product(make_e1(dim3), named_profile(dim3, "oscillating(0.3)"))
+
+
+def test_weighted_dirichlet_without_verdict_raises(dim3):
+    # a nan in the integrand leaves the integral without a verdict: the
+    # energy raises instead of returning a bare nan
+    e1 = make_e1(dim3)
+    bad = replace(e1, dv=lambda r: np.where(r > 0.9, math.nan, e1.dv(r)))
+    with pytest.raises(NonConvergenceError):
+        hardy.weighted_dirichlet(bad, 0.0)
 
 
 def test_breakdown_row(dim3):

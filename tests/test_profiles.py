@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
-from hardylab import hardy
+from hardylab import hardy, kelvin, spectrum, wholespace
 from hardylab.profiles import (
+    MOLLIFY_RADIUS,
     Dimension,
     classify_origin,
     make_e1,
@@ -158,3 +160,61 @@ def test_annular_bump_support(dim3):
     assert p.support == (0.2, 0.8)
     assert p.v(0.1) == 0.0 and p.v(0.9) == 0.0
     assert p.v(0.5) > 0.5
+
+
+#: branch points of the named profiles: the origin, the log freeze, r_c = 1/e,
+#: log_ramp's delta, the bump windows, constant_plateau's plateau_end and
+#: support_end, and the unit radius
+BRANCH_POINTS = [0.0, MOLLIFY_RADIUS, 1e-6, 0.2, 0.35, math.exp(-1.0), 0.4, 0.65,
+                 0.8, 0.9, 1.0]
+RADII = np.array(sorted({x for b in BRANCH_POINTS
+                         for x in (b, np.nextafter(b, -1.0), np.nextafter(b, 2.0))
+                         if x >= 0.0} | {1e-250, 1e-12, 0.5, 1.3}))
+
+
+def assert_array_contract(fn, x):
+    """An array call equals the per-point calls, each of which is a float.
+
+    numpy's vector loops for pow, exp and log may round the last bit
+    differently from its scalar math, so equality is to 4 ulp.
+    """
+    with np.errstate(all="ignore"):  # some derivatives are singular at 0
+        whole = fn(x)
+        points = [fn(float(xi)) for xi in x]
+    assert isinstance(whole, np.ndarray) and whole.shape == x.shape
+    assert all(isinstance(y, float) for y in points), [type(y) for y in points]
+    np.testing.assert_allclose(whole, np.array(points), rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+ARRAY_PROFILES = ["e1", "mode(3)", "bump", "annular_bump", "constant_plateau",
+                  "log_power(0.3)", "oscillating(0.3)", "log_power(0.7)",
+                  "subcritical(0.1)", "log_ramp(1e-6)"]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name", ARRAY_PROFILES)
+def test_named_profiles_are_array_functions(n, name):
+    p = named_profile(Dimension(n), name)
+    for fn in (p.v, p.dv, p.scaled(-1.5).v, p.scaled(-1.5).dv):
+        assert_array_contract(fn, RADII)
+
+
+@pytest.mark.parametrize("name", ["e1", "bump", "log_power(0.3)", "oscillating(0.3)"])
+def test_kelvin_images_are_array_functions(dim3, name):
+    q = kelvin.kelvin_map(named_profile(dim3, name))
+    s = 1.0 / RADII[(RADII > 1e-300) & (RADII <= 1.0)]
+    for fn in (q.w, q.dw, q.regular, q.dregular):
+        assert_array_contract(fn, s)
+    back = kelvin.kelvin_unmap(q)
+    for fn in (back.v, back.dv):
+        assert_array_contract(fn, RADII)
+
+
+def test_derived_profiles_are_array_functions(dim3):
+    cap = make_named(dim3, "bump", fall=(1.0, 5.0))
+    crit = wholespace.JProfile.from_v(dim3, cap.v, cap.dv, (0.0, 5.0)).critical_profile()
+    modes = [spectrum.eigenmode(dim3, k) for k in (1, 2, 3)]
+    field = spectrum.SpectralField(modes, np.array([1.0, 0.4, -0.2])).profile()
+    for p in (crit, field):
+        for fn in (p.v, p.dv):
+            assert_array_contract(fn, np.concatenate([RADII, [2.4, 4.99, 5.0, 7.0]]))

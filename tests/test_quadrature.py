@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hardylab import hardy
+from hardylab.profiles import make_e1, named_profile
 from hardylab.quadrature import (
     DEEP_EPS_SEQUENCE,
     DEFAULT_EPS_SEQUENCE,
     InsufficientSamplesError,
+    NonConvergenceError,
     QuadConfig,
     QuadResult,
     classify_sequence,
@@ -15,7 +18,7 @@ from hardylab.quadrature import (
 )
 from hardylab.specfun import bessel_j
 
-from oracles import Z01, simpson
+from oracles import Z01, scalar_gl15, simpson
 
 
 def test_linear_integrand():
@@ -162,3 +165,90 @@ def test_value_error_from_integrand_propagates():
 
     with pytest.raises(ValueError):
         integrate(bad, 0.0, 1.0)
+
+
+def test_value_or_raise():
+    assert QuadResult(1.5, 1e-12).value_or_raise() == 1.5
+    with pytest.raises(NonConvergenceError):
+        QuadResult(math.nan, math.inf, converged=False).value_or_raise()
+    # an ArithmeticError, so integrate_to_limit drops such a sample
+    assert issubclass(NonConvergenceError, ArithmeticError)
+
+
+def test_limit_records_dropped_samples():
+    def F(e):
+        if e < 1e-5:
+            raise ValueError("below the range")
+        return math.nan if e == 1e-2 else 1.0 + e
+
+    res = integrate_to_limit(F, DEFAULT_EPS_SEQUENCE)
+    assert len(res.samples) == 4
+    assert [e for e, _ in res.dropped] == [1e-2, 1e-6]
+    assert res.dropped[0][1] == "non-finite value nan"
+    assert res.dropped[1][1] == "ValueError: below the range"
+
+
+def test_insufficient_samples_quotes_first_reason():
+    # an integrand written for scalars fails on the node arrays; the error
+    # says why instead of only counting the unusable samples
+    scalar_only = lambda r: r if r > 0.5 else 0.0
+    with pytest.raises(InsufficientSamplesError, match="truth value of an array"):
+        integrate_to_limit(lambda e: integrate(scalar_only, e, 1.0).value,
+                           DEFAULT_EPS_SEQUENCE)
+
+
+def _counted(f):
+    """f and the list of the sizes of its calls."""
+    sizes = []
+
+    def g(x):
+        sizes.append(np.size(x))
+        return f(x)
+
+    return g, sizes
+
+
+def _cases(dim3):
+    """name -> (f, a, b, singular_end, endpoint_grading, max_depth)"""
+    e1 = make_e1(dim3)
+    lp = named_profile(dim3, "log_power(0.3)")
+    return {
+        "inverse_sqrt_right": (lambda r: 1.0 / np.sqrt(1.0 - r), 0.0, 1.0, "right", 52, 48),
+        "log_left": (lambda r: np.log(1.0 / r), 0.0, 1.0, "left", 52, 48),
+        # no grading: the peak at the left end is resolved by 16 splits
+        "near_pole_ungraded": (lambda r: np.sin(3.0 * r) + 1.0 / np.sqrt(r + 1e-6),
+                               0.0, 1.0, "none", 52, 48),
+        # the cutoff_norm integrands, with the grading hardy derives for them
+        "e1_direct_1e-6": (hardy.energy_density(dim3, e1.u, e1.du), 1e-6, 1.0, "left", 52, 60),
+        "log_power_reduced_1e-32": (hardy.reduced_density(dim3, lp.v, lp.dv),
+                                    1e-32, 1.0, "left", 116, 60),
+    }
+
+
+ORACLE_CASES = ["inverse_sqrt_right", "log_left", "near_pole_ungraded", "e1_direct_1e-6",
+                "log_power_reduced_1e-32"]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_batched_panels_match_scalar_oracle(dim3, case):
+    # the same panels refined in the same order: equal point counts, values
+    # equal up to the summation order
+    f, a, b, end, grading, depth = _cases(dim3)[case]
+    g, sizes = _counted(f)
+    res = integrate(g, a, b, QuadConfig(endpoint_grading=grading, max_depth=depth),
+                    singular_end=end)
+    want, points = scalar_gl15(f, a, b, end, grading, depth)
+    assert sum(sizes) == points
+    assert abs(res.value - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_one_call_per_batch(dim3, case):
+    # one call on the 45 nodes of every initial panel, then one call on the
+    # 90 nodes of the two children of each split: 1 + splits calls in all
+    f, a, b, end, grading, depth = _cases(dim3)[case]
+    g, sizes = _counted(f)
+    integrate(g, a, b, QuadConfig(endpoint_grading=grading, max_depth=depth),
+              singular_end=end)
+    assert sizes[0] % 45 == 0
+    assert all(n == 90 for n in sizes[1:])

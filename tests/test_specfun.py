@@ -47,6 +47,23 @@ def test_deriv_matches_finite_difference(nu):
         assert abs(bessel_j_deriv(nu, x) - fd) < 1e-8
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.7, math.sqrt(0.5)])
+def test_deriv_array_matches_pointwise(nu):
+    x = np.linspace(0.0 if nu in (0.0, 1.0) else 0.05, 30.0, 97)
+    whole = bessel_j_deriv(nu, x)
+    assert whole.shape == x.shape
+    np.testing.assert_array_equal(whole, [bessel_j_deriv(nu, float(xi)) for xi in x])
+    if nu == 1.0:
+        assert whole[0] == 0.5  # J_1'(0)
+
+
+def test_deriv_array_domain():
+    with pytest.raises(BesselError):
+        bessel_j_deriv(0.7, np.array([1.0, 0.0]))
+    with pytest.raises(BesselError):
+        bessel_j_deriv(1.0, np.array([1.0, -1e-3]))
+
+
 def test_first_zero_value():
     assert abs(bessel_zero(0.0, 1) - Z01) < 1e-12
 
