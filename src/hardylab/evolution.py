@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .kelvin import ExteriorProfile, kelvin_map, kelvin_unmap
+from .kelvin import kelvin_map
 from .profiles import RadialProfile
 from .spectrum import SpectralField, expand
 
@@ -208,16 +208,17 @@ def evolve_fd(p: RadialProfile, t: float, grid: FDGrid) -> np.ndarray:
     return FDRun(p, grid, t).state(t)
 
 
-def evolve_exterior(w0: ExteriorProfile, t: float, modes: int = 40,
+def evolve_exterior(w0: RadialProfile, t: float, modes: int = 40,
                     method: str = "spectral",
-                    grid: FDGrid | None = None) -> ExteriorProfile:
+                    grid: FDGrid | None = None) -> RadialProfile:
     """Exterior flow via pullback -> ball evolution -> pushforward.
 
     method="spectral" expands the pullback in radial modes and decays them;
     method="fd" marches the finite-difference solver and reconstructs the
-    final state by expansion of the grid solution.
+    final state by expansion of the grid solution.  The Kelvin map is an
+    involution, so it does both the pullback and the pushforward.
     """
-    u0 = kelvin_unmap(w0)
+    u0 = kelvin_map(w0)
     if method == "spectral":
         field = expand(u0, modes)
         evolved = evolve_spectral(field, t)

@@ -2,23 +2,23 @@
 
 The inversion y = x/|x|^2 with u(x) = |y|^{N-2} w(y) maps radial profiles on
 (0, 1] to exterior profiles on [1, oo).  In regular parts it is simply
-omega(s) = v(1/s): the interior origin becomes the exterior infinity, and the
-singularity energy of u at 0 reappears as a surface term of w at infinity.
-The exterior squared norm is the limit of I_exterior + L_exterior, which
-stays finite (and equals the interior cutoff norm) even where the exterior
-Hardy functional alone is negative, oscillating, or divergent.
+omega(s) = v(1/s): an involution whose image is again a RadialProfile, with
+u = s^{-(N-2)/2} omega.  The interior origin becomes the exterior infinity,
+and the singularity energy of u at 0 reappears as a surface term of w at
+infinity.  The exterior squared norm is the limit of I_exterior + L_exterior,
+which stays finite (and equals the interior cutoff norm) even where the
+exterior Hardy functional alone is negative, oscillating, or divergent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import hardy
-from .profiles import Dimension, RadialProfile
+from .profiles import RadialProfile
 from .quadrature import (
     DEFAULT_EPS_SEQUENCE,
     LimitResult,
@@ -27,104 +27,55 @@ from .quadrature import (
     integrate_to_limit,
 )
 
-__all__ = ["ExteriorProfile", "kelvin_map", "kelvin_unmap",
-           "exterior_functional", "exterior_singularity_energy",
+__all__ = ["kelvin_map", "exterior_functional", "exterior_singularity_energy",
            "identity_check", "exterior_norm", "IdentityCheck"]
 
 
-@dataclass
-class ExteriorProfile:
-    """Radial function w(s) on s = |y| >= 1, stored with its regular part
-    omega(s) = s^{(N-2)/2} w(s)."""
+def kelvin_map(p: RadialProfile) -> RadialProfile:
+    """Kelvin image of p: regular part v(1/s) on the inverted support.
 
-    dim: Dimension
-    w: Callable[[float], float]
-    dw: Callable[[float], float]
-    regular: Callable[[float], float]
-    dregular: Callable[[float], float]
-    support: tuple[float, float]  # in s; upper bound may be inf
-    decay_class: str
-    boundary_zero: bool
-    name: str = ""
-    quad_levels: int = 52
+    The map is its own inverse, so it pushes a ball profile to the exterior
+    and pulls an exterior profile back.  On the exterior side ``origin_class``
+    names the behaviour at infinity, the image of the origin.
+    """
+    def v(x):
+        y = 1.0 / np.maximum(x, 1e-300)  # the axis maps to the far field
+        return p.v(y)
 
+    def dv(x):
+        y = 1.0 / np.maximum(x, 1e-300)
+        return -(p.dv(y) * y) * y  # dv/x^2, ordered so huge*tiny pairs first
 
-def kelvin_map(p: RadialProfile) -> ExteriorProfile:
-    """Push a profile supported in (0, 1] to the exterior domain."""
-    if p.support[1] > 1.0 + 1e-12:
-        raise ValueError("Kelvin map here expects support inside the unit ball")
-    lam = p.dim.singular_exponent
-
-    def regular(s: float) -> float:
-        return p.v(1.0 / s)
-
-    def dregular(s: float) -> float:
-        r = 1.0 / s
-        return -(p.dv(r) * r) * r  # dv/s^2, ordered so huge*tiny pairs first
-
-    def w(s: float) -> float:
-        return s ** (-lam) * p.v(1.0 / s)
-
-    def dw(s: float) -> float:
-        return s ** (-lam) * (dregular(s) - lam * regular(s) / s)
-
-    hi = math.inf if p.support[0] == 0.0 else 1.0 / p.support[0]
-    lo = max(1.0, 1.0 / p.support[1])
-    return ExteriorProfile(
-        dim=p.dim, w=w, dw=dw, regular=regular, dregular=dregular,
-        support=(lo, hi), decay_class=p.origin_class,
-        boundary_zero=p.boundary_zero,
-        name=f"kelvin[{p.name}]" if p.name else "kelvin",
-        quad_levels=p.quad_levels,
-    )
+    lo, hi = p.support
+    inv_lo = math.inf if lo == 0.0 else 1.0 / lo  # and 1/inf = 0
+    return replace(p, v=v, dv=dv, support=(1.0 / hi, inv_lo),
+                   name=f"kelvin[{p.name}]" if p.name else "kelvin")
 
 
-def kelvin_unmap(q: ExteriorProfile) -> RadialProfile:
-    """Pull an exterior profile back to the ball (involution partner)."""
-    lo = 0.0 if math.isinf(q.support[1]) else 1.0 / q.support[1]
-
-    def v(r):
-        s = 1.0 / np.maximum(r, 1e-300)  # the axis maps to the far field
-        return q.regular(s)
-
-    def dv(r):
-        s = 1.0 / np.maximum(r, 1e-300)
-        return -(q.dregular(s) * s) * s
-
-    return RadialProfile(
-        dim=q.dim,
-        v=v,
-        dv=dv,
-        support=(lo, min(1.0, 1.0 / q.support[0])),
-        origin_class=q.decay_class,
-        boundary_zero=q.boundary_zero,
-        name=f"unkelvin[{q.name}]" if q.name else "unkelvin",
-        quad_levels=q.quad_levels,
-    )
-
-
-def _annulus_cfg(q: ExteriorProfile, S: float) -> QuadConfig:
+def _annulus_cfg(q: RadialProfile, S: float) -> QuadConfig:
     needed = int(math.log2(max(S, 4.0))) + 10
     return QuadConfig(endpoint_grading=min(max(52, needed), q.quad_levels + 16),
                       max_depth=60)
 
 
-def exterior_functional(q: ExteriorProfile, S: float, method: str = "direct") -> float:
+def exterior_functional(q: RadialProfile, S: float, method: str = "direct") -> float:
     r"""Hardy functional on the truncated exterior annulus 1 < s < S:
     s_N \int_1^S (w'^2 - c* w^2/s^2) s^{N-1} ds.
 
-    method="direct" builds the integrand from the public w and dw.  For very
-    deep truncations (S beyond ~1e100) w' underflows before the weight can
-    compensate; method="reduced" expands the square pointwise in the regular
-    part,  omega'^2 s - 2 lam omega omega',  which stays representable.
+    q is a Kelvin image: q.u = w, q.v = omega, and q.origin_class names the
+    behaviour at infinity.  method="direct" builds the integrand from the
+    public u and du.  For very deep truncations (S beyond ~1e100) w'
+    underflows before the weight can compensate; method="reduced" expands the
+    square pointwise in the regular part,  omega'^2 s - 2 lam omega omega',
+    which stays representable.
     """
     if not S > 1.0:
         raise ValueError(f"need S > 1, got {S}")
     dim = q.dim
     if method == "direct":
-        f = hardy.energy_density(dim, q.w, q.dw)
+        f = hardy.energy_density(dim, q.u, q.du)
     elif method == "reduced":
-        f = hardy.reduced_density(dim, q.regular, q.dregular)
+        f = hardy.reduced_density(dim, q.v, q.dv)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -141,11 +92,11 @@ def exterior_functional(q: ExteriorProfile, S: float, method: str = "direct") ->
     return dim.surface_factor * res.value_or_raise()
 
 
-def exterior_singularity_energy(q: ExteriorProfile, S: float) -> float:
+def exterior_singularity_energy(q: RadialProfile, S: float) -> float:
     """Surface term at radius S (the image of the interior one at 1/S):
-    N(N-2)/2 omega_N S^{N-2} w(S)^2, evaluated from the public w."""
+    N(N-2)/2 omega_N S^{N-2} w(S)^2, evaluated from the public u."""
     dim = q.dim
-    return dim.hs_constant * S ** (dim.n - 2) * q.w(S) ** 2
+    return dim.hs_constant * S ** (dim.n - 2) * q.u(S) ** 2
 
 
 @dataclass
@@ -183,7 +134,7 @@ def identity_check(p: RadialProfile, eps: float) -> IdentityCheck:
     )
 
 
-def exterior_norm(q: ExteriorProfile,
+def exterior_norm(q: RadialProfile,
                   eps_sequence=DEFAULT_EPS_SEQUENCE) -> LimitResult:
     """Exterior squared norm: lim_{eps->0} I_exterior(1/eps) + L_exterior(1/eps).
 
@@ -197,7 +148,7 @@ def exterior_norm(q: ExteriorProfile,
     def surface(S: float) -> float:
         if method == "direct":
             return exterior_singularity_energy(q, S)
-        return q.dim.hs_constant * q.regular(S) ** 2
+        return q.dim.hs_constant * q.v(S) ** 2
 
     def regularized(eps: float) -> float:
         S = 1.0 / eps

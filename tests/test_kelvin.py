@@ -17,15 +17,21 @@ def test_ground_mode_image_formula(dim3):
     q = kelvin.kelvin_map(make_e1(dim3))
     for s in (1.0, 1.7, 3.2, 11.0):
         want = s ** (-0.5) * bessel_j(0.0, Z01 / s)
-        assert abs(q.w(s) - want) < 1e-14
+        assert abs(q.u(s) - want) < 1e-14
 
 
 def test_involution(dim3):
     p = make_e1(dim3)
-    back = kelvin.kelvin_unmap(kelvin.kelvin_map(p))
+    back = kelvin.kelvin_map(kelvin.kelvin_map(p))
     for r in np.linspace(0.02, 0.99, 29):
         assert abs(back.v(r) - p.v(r)) < 1e-13
         assert abs(back.u(r) - p.u(r)) < 1e-13 * max(1.0, abs(p.u(r)))
+    # the image is a RadialProfile again: a non-member keeps its tags
+    q = named_profile(dim3, "log_power(0.7)")
+    back = kelvin.kelvin_map(kelvin.kelvin_map(q))
+    assert not q.member
+    assert (back.support, back.origin_class, back.member) \
+        == (q.support, q.origin_class, q.member)
 
 
 def test_change_of_variables_measure(dim3):
@@ -36,7 +42,7 @@ def test_change_of_variables_measure(dim3):
     ball = hardy.weighted_l2_sq(p)
     n = dim3.n
     ext = dim3.surface_factor * integrate(
-        lambda s: q.w(s) ** 2 * s ** (n - 5), 1.0, 2e5,
+        lambda s: q.u(s) ** 2 * s ** (n - 5), 1.0, 2e5,
         singular_end="right").value
     assert abs(ball - ext) < 1e-5
 
@@ -165,7 +171,7 @@ def test_exterior_eigen_equation_residual(dim3):
     q = kelvin.kelvin_map(make_e1(dim3))
     c_star = dim3.critical_coefficient
     for s in np.linspace(1.05, 50.0, 40):
-        d2 = central_diff(q.dw, s, 1e-6 * s)
-        lhs = -d2 - (dim3.n - 1) / s * q.dw(s) - c_star * q.w(s) / s**2
-        rhs = MU1 * s**-4 * q.w(s)
+        d2 = central_diff(q.du, s, 1e-6 * s)
+        lhs = -d2 - (dim3.n - 1) / s * q.du(s) - c_star * q.u(s) / s**2
+        rhs = MU1 * s**-4 * q.u(s)
         assert abs(lhs - rhs) < 1e-8
