@@ -12,14 +12,14 @@ the principal-value functional never drops below N(N-2)/2 omega_N v(0)^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import hardy
-from .profiles import RadialProfile
-from .quadrature import QuadConfig, integrate
+from .profiles import RadialProfile, make_e1
+from .quadrature import DEEP_EPS_SEQUENCE, QuadConfig, integrate
 
 __all__ = ["Smoothstep", "cubic_smoothstep", "smoothstep_energy",
            "naive_cutoff_defect", "naive_cutoff_limit", "log_cutoff",
@@ -80,7 +80,7 @@ def naive_cutoff_defect(p: RadialProfile, eps: float,
         d = step.drho(t) * p.v(r) / eps + (step.rho(t) - 1.0) * p.dv(r)
         return d * d * r
 
-    cfg = QuadConfig(endpoint_grading=min(p.quad_levels, 64), max_depth=60)
+    cfg = hardy.graded_cfg(0.0, eps)
     inner = integrate(f, 0.0, eps, cfg, singular_end="left").value_or_raise()
     outer = integrate(f, eps, 2.0 * eps, cfg).value_or_raise()
     return p.dim.surface_factor * (inner + outer)
@@ -115,8 +115,6 @@ def log_cutoff(p: RadialProfile, eps: float) -> RadialProfile:
         origin_class="vanishing",
         boundary_zero=p.boundary_zero,
         name=f"log_cutoff({eps:g})[{p.name}]",
-        # grade past the ramp's inner edge eps^2
-        quad_levels=max(p.quad_levels, int(math.log2(1.0 / e2)) + 32),
     )
 
 
@@ -135,9 +133,10 @@ def log_cutoff_defect(p: RadialProfile, eps: float) -> float:
     def head(r):
         return (p.dv(r) * np.sqrt(r)) ** 2
 
-    cfg = QuadConfig(endpoint_grading=min(p.quad_levels + 16, 1040), max_depth=60)
-    mid = integrate(ramp, e2, eps, cfg, singular_end="left").value_or_raise()
-    low = integrate(head, 0.0, e2, cfg, singular_end="left").value_or_raise()
+    mid = integrate(ramp, e2, eps, hardy.graded_cfg(e2, eps),
+                    singular_end="left").value_or_raise()
+    low = integrate(head, 0.0, e2, hardy.graded_cfg(0.0, e2),
+                    singular_end="left").value_or_raise()
     return p.dim.surface_factor * (mid + low)
 
 
@@ -148,23 +147,12 @@ def e1_obstruction(phi: RadialProfile) -> float:
         raise ValueError("the obstruction bound applies to vanishing-class competitors")
     if phi.support[1] > 1.0 + 1e-12:
         raise ValueError("competitor must live on the unit ball")
-    from .profiles import make_e1  # local import avoids a cycle at module load
-
     e1 = make_e1(phi.dim)
-    diff = RadialProfile(
-        dim=phi.dim,
-        v=lambda r: e1.v(r) - phi.v(r),
-        dv=lambda r: e1.dv(r) - phi.dv(r),
-        support=(0.0, 1.0),
-        origin_class="finite_limit",
-        boundary_zero=True,
-        name=f"e1-{phi.name}" if phi.name else "e1-phi",
-        quad_levels=max(e1.quad_levels, phi.quad_levels),
-    )
+    diff = replace(e1, v=lambda r: e1.v(r) - phi.v(r),
+                   dv=lambda r: e1.dv(r) - phi.dv(r),
+                   name=f"e1-{phi.name}" if phi.name else "e1-phi")
     # competitors may differ from the ground mode only at arbitrarily small
     # radii, so the cut radius must go all the way down the deep sequence
-    from .quadrature import DEEP_EPS_SEQUENCE
-
     res = hardy.principal_value(diff, eps_sequence=DEEP_EPS_SEQUENCE)
     if res.classification != "converged":
         raise ValueError(f"principal value did not converge: {res.classification}")
@@ -217,6 +205,6 @@ def level_truncation_defect(p: RadialProfile, level: float) -> float:
     def f(r):
         return np.where(np.abs(p.v(r)) <= level, 0.0, (p.dv(r) * np.sqrt(r)) ** 2)
 
-    cfg = QuadConfig(endpoint_grading=min(p.quad_levels + 16, 1040), max_depth=60)
-    res = integrate(f, 0.0, p.support[1], cfg, singular_end="left")
+    res = integrate(f, 0.0, p.support[1], hardy.graded_cfg(0.0, p.support[1]),
+                    singular_end="left")
     return p.dim.surface_factor * res.value_or_raise()

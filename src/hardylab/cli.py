@@ -159,7 +159,7 @@ def suite_evolve(dim: Dimension, profile_name: str, t_final: float, grid_m: int)
     return ("t,energy,dEdt_est,minus2dirichlet,flux_diag", rows, checks)
 
 
-def suite_kelvin(dim: Dimension, eps_min: float):
+def suite_kelvin(dim: Dimension):
     e1 = make_e1(dim)
     q = kelvin.kelvin_map(e1)
     rows = []
@@ -238,7 +238,7 @@ def suite_poincare(dim: Dimension):
     return ("key,value1,value2,value3,value4", rows, checks)
 
 
-def suite_density(dim: Dimension, eps_min: float):
+def suite_density(dim: Dimension):
     rows, checks = [], []
     bump = make_named(dim, "bump")
     e1 = make_e1(dim)
@@ -294,9 +294,9 @@ def run(command: str, dim_n: int, profile: str, eps_min: float, modes: int,
         "spectrum": lambda: suite_spectrum(dim, modes),
         "energy": lambda: suite_energy(dim, profile, eps_min),
         "evolve": lambda: suite_evolve(dim, profile, t_final, grid_m),
-        "kelvin": lambda: suite_kelvin(dim, eps_min),
+        "kelvin": lambda: suite_kelvin(dim),
         "poincare": lambda: suite_poincare(dim),
-        "density": lambda: suite_density(dim, eps_min),
+        "density": lambda: suite_density(dim),
     }
     names = list(suites) if command == "all" else [command]
 

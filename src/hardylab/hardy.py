@@ -36,6 +36,7 @@ __all__ = [
     "reduced_density",
     "limit_method",
     "needs_deep_grid",
+    "graded_cfg",
     "annulus_functional",
     "weighted_dirichlet",
     "weighted_l2_sq",
@@ -102,12 +103,15 @@ def needs_deep_grid(p: RadialProfile) -> bool:
     return p.origin_class in ("oscillating", "log_divergent") or not p.member
 
 
-def _left_cfg(p: RadialProfile, lo: float, hi: float) -> QuadConfig:
-    """Grading deep enough to resolve scales between lo and hi."""
+def graded_cfg(lo: float, hi: float) -> QuadConfig:
+    """Grading toward lo deep enough to resolve every scale between lo and hi.
+
+    The depth comes from the interval alone: an interval that starts at 0 is
+    graded down to MOLLIFY_RADIUS, below which no profile has features.
+    """
     floor = max(lo, 0.5 * MOLLIFY_RADIUS)
     needed = int(math.log2(max(hi / floor, 4.0))) + 10
-    return QuadConfig(endpoint_grading=min(max(52, needed), p.quad_levels + 16),
-                      max_depth=60)
+    return QuadConfig(endpoint_grading=max(52, needed), max_depth=60)
 
 
 def _outer(p: RadialProfile, R: float | None) -> float:
@@ -122,7 +126,7 @@ def weighted_l2_sq(p: RadialProfile, R: float | None = None) -> float:
     """
     R = _outer(p, R)
     f = lambda r: (p.v(r) * np.sqrt(r)) ** 2
-    res = integrate(f, 0.0, R, _left_cfg(p, 0.0, R), singular_end="left")
+    res = integrate(f, 0.0, R, graded_cfg(0.0, R), singular_end="left")
     return p.dim.surface_factor * res.value_or_raise()
 
 
@@ -132,7 +136,7 @@ def weighted_dirichlet(p: RadialProfile, eps: float, R: float | None = None) -> 
     if eps < 0.0 or eps >= R:
         raise ValueError(f"need 0 <= eps < R, got eps={eps}, R={R}")
     f = lambda r: (p.dv(r) * np.sqrt(r)) ** 2
-    res = integrate(f, eps, R, _left_cfg(p, eps, R), singular_end="left")
+    res = integrate(f, eps, R, graded_cfg(eps, R), singular_end="left")
     return p.dim.surface_factor * res.value_or_raise()
 
 
@@ -162,7 +166,7 @@ def annulus_functional(p: RadialProfile, eps: float, R: float | None = None,
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    res = integrate(f, eps, R, _left_cfg(p, eps, R), singular_end="left")
+    res = integrate(f, eps, R, graded_cfg(eps, R), singular_end="left")
     return p.dim.surface_factor * res.value_or_raise()
 
 

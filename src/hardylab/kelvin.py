@@ -22,7 +22,6 @@ from .profiles import RadialProfile
 from .quadrature import (
     DEFAULT_EPS_SEQUENCE,
     LimitResult,
-    QuadConfig,
     integrate,
     integrate_to_limit,
 )
@@ -50,12 +49,6 @@ def kelvin_map(p: RadialProfile) -> RadialProfile:
     inv_lo = math.inf if lo == 0.0 else 1.0 / lo  # and 1/inf = 0
     return replace(p, v=v, dv=dv, support=(1.0 / hi, inv_lo),
                    name=f"kelvin[{p.name}]" if p.name else "kelvin")
-
-
-def _annulus_cfg(q: RadialProfile, S: float) -> QuadConfig:
-    needed = int(math.log2(max(S, 4.0))) + 10
-    return QuadConfig(endpoint_grading=min(max(52, needed), q.quad_levels + 16),
-                      max_depth=60)
 
 
 def exterior_functional(q: RadialProfile, S: float, method: str = "direct") -> float:
@@ -88,7 +81,7 @@ def exterior_functional(q: RadialProfile, S: float, method: str = "direct") -> f
     # grading toward the INNER edge makes the initial panels geometric in
     # s - lo, i.e. roughly one per octave of s: the only way to cover energy
     # spread over dozens of decades up to the truncation radius
-    res = integrate(f, lo, hi, _annulus_cfg(q, hi), singular_end="left")
+    res = integrate(f, lo, hi, hardy.graded_cfg(1.0, hi), singular_end="left")
     return dim.surface_factor * res.value_or_raise()
 
 

@@ -103,7 +103,6 @@ class RadialProfile:
     boundary_zero: bool
     name: str = ""
     member: bool = True
-    quad_levels: int = 52
 
     def __post_init__(self) -> None:
         if self.origin_class not in ORIGIN_CLASSES:
@@ -275,7 +274,6 @@ def _log_family(dim: Dimension, a: float, oscillate: bool) -> RadialProfile:
         boundary_zero=True,
         name=f"{kind}({a:g})",
         member=0.0 < a < 0.5,
-        quad_levels=1024,
     )
 
 
@@ -360,7 +358,7 @@ def _log_ramp(dim: Dimension, delta: float) -> RadialProfile:
 
     return RadialProfile(dim=dim, v=v, dv=dv, support=(0.0, 1.0),
                          origin_class="finite_limit", boundary_zero=True,
-                         name=f"log_ramp({delta:g})", quad_levels=80)
+                         name=f"log_ramp({delta:g})")
 
 
 def make_named(dim: Dimension, kind: str, **params) -> RadialProfile:

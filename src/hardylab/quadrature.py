@@ -233,8 +233,11 @@ def classify_sequence(values, abs_tol: float = 1e-10, rel_tol: float = 1e-9):
     if len(v) < 4:
         raise InsufficientSamplesError(f"need >= 4 samples, got {len(v)}")
     scale = max(max(abs(x) for x in v), 1e-300)
-    d = [v[j + 1] - v[j] for j in range(len(v) - 1)]
     tol = max(abs_tol, rel_tol * scale)
+    # a difference within tol is rounding noise: it has no sign, so it can
+    # neither reverse a monotone run nor make a ratio of -1
+    d = [x if abs(x) > tol else 0.0
+         for x in (v[j + 1] - v[j] for j in range(len(v) - 1))]
 
     if all(abs(x) <= tol for x in d[-3:]):
         return "converged", v[-1]

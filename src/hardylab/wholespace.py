@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import hardy
 from .profiles import Dimension, RadialProfile
-from .quadrature import QuadConfig, integrate
+from .quadrature import QuadConfig, QuadResult, integrate
 from .specfun import bessel_j, bessel_zero
 
 __all__ = ["JProfile", "JEnergy", "HardyPoincareResult", "j_functional",
@@ -121,7 +121,7 @@ def _split_points(lo: float, hi: float) -> list[float]:
     return pts
 
 
-def _integrate_split(f, lo: float, hi: float, cfg: QuadConfig):
+def _integrate_split(f, lo: float, hi: float, cfg: QuadConfig) -> QuadResult:
     """Integrate with panels split exactly at the Bessel zeros; each
     subinterval is graded toward both zero endpoints (the weight may have
     poles there)."""
@@ -134,7 +134,7 @@ def _integrate_split(f, lo: float, hi: float, cfg: QuadConfig):
             value += res.value
             err += res.err_est
             ok = ok and res.converged
-    return value, err, ok
+    return QuadResult(value, err, ok)
 
 
 def j_functional(p: JProfile, cfg: QuadConfig | None = None) -> JEnergy:
@@ -163,11 +163,12 @@ def j_functional(p: JProfile, cfg: QuadConfig | None = None) -> JEnergy:
     shallow_cfg = QuadConfig(endpoint_grading=cfg.endpoint_grading,
                              max_depth=max(10, cfg.max_depth - 26),
                              abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
-    g_shallow, _, _ = _integrate_split(g, lo, hi, shallow_cfg)
-    gval, _, gok = _integrate_split(g, lo, hi, cfg)
-    stable = abs(gval - g_shallow) <= 1e-6 * (1.0 + abs(gval))
-    mval, _, mok = _integrate_split(m, lo, hi, cfg)
-    return JEnergy(sfac * gval, sfac * mval, gok and mok and stable)
+    g_shallow = _integrate_split(g, lo, hi, shallow_cfg).value
+    grad = _integrate_split(g, lo, hi, cfg)
+    stable = abs(grad.value - g_shallow) <= 1e-6 * (1.0 + abs(grad.value))
+    mass = _integrate_split(m, lo, hi, cfg)
+    return JEnergy(sfac * grad.value, sfac * mass.value,
+                   grad.converged and mass.converged and stable)
 
 
 @dataclass
@@ -227,9 +228,9 @@ def infimum_sequence(n: int) -> float:
     def mass_ramp(r: float) -> float:
         return (bessel_j(0.0, r) * (r2 - r) * slope) ** 2 * r
 
-    gval, _, _ = _integrate_split(grad, r1, r2, cfg)
-    m1, _, _ = _integrate_split(mass_plateau, 0.0, r1, cfg)
-    m2, _, _ = _integrate_split(mass_ramp, r1, r2, cfg)
+    gval = _integrate_split(grad, r1, r2, cfg).value_or_raise()
+    m1 = _integrate_split(mass_plateau, 0.0, r1, cfg).value_or_raise()
+    m2 = _integrate_split(mass_ramp, r1, r2, cfg).value_or_raise()
     return gval / (m1 + m2)
 
 
@@ -241,7 +242,7 @@ def r2_poincare_check(v, dv, support) -> float:
     def g(r: float) -> float:
         return (bessel_j(0.0, r) * dv(r)) ** 2 * r
 
-    val, _, _ = _integrate_split(g, support[0], support[1], cfg)
+    val = _integrate_split(g, support[0], support[1], cfg).value_or_raise()
     return 2.0 * math.pi * val
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -64,6 +65,24 @@ def test_log_cutoff_defect_vanishes(dim3):
     assert approx.log_cutoff_defect(p, 1e-8) < approx.log_cutoff_defect(p, 1e-2)
     zero = make_named(dim3, "bump", height=0.0)
     assert approx.log_cutoff_defect(zero, 1e-3) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_log_cutoff_defect_deep_ramp(dim3):
+    # the ramp's inner edge sits at eps^2 = 1e-80; the leading term of the
+    # defect for the ground mode in N = 3 is 4 pi / log(1/eps)
+    val = approx.log_cutoff_defect(make_e1(dim3), 1e-40)
+    assert val == pytest.approx(4.0 * math.pi / math.log(1e40), rel=1e-6)
+
+
+def test_log_cutoff_defect_is_dirichlet_energy_of_difference(dim3):
+    # the same defect by the generic route: the weighted Dirichlet energy of
+    # e1 - log_cutoff(e1) on (0, 1), for a difference built with replace()
+    e1 = make_e1(dim3)
+    lc = approx.log_cutoff(e1, 1e-25)
+    diff = replace(e1, v=lambda r: e1.v(r) - lc.v(r),
+                   dv=lambda r: e1.dv(r) - lc.dv(r))
+    assert hardy.weighted_dirichlet(diff, 0.0) \
+        == pytest.approx(approx.log_cutoff_defect(e1, 1e-25), rel=1e-6)
 
 
 def test_naive_exceeds_log_by_two_orders(dim3):

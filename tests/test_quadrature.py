@@ -138,6 +138,14 @@ def test_classify_sequence_flat():
     assert cls == "converged" and limit == 2.0
 
 
+def test_classify_sequence_flat_with_rounding_jitter():
+    # last differences +1 ulp and -1 ulp: noise, not an oscillation
+    x = 6.586380055915649
+    cls, limit = classify_sequence(
+        [0.0, 0.0, 0.0, 0.0, 0.0, 4.036757398242, x, x + 8.881784197001252e-16, x])
+    assert cls == "converged" and limit == x
+
+
 def test_non_integrable_pole_flagged():
     res = integrate(lambda r: 1.0 / r ** 1.5, 0.0, 1.0,
                     QuadConfig(max_depth=30), singular_end="left")
