@@ -37,6 +37,11 @@ def kelvin_map(p: RadialProfile) -> RadialProfile:
     and pulls an exterior profile back.  On the exterior side ``origin_class``
     names the behaviour at infinity, the image of the origin.
     """
+    lo, hi = p.support
+    if not (hi <= 1.0 + 1e-12 or lo >= 1.0 - 1e-12):
+        raise ValueError(f"support {p.support} must lie inside the unit ball "
+                         "or outside it")
+
     def v(x):
         y = 1.0 / np.maximum(x, 1e-300)  # the axis maps to the far field
         return p.v(y)
@@ -45,7 +50,6 @@ def kelvin_map(p: RadialProfile) -> RadialProfile:
         y = 1.0 / np.maximum(x, 1e-300)
         return -(p.dv(y) * y) * y  # dv/x^2, ordered so huge*tiny pairs first
 
-    lo, hi = p.support
     inv_lo = math.inf if lo == 0.0 else 1.0 / lo  # and 1/inf = 0
     return replace(p, v=v, dv=dv, support=(1.0 / hi, inv_lo),
                    name=f"kelvin[{p.name}]" if p.name else "kelvin")

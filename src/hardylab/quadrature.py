@@ -242,7 +242,8 @@ def classify_sequence(values, abs_tol: float = 1e-10, rel_tol: float = 1e-9):
     if all(abs(x) <= tol for x in d[-3:]):
         return "converged", v[-1]
 
-    monotone = all(x > 0 for x in d) or all(x < 0 for x in d)
+    signed = [x for x in d if x != 0.0]
+    monotone = all(x > 0 for x in signed) or all(x < 0 for x in signed)
     ratios = [d[j + 1] / d[j] for j in range(len(d) - 1) if d[j] != 0.0]
     tail_ratios = ratios[-3:] if len(ratios) >= 3 else ratios
     rho = float(np.median(tail_ratios)) if tail_ratios else 0.0

@@ -34,6 +34,13 @@ def test_involution(dim3):
         == (q.support, q.origin_class, q.member)
 
 
+def test_support_must_lie_on_one_side_of_the_sphere(dim3):
+    # a profile straddling |x| = 1 has no image on either side
+    straddle = make_named(dim3, "bump", fall=(0.5, 2.0))
+    with pytest.raises(ValueError):
+        kelvin.kelvin_map(straddle)
+
+
 def test_change_of_variables_measure(dim3):
     # mass is conserved with the inversion weight: int u^2 dx over the ball
     # equals int w^2 |y|^-4 dy over the exterior

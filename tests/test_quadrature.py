@@ -146,6 +146,15 @@ def test_classify_sequence_flat_with_rounding_jitter():
     assert cls == "converged" and limit == x
 
 
+def test_fast_growth_with_small_early_steps_diverges():
+    # the first steps of e^-3 lie within rel_tol of its largest value and
+    # count as zero; they must not break the monotone run
+    res = integrate_to_limit(lambda e: e ** -3, DEFAULT_EPS_SEQUENCE)
+    assert res.classification == "diverging"
+    res = integrate_to_limit(lambda e: e ** -0.1, DEEP_EPS_SEQUENCE)
+    assert res.classification == "diverging"
+
+
 def test_non_integrable_pole_flagged():
     res = integrate(lambda r: 1.0 / r ** 1.5, 0.0, 1.0,
                     QuadConfig(max_depth=30), singular_end="left")
