@@ -36,6 +36,8 @@ __all__ = [
     "reduced_density",
     "limit_method",
     "needs_deep_grid",
+    "eps_grid",
+    "dirichlet_diverges",
     "graded_cfg",
     "annulus_functional",
     "weighted_dirichlet",
@@ -155,6 +157,10 @@ def annulus_functional(p: RadialProfile, eps: float, R: float | None = None,
     decomposition identity probes.  method="reduced" expands the square
     pointwise (no integration by parts) into  v'^2 r - 2 lam v v'  and stays
     representable down to eps ~ 1e-250; used for deep classification runs.
+
+    Only the part of the annulus inside p.support is integrated, so a narrow
+    compactly supported profile cannot slip between quadrature nodes; the
+    functional is 0.0 where the two do not overlap.
     """
     R = _outer(p, R)
     if not 0.0 < eps < R:
@@ -166,7 +172,10 @@ def annulus_functional(p: RadialProfile, eps: float, R: float | None = None,
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    res = integrate(f, eps, R, graded_cfg(eps, R), singular_end="left")
+    lo, hi = max(eps, p.support[0]), min(R, p.support[1])
+    if not lo < hi:
+        return 0.0
+    res = integrate(f, lo, hi, graded_cfg(lo, hi), singular_end="left")
     return p.dim.surface_factor * res.value_or_raise()
 
 
@@ -180,14 +189,18 @@ def breakdown(p: RadialProfile, eps: float, R: float | None = None) -> HardyBrea
     return HardyBreakdown(eps, annulus, sing, diri, annulus - diri - sing)
 
 
-def _dirichlet_diverges(p: RadialProfile, R: float) -> bool:
-    """Deep-grid test of whether the weighted Dirichlet energy is a limit."""
+def dirichlet_diverges(p: RadialProfile, R: float | None = None) -> bool:
+    """Whether p lies outside the weighted Dirichlet space: for the classes
+    that need the deep grid, whether D(eps, R) diverges along it."""
+    if not needs_deep_grid(p):
+        return False
+    R = _outer(p, R)
     seq = [e for e in DEEP_EPS_SEQUENCE if e < R]
     res = integrate_to_limit(lambda d: weighted_dirichlet(p, d, R), seq)
     return res.classification == "diverging"
 
 
-def _eps_grid(p: RadialProfile, eps_sequence):
+def eps_grid(p: RadialProfile, eps_sequence):
     """Default eps grid per origin class: fast classes contract at least
     geometrically on 10^-1..10^-6; powers of log need log(1/eps) itself
     sampled geometrically to reveal their behavior."""
@@ -208,8 +221,8 @@ def cutoff_norm(p: RadialProfile, R: float | None = None,
     ``diverging`` without attempting the limit.
     """
     R = _outer(p, R)
-    eps_sequence = _eps_grid(p, eps_sequence)
-    if needs_deep_grid(p) and _dirichlet_diverges(p, R):
+    eps_sequence = eps_grid(p, eps_sequence)
+    if dirichlet_diverges(p, R):
         return LimitResult(float("nan"), "diverging")
     method = limit_method(eps_sequence)
 
@@ -225,7 +238,7 @@ def principal_value(p: RadialProfile, R: float | None = None,
     functional.  Converges for vanishing and finite_limit classes; oscillates
     or diverges exactly when the singularity energy does."""
     R = _outer(p, R)
-    eps_sequence = _eps_grid(p, eps_sequence)
+    eps_sequence = eps_grid(p, eps_sequence)
     method = limit_method(eps_sequence)
     return integrate_to_limit(
         lambda eps: annulus_functional(p, eps, R, method=method), eps_sequence)

@@ -19,12 +19,7 @@ import numpy as np
 
 from . import hardy
 from .profiles import RadialProfile
-from .quadrature import (
-    DEFAULT_EPS_SEQUENCE,
-    LimitResult,
-    integrate,
-    integrate_to_limit,
-)
+from .quadrature import LimitResult, integrate_to_limit
 
 __all__ = ["kelvin_map", "exterior_functional", "exterior_singularity_energy",
            "identity_check", "exterior_norm", "IdentityCheck"]
@@ -60,33 +55,15 @@ def exterior_functional(q: RadialProfile, S: float, method: str = "direct") -> f
     s_N \int_1^S (w'^2 - c* w^2/s^2) s^{N-1} ds.
 
     q is a Kelvin image: q.u = w, q.v = omega, and q.origin_class names the
-    behaviour at infinity.  method="direct" builds the integrand from the
-    public u and du.  For very deep truncations (S beyond ~1e100) w'
-    underflows before the weight can compensate; method="reduced" expands the
-    square pointwise in the regular part,  omega'^2 s - 2 lam omega omega',
-    which stays representable.
+    behaviour at infinity.  This is the annulus functional of q on (1, S), so
+    ``method`` picks the integrand form as there: "reduced" stays
+    representable for truncations beyond ~1e100, where w' underflows.
+    Grading toward the inner edge gives roughly one panel per octave of s,
+    which covers energy spread over dozens of decades.
     """
     if not S > 1.0:
         raise ValueError(f"need S > 1, got {S}")
-    dim = q.dim
-    if method == "direct":
-        f = hardy.energy_density(dim, q.u, q.du)
-    elif method == "reduced":
-        f = hardy.reduced_density(dim, q.v, q.dv)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    # integrate only where the profile lives, otherwise a narrow compactly
-    # supported w can slip between quadrature nodes
-    lo = max(1.0, q.support[0])
-    hi = min(S, q.support[1])
-    if not lo < hi:
-        return 0.0
-    # grading toward the INNER edge makes the initial panels geometric in
-    # s - lo, i.e. roughly one per octave of s: the only way to cover energy
-    # spread over dozens of decades up to the truncation radius
-    res = integrate(f, lo, hi, hardy.graded_cfg(1.0, hi), singular_end="left")
-    return dim.surface_factor * res.value_or_raise()
+    return hardy.annulus_functional(q, 1.0, S, method=method)
 
 
 def exterior_singularity_energy(q: RadialProfile, S: float) -> float:
@@ -131,24 +108,23 @@ def identity_check(p: RadialProfile, eps: float) -> IdentityCheck:
     )
 
 
-def exterior_norm(q: RadialProfile,
-                  eps_sequence=DEFAULT_EPS_SEQUENCE) -> LimitResult:
+def exterior_norm(q: RadialProfile, eps_sequence=None) -> LimitResult:
     """Exterior squared norm: lim_{eps->0} I_exterior(1/eps) + L_exterior(1/eps).
 
     The surface term enters with the opposite sign convention from the ball:
     at infinity the hidden energy adds to the functional instead of being cut
     away, and the sum is the quantity unitarily equivalent to the interior
-    cutoff norm.
+    cutoff norm.  The eps grid and the non-member guard are those of
+    ``hardy.cutoff_norm``; the weighted Dirichlet energy is invariant under
+    the inversion, so the guard runs on the preimage.
     """
+    eps_sequence = hardy.eps_grid(q, eps_sequence)
+    if hardy.dirichlet_diverges(kelvin_map(q)):
+        return LimitResult(float("nan"), "diverging")
     method = hardy.limit_method(eps_sequence)
-
-    def surface(S: float) -> float:
-        if method == "direct":
-            return exterior_singularity_energy(q, S)
-        return q.dim.hs_constant * q.v(S) ** 2
 
     def regularized(eps: float) -> float:
         S = 1.0 / eps
-        return exterior_functional(q, S, method=method) + surface(S)
+        return exterior_functional(q, S, method=method) + hardy.singularity_energy(q, S)
 
     return integrate_to_limit(regularized, eps_sequence)

@@ -49,6 +49,9 @@ def test_annulus_independent_of_eps_for_annular_support(dim3):
     p = named_profile(dim3, "annular_bump")  # supported in (0.2, 0.8)
     vals = [hardy.annulus_functional(p, eps, 1.0) for eps in (0.19, 0.05, 1e-3)]
     assert max(vals) - min(vals) < 1e-9
+    # an annulus that misses the support carries no energy at all
+    assert hardy.annulus_functional(p, 0.85, 1.0) == 0.0
+    assert hardy.annulus_functional(p, 0.01, 0.2) == 0.0
 
 
 def test_annulus_limit_value_e1(dim3):
@@ -119,6 +122,21 @@ def test_cutoff_norm_diverges_outside_regime(dim3):
     p = make_named(dim3, "log_power", a=0.5)
     res = hardy.cutoff_norm(p)
     assert res.classification == "diverging"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the default eps grid ends at delta = 1e-6, where the ramp's trace "
+           "only just freezes, so the limit cannot be seen on it; the deep "
+           "grid gives 0.90958423555")
+def test_log_ramp_limit_on_default_grid(dim3):
+    # v = log(r)/log(delta) above delta: D(0, 1) = s_N / ln(1/delta)
+    p = named_profile(dim3, "log_ramp(1e-6)")
+    want = dim3.surface_factor / math.log(1e6)
+    assert hardy.principal_value(p).classification == "converged"
+    res = hardy.cutoff_norm(p)
+    assert res.classification == "converged"
+    assert abs(res.limit - want) <= 1e-8 * want
 
 
 def test_oscillating_profile_limit_exists_while_functional_oscillates(dim3):

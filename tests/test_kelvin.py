@@ -5,7 +5,8 @@ import pytest
 
 from hardylab import hardy, kelvin
 from hardylab.profiles import Dimension, make_e1, make_named, named_profile
-from hardylab.quadrature import DEEP_EPS_SEQUENCE, integrate, integrate_to_limit
+from hardylab.quadrature import (DEEP_EPS_SEQUENCE, DEFAULT_EPS_SEQUENCE, integrate,
+                                 integrate_to_limit)
 from hardylab.specfun import bessel_j
 
 from oracles import Z01, central_diff, simpson
@@ -87,6 +88,23 @@ def test_exterior_norm_is_unitary(dim3):
     interior = hardy.cutoff_norm(p)
     assert nrm.classification == "converged"
     assert abs(nrm.limit - interior.limit) <= 1e-7 * (1.0 + abs(interior.limit))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_exterior_norm_follows_cutoff_norm_on_log_family(n):
+    # the image takes the interior's eps grid and non-member guard, so it
+    # reports the interior value for members and diverges for the rest
+    dim = Dimension(n)
+    for a in (0.1, 0.2, 0.3, 0.36, 0.4):
+        p = named_profile(dim, f"log_power({a})")
+        nrm = kelvin.exterior_norm(kelvin.kelvin_map(p))
+        interior = hardy.cutoff_norm(p)
+        assert nrm.classification == "converged"
+        assert abs(nrm.limit - interior.limit) <= 1e-7 * abs(interior.limit)
+    for name in ("log_power(0.5)", "log_power(0.7)", "oscillating(0.7)"):
+        q = kelvin.kelvin_map(named_profile(dim, name))
+        assert kelvin.exterior_norm(q).classification == "diverging"
+        assert kelvin.exterior_norm(q, DEFAULT_EPS_SEQUENCE).classification == "diverging"
 
 
 def test_exterior_norm_compact_support_is_plain_functional(dim3):
