@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from .kelvin import kelvin_map
 from .profiles import RadialProfile
@@ -88,25 +88,34 @@ class FDRun:
 
         state = np.array(p.v(grid.nodes), dtype=float)
         state[-1] = 0.0
+        # the matrix is finite and the scheme linear and stable, so finite
+        # initial data keep every later state finite
+        if not np.all(np.isfinite(state)):
+            raise ValueError(f"initial data of {p.name!r} are not finite on the grid")
 
         lower, main, upper = _operator_diagonals(grid)
         th, dt = grid.theta, grid.dt
         m = grid.m
-        ab = np.zeros((3, m + 1))
-        ab[0, 1:] = -th * dt * upper[:-1]
-        ab[1, :] = 1.0 - th * dt * main
-        ab[2, :-1] = -th * dt * lower
+        # I - theta dt A is strictly diagonally dominant: factored once, no pivoting
+        *factors, info = lapack.dgttrf(-th * dt * lower, 1.0 - th * dt * main,
+                                       -th * dt * upper[:-1])
+        if info != 0:
+            raise ValueError(f"theta-scheme matrix is singular (dgttrf info={info})")
 
-        self.states = [state.copy()]
-        u = state[: m + 1].copy()
+        self.states = [state]
+        u = state[: m + 1]
         for _ in range(steps):
-            av = main * u
-            av[:-1] += upper[:-1] * u[1:]
-            av[1:] += lower * u[:-1]
-            rhs = u + (1.0 - th) * dt * av
-            u = solve_banded((1, 1), ab, rhs)
             full = np.zeros(m + 2)
-            full[: m + 1] = u
+            rhs = full[: m + 1]
+            np.multiply(main, u, out=rhs)
+            rhs[:-1] += upper[:-1] * u[1:]
+            rhs[1:] += lower * u[:-1]
+            rhs *= (1.0 - th) * dt
+            rhs += u
+            # solves in place, so the new state lands in ``full``
+            u, info = lapack.dgttrs(*factors, rhs, overwrite_b=1)
+            if info != 0:
+                raise ValueError(f"theta-scheme solve failed (dgttrs info={info})")
             self.states.append(full)
 
     def _index(self, t: float) -> int:

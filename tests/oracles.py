@@ -2,8 +2,9 @@
 
 Everything here is deliberately primitive and self-contained (no imports
 from the package under test): a plain power series for J_0, bisection,
-composite Simpson, central differences, and the scalar adaptive GL15 loop
-that evaluates an integrand one node at a time.  Expected values frozen into
+composite Simpson, central differences, the scalar adaptive GL15 loop
+that evaluates an integrand one node at a time, and a theta-scheme loop that
+solves the banded system afresh at every time step.  Expected values frozen into
 the tests were produced by these routines.
 """
 
@@ -11,6 +12,7 @@ import heapq
 import math
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 
 def j0_series(x: float, terms: int = 80) -> float:
@@ -141,3 +143,40 @@ def scalar_gl15(f, a: float, b: float, singular_end: str = "none",
         if splits % 512 == 0:
             err_total = sum(-item[0] for item in heap)
     return total, points
+
+
+def theta_scheme_banded(p, grid, t_final: float) -> np.ndarray:
+    """Every state of the radial theta scheme, one ``solve_banded`` per step.
+
+    The same discretization as the library's finite-difference run (v'' + v'/r
+    on v_0..v_m, even reflection at the axis, v_{m+1} = 0), assembled here
+    from scratch and solved with a fresh banded LU at each step.  Returns an
+    array of shape (steps + 1, m + 2).
+    """
+    m, h, th, dt = grid.m, grid.h, grid.theta, grid.dt
+    steps = int(round(t_final / dt))
+    j = np.arange(1, m + 1, dtype=float)
+    main = np.full(m + 1, -2.0 / h**2)
+    main[0] = -4.0 / h**2
+    upper = np.empty(m + 1)
+    upper[0] = 4.0 / h**2
+    upper[1:] = (1.0 + 0.5 / j) / h**2
+    lower = (1.0 - 0.5 / j) / h**2
+    ab = np.zeros((3, m + 1))
+    ab[0, 1:] = -th * dt * upper[:-1]
+    ab[1, :] = 1.0 - th * dt * main
+    ab[2, :-1] = -th * dt * lower
+
+    state = np.array(p.v(np.arange(m + 2) * h), dtype=float)
+    state[-1] = 0.0
+    states = [state.copy()]
+    u = state[: m + 1].copy()
+    for _ in range(steps):
+        av = main * u
+        av[:-1] += upper[:-1] * u[1:]
+        av[1:] += lower * u[:-1]
+        u = solve_banded((1, 1), ab, u + (1.0 - th) * dt * av)
+        full = np.zeros(m + 2)
+        full[: m + 1] = u
+        states.append(full)
+    return np.array(states)

@@ -1,14 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hardylab import evolution, kelvin, spectrum
 from hardylab.evolution import FDGrid, FDRun, SpectralRun, energy_trace, evolve_fd, evolve_spectral
-from hardylab.profiles import make_e1, make_named
+from hardylab.profiles import make_e1, make_named, named_profile
 from hardylab.specfun import bessel_j
 
-from oracles import Z01
+from oracles import Z01, theta_scheme_banded
 
 MU1 = Z01 * Z01
 
@@ -100,6 +101,30 @@ def test_grid_refinement_second_order(dim3):
         errs.append(math.sqrt(g.h * float(np.sum((v - exact) ** 2 * r))))
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.2
+
+
+@pytest.mark.parametrize("m", [64, 511, 2048])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("name", ["e1", "bump", "log_power(0.3)"])
+def test_fd_states_equal_banded_oracle(dim3, name, theta, m):
+    # the matrix is factored once; a fresh banded LU per step is the second
+    # route, and strict diagonal dominance makes both eliminations the same
+    p = named_profile(dim3, name)
+    grid = FDGrid(m=m, dt=1e-3, theta=theta)
+    assert np.array_equal(np.array(FDRun(p, grid, 0.02).states),
+                          theta_scheme_banded(p, grid, 0.02))
+
+
+def test_fd_rejects_non_finite_initial_data(dim3):
+    p = make_e1(dim3)
+    grid = FDGrid(m=64, dt=1e-3)
+    bad = grid.nodes[17]
+
+    def v(r, _v=p.v):
+        return np.where(np.asarray(r) == bad, np.nan, _v(r))
+
+    with pytest.raises(ValueError):
+        FDRun(replace(p, v=v), grid, 0.01)
 
 
 def test_energy_law_single_mode_exact(dim3):
