@@ -163,3 +163,19 @@ def test_against_mpmath_reference():
             x = float(x)
             worst = max(worst, abs(bessel_j(nu, x) - float(mpmath.besselj(nu, x))))
     assert worst < 5e-13
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0])
+def test_orders_zero_and_one_against_mpmath(nu):
+    # orders 0 and 1 take scipy's j0/j1 kernels, not jv: checked on both
+    # paths at tiny arguments and astride the first five zeros of J_0
+    mpmath = pytest.importorskip("mpmath")
+    zeros = [float(mpmath.besseljzero(0, k)) for k in range(1, 6)]
+    x = np.array([0.0, 1e-300, 1e-150, 1e-20, 1e-8, 0.3, 1.0, 7.5, 40.0, 1e3]
+                 + [z + d for z in zeros for d in (-1e-6, 0.0, 1e-6)])
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.besselj(nu, mpmath.mpf(xi))) for xi in x])
+    assert np.max(np.abs(bessel_j(nu, x) - want)) <= 1e-15
+    assert max(abs(bessel_j(nu, float(xi)) - w) for xi, w in zip(x, want)) <= 1e-15
+    with pytest.raises(BesselError):
+        bessel_j(nu, np.array([1.0, -1.0]))
