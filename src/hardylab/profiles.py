@@ -197,11 +197,12 @@ def _smooth_step(t):
     return a / (a + b)
 
 
-def _smooth_step_deriv(t):
+def _smooth_step_and_deriv(t):
+    """The smooth step and its derivative in t, from one pair of exponentials."""
     t, a, b = _step_parts(t)
     da = a / (t * t)
     db = -b / ((1.0 - t) * (1.0 - t))
-    return (da * (a + b) - a * (da + db)) / (a + b) ** 2
+    return a / (a + b), (da * (a + b) - a * (da + db)) / (a + b) ** 2
 
 
 def _hermite(x0: float, x1: float, p0: float, m0: float, p1: float, m1: float):
@@ -296,12 +297,12 @@ def _bump(dim: Dimension, fall: tuple[float, float],
         return out
 
     def dv(r):
-        down = _smooth_step((b1 - r) / (b1 - b0))
-        ddown = -_smooth_step_deriv((b1 - r) / (b1 - b0)) / (b1 - b0)
+        down, ddown = _smooth_step_and_deriv((b1 - r) / (b1 - b0))
+        ddown = -ddown / (b1 - b0)
         if rise is None:
             return height * ddown
-        up = _smooth_step((r - rise[0]) / (rise[1] - rise[0]))
-        dup = _smooth_step_deriv((r - rise[0]) / (rise[1] - rise[0])) / (rise[1] - rise[0])
+        up, dup = _smooth_step_and_deriv((r - rise[0]) / (rise[1] - rise[0]))
+        dup = dup / (rise[1] - rise[0])
         return height * (dup * down + up * ddown)
 
     return RadialProfile(
