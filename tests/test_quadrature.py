@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hardylab import hardy
+from hardylab import approx, hardy, quadrature
 from hardylab.profiles import make_e1, named_profile
 from hardylab.quadrature import (
     DEEP_EPS_SEQUENCE,
@@ -18,7 +18,7 @@ from hardylab.quadrature import (
 )
 from hardylab.specfun import bessel_j
 
-from oracles import Z01, scalar_gl15, simpson
+from oracles import GK21_RULE, Z01, scalar_gk21, simpson
 
 
 def test_linear_integrand():
@@ -51,6 +51,42 @@ def test_inverse_sqrt_right_endpoint():
     # mass ~ sqrt(ulp), which floors the achievable accuracy near 1.5e-8
     res = integrate(lambda r: 1.0 / np.sqrt(1.0 - r), 0.0, 1.0, singular_end="right")
     assert abs(res.value - 2.0) < 5e-8
+
+
+def test_inverse_sqrt_right_endpoint_is_honest():
+    # the split guard stops short of the endpoint: the result either admits
+    # that it did not converge or its error estimate covers the true error
+    res = integrate(lambda r: 1.0 / np.sqrt(1.0 - r), 0.0, 1.0, singular_end="right")
+    assert not res.converged or abs(res.value - 2.0) <= res.err_est
+
+
+def test_error_estimate_covers_kinks_inside_a_panel(dim3):
+    # e1 minus its log cutoff has derivative kinks at eps^2 and eps; one
+    # integral across both must still bound its true error, measured against
+    # log_cutoff_defect, which splits at the kinks
+    e1 = make_e1(dim3)
+    cut = approx.log_cutoff(e1, 1e-25)
+    res = integrate(lambda r: ((e1.dv(r) - cut.dv(r)) * np.sqrt(r)) ** 2, 0.0, 1.0,
+                    hardy.graded_cfg(0.0, 1.0), singular_end="left")
+    want = approx.log_cutoff_defect(e1, 1e-25) / dim3.surface_factor
+    assert res.converged
+    assert abs(res.value - want) <= res.err_est
+
+
+def test_gauss_kronrod_table():
+    x = quadrature._GK_NODES
+    wk, wg = quadrature._GK_WEIGHTS, quadrature._G_WEIGHTS
+    gauss = wg != 0.0
+    xg, wgl = np.polynomial.legendre.leggauss(10)
+    assert np.max(np.abs(x[gauss] - xg)) <= 1e-15
+    assert np.max(np.abs(wg[gauss] - wgl)) <= 1e-15
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(wk @ x**k - exact) <= 1e-15, k
+        if k <= 19:
+            assert abs(wg @ x**k - exact) <= 1e-15, k
+    # the scalar oracle evaluates the same rule
+    assert sorted(GK21_RULE) == sorted(zip(x.tolist(), wk.tolist(), wg.tolist()))
 
 
 def test_additivity():
@@ -245,10 +281,10 @@ def test_batched_panels_match_scalar_oracle(dim3, case):
 
     res = integrate(counted, a, b, QuadConfig(endpoint_grading=grading, max_depth=depth),
                     singular_end=end)
-    want, points = scalar_gl15(f, a, b, end, grading, depth)
+    want, points, panels = scalar_gk21(f, a, b, end, grading, depth)
     assert sum(sizes) == points
     assert abs(res.value - want) <= 1e-14 * abs(want)
-    # one call on the 45 nodes of every initial panel, then one call on the
-    # 90 nodes of the two children of each split: 1 + splits calls in all
-    assert sizes[0] % 45 == 0
-    assert all(n == 90 for n in sizes[1:])
+    # one call on the 21 nodes of every initial panel, then one call on the
+    # 42 nodes of the two children of each split: 1 + splits calls in all
+    assert sizes[0] == 21 * panels
+    assert all(n == 42 for n in sizes[1:])
