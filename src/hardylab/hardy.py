@@ -39,6 +39,7 @@ __all__ = [
     "eps_grid",
     "dirichlet_diverges",
     "graded_cfg",
+    "running_integral",
     "annulus_functional",
     "weighted_dirichlet",
     "weighted_l2_sq",
@@ -114,6 +115,28 @@ def graded_cfg(lo: float, hi: float) -> QuadConfig:
     floor = max(lo, 0.5 * MOLLIFY_RADIUS)
     needed = int(math.log2(max(hi / floor, 4.0))) + 10
     return QuadConfig(endpoint_grading=max(52, needed), max_depth=60)
+
+
+def running_integral(integral: Callable[[float, float], float],
+                     top: float) -> Callable[[float], float]:
+    """F(eps) = integral(eps, top) as a running sum along a decreasing eps
+    grid: F(eps_j) = F(eps_{j-1}) + integral(eps_j, eps_{j-1}).
+
+    Each call integrates only the new slice, so the samples of a limit cost
+    one pass over the interval instead of one per sample.  When a slice
+    raises, the sum and its upper end stay unchanged: the next slice covers
+    the gap, and integrate_to_limit drops only that sample.
+    """
+    total, upper = 0.0, top
+
+    def F(eps: float) -> float:
+        nonlocal total, upper
+        if not eps < upper:
+            raise ValueError(f"eps must decrease below {upper}, got {eps}")
+        total, upper = total + integral(eps, upper), eps
+        return total
+
+    return F
 
 
 def _outer(p: RadialProfile, R: float | None) -> float:
@@ -196,7 +219,8 @@ def dirichlet_diverges(p: RadialProfile, R: float | None = None) -> bool:
         return False
     R = _outer(p, R)
     seq = [e for e in DEEP_EPS_SEQUENCE if e < R]
-    res = integrate_to_limit(lambda d: weighted_dirichlet(p, d, R), seq)
+    res = integrate_to_limit(
+        running_integral(lambda lo, hi: weighted_dirichlet(p, lo, hi), R), seq)
     return res.classification == "diverging"
 
 
@@ -209,6 +233,13 @@ def eps_grid(p: RadialProfile, eps_sequence):
     if needs_deep_grid(p):
         return DEEP_EPS_SEQUENCE
     return DEFAULT_EPS_SEQUENCE
+
+
+def _running_annulus(p: RadialProfile, R: float, eps_sequence):
+    """The annulus functional on (eps, R) along eps_sequence, slice by slice,
+    in the integrand form the sequence needs."""
+    method = limit_method(eps_sequence)
+    return running_integral(lambda lo, hi: annulus_functional(p, lo, hi, method=method), R)
 
 
 def cutoff_norm(p: RadialProfile, R: float | None = None,
@@ -224,12 +255,9 @@ def cutoff_norm(p: RadialProfile, R: float | None = None,
     eps_sequence = eps_grid(p, eps_sequence)
     if dirichlet_diverges(p, R):
         return LimitResult(float("nan"), "diverging")
-    method = limit_method(eps_sequence)
-
-    def regularized(eps: float) -> float:
-        return annulus_functional(p, eps, R, method=method) - singularity_energy(p, eps)
-
-    return integrate_to_limit(regularized, eps_sequence)
+    annulus = _running_annulus(p, R, eps_sequence)
+    return integrate_to_limit(lambda eps: annulus(eps) - singularity_energy(p, eps),
+                              eps_sequence)
 
 
 def principal_value(p: RadialProfile, R: float | None = None,
@@ -239,9 +267,7 @@ def principal_value(p: RadialProfile, R: float | None = None,
     or diverges exactly when the singularity energy does."""
     R = _outer(p, R)
     eps_sequence = eps_grid(p, eps_sequence)
-    method = limit_method(eps_sequence)
-    return integrate_to_limit(
-        lambda eps: annulus_functional(p, eps, R, method=method), eps_sequence)
+    return integrate_to_limit(_running_annulus(p, R, eps_sequence), eps_sequence)
 
 
 def inner_product(p1: RadialProfile, p2: RadialProfile,

@@ -122,9 +122,8 @@ def exterior_norm(q: RadialProfile, eps_sequence=None) -> LimitResult:
     if hardy.dirichlet_diverges(kelvin_map(q)):
         return LimitResult(float("nan"), "diverging")
     method = hardy.limit_method(eps_sequence)
-
-    def regularized(eps: float) -> float:
-        S = 1.0 / eps
-        return exterior_functional(q, S, method=method) + hardy.singularity_energy(q, S)
-
-    return integrate_to_limit(regularized, eps_sequence)
+    # slices in S = 1/eps: the slice (eps_j, eps_{j-1}) is 1/eps_{j-1} < s < 1/eps_j
+    functional = hardy.running_integral(
+        lambda lo, hi: hardy.annulus_functional(q, 1.0 / hi, 1.0 / lo, method=method), 1.0)
+    return integrate_to_limit(
+        lambda eps: functional(eps) + hardy.singularity_energy(q, 1.0 / eps), eps_sequence)

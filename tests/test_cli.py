@@ -56,6 +56,16 @@ def test_all_command_writes_combined_report(tmp_path):
             assert row["pass"] is True
 
 
+def test_all_command_dimension_four(tmp_path):
+    out = tmp_path / "out"
+    assert main(["all", "--dim", "4", "--out", str(out)]) == 0
+    combined = json.loads((out / "all.json").read_text())
+    assert all(suite["dimension"] == 4 for suite in combined)
+    for suite in combined:
+        for row in suite["rows"]:
+            assert row["pass"] is True, (suite["suite"], row["name"])
+
+
 def test_byte_identical_reruns(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["density", "--out", str(out1)]) == 0

@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from hardylab import approx, hardy
-from hardylab.profiles import make_e1, make_mode, make_named, named_profile
-from hardylab.quadrature import DEFAULT_EPS_SEQUENCE, NonConvergenceError
+from hardylab.profiles import Dimension, make_e1, make_mode, make_named, named_profile
+from hardylab.quadrature import (
+    DEEP_EPS_SEQUENCE,
+    DEFAULT_EPS_SEQUENCE,
+    NonConvergenceError,
+    integrate,
+    integrate_to_limit,
+)
 from hardylab.specfun import bessel_j
 
 from oracles import Z01, simpson
@@ -16,7 +22,7 @@ LIBRARY = ["e1", "bump", "annular_bump", "constant_plateau",
 
 #: integrand points one cutoff_norm call may spend in N = 3; a change may
 #: lower these bounds, never raise them
-CUTOFF_NORM_EVAL_BOUNDS = {"e1": 13_995, "bump": 16_020, "log_power(0.3)": 185_580}
+CUTOFF_NORM_EVAL_BOUNDS = {"e1": 6_048, "bump": 6_279, "log_power(0.3)": 45_990}
 
 
 @pytest.mark.parametrize("name", LIBRARY)
@@ -85,8 +91,6 @@ def test_singularity_energy_limits(dim3):
 
 
 def test_singularity_energy_diverges_for_log_class(dim3):
-    from hardylab.quadrature import DEEP_EPS_SEQUENCE, integrate_to_limit
-
     p = named_profile(dim3, "log_power(0.3)")
     res = integrate_to_limit(lambda e: hardy.singularity_energy(p, e),
                              DEEP_EPS_SEQUENCE)
@@ -244,3 +248,40 @@ def test_cutoff_norm_evaluation_budget(dim3, monkeypatch, name):
     res = hardy.cutoff_norm(named_profile(dim3, name))
     assert res.classification == "converged"
     assert evals <= CUTOFF_NORM_EVAL_BOUNDS[name]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name", ["e1", "bump", "log_power(0.3)"])
+@pytest.mark.parametrize("grid", [DEFAULT_EPS_SEQUENCE, DEEP_EPS_SEQUENCE],
+                         ids=["default", "deep"])
+def test_running_sum_matches_whole_interval(n, name, grid):
+    # the limits sum slices (eps_j, eps_{j-1}); the whole-interval annulus
+    # functional on (eps_j, R) is the second route to every sample
+    p = named_profile(Dimension(n), name)
+    res = hardy.principal_value(p, eps_sequence=grid)
+    assert res.dropped == []
+    method = hardy.limit_method(grid)
+    for eps, got in zip(grid, res.samples):
+        want = hardy.annulus_functional(p, eps, method=method)
+        assert abs(got - want) <= 1e-9 * abs(want), eps
+
+
+def test_running_integral_covers_a_failed_slice():
+    # the integrand raises on the slice (1e-3, 1e-2) alone: that sample is
+    # dropped, and the next slice (1e-4, 1e-2) spans the gap
+    def f(r):
+        if 1e-3 < r.min() and r.max() < 1e-2:
+            raise ArithmeticError("bad slice")
+        return 2.0 * r
+
+    slices = []
+
+    def integral(lo, hi):
+        slices.append((lo, hi))
+        return integrate(f, lo, hi).value_or_raise()
+
+    res = integrate_to_limit(hardy.running_integral(integral, 1.0), DEFAULT_EPS_SEQUENCE)
+    assert [e for e, _ in res.dropped] == [1e-3]
+    assert slices[2:4] == [(1e-3, 1e-2), (1e-4, 1e-2)]
+    kept = [e for e in DEFAULT_EPS_SEQUENCE if e != 1e-3]
+    assert res.samples == pytest.approx([1.0 - e * e for e in kept], rel=1e-14)

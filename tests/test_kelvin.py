@@ -107,6 +107,28 @@ def test_exterior_norm_follows_cutoff_norm_on_log_family(n):
         assert kelvin.exterior_norm(q, DEFAULT_EPS_SEQUENCE).classification == "diverging"
 
 
+@pytest.mark.parametrize("name", [
+    "e1", "bump",
+    pytest.param("log_power(0.3)", marks=pytest.mark.xfail(
+        strict=True,
+        reason="the whole-interval route is the wrong one here: on (1, 1e250) the "
+               "panel holding the bridge's C1 junction at s = e reports "
+               "|K21 - G10| = 2.5e-10 against a true error of 1.2e-7"))])
+def test_exterior_norm_samples_match_whole_interval(dim3, name):
+    # exterior_norm sums slices in S = 1/eps; each sample equals the
+    # functional on the whole (1, 1/eps) plus the surface term
+    q = kelvin.kelvin_map(named_profile(dim3, name))
+    grid = hardy.eps_grid(q, None)
+    res = kelvin.exterior_norm(q)
+    assert res.dropped == []
+    method = hardy.limit_method(grid)
+    for eps, got in zip(grid, res.samples):
+        S = 1.0 / eps
+        want = (kelvin.exterior_functional(q, S, method=method)
+                + hardy.singularity_energy(q, S))
+        assert abs(got - want) <= 1e-9 * abs(want), eps
+
+
 def test_exterior_norm_compact_support_is_plain_functional(dim3):
     p = named_profile(dim3, "annular_bump")
     q = kelvin.kelvin_map(p)
