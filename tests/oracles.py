@@ -4,8 +4,8 @@ Everything here is deliberately primitive and self-contained (no imports
 from the package under test): a plain power series for J_0, bisection,
 composite Simpson, central differences, the scalar adaptive Gauss-Kronrod
 loop that evaluates an integrand one node at a time, and a theta-scheme loop
-that solves the banded system afresh at every time step.  Expected values frozen
-into the tests were produced by these routines.
+that solves the banded system afresh at every time step.  Expected values
+frozen into the tests were produced by these routines.
 """
 
 import heapq
