@@ -15,14 +15,14 @@ Library layout:
 
 from . import approx, evolution, hardy, kelvin, profiles, quadrature, spectrum, specfun, wholespace
 from .profiles import Dimension, RadialProfile, make_e1, make_mode, make_named, make_subcritical
-from .quadrature import QuadConfig, integrate, integrate_to_limit
+from .quadrature import integrate, integrate_to_limit
 from .specfun import bessel_j, bessel_j_deriv, bessel_zero
 
 __all__ = [
     "approx", "evolution", "hardy", "kelvin", "profiles", "quadrature",
     "spectrum", "specfun", "wholespace",
     "Dimension", "RadialProfile", "make_e1", "make_mode", "make_named",
-    "make_subcritical", "QuadConfig", "integrate", "integrate_to_limit",
+    "make_subcritical", "integrate", "integrate_to_limit",
     "bessel_j", "bessel_j_deriv", "bessel_zero",
 ]
 

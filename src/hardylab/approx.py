@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from . import hardy
-from .profiles import RadialProfile, make_e1
-from .quadrature import DEEP_EPS_SEQUENCE, QuadConfig, integrate
+from .profiles import MOLLIFY_RADIUS, RadialProfile, make_e1
+from .quadrature import DEEP_EPS_SEQUENCE, integrate
 
 __all__ = ["Smoothstep", "cubic_smoothstep", "smoothstep_energy",
            "naive_cutoff_defect", "naive_cutoff_limit", "log_cutoff",
@@ -80,9 +80,8 @@ def naive_cutoff_defect(p: RadialProfile, eps: float,
         d = step.drho(t) * p.v(r) / eps + (step.rho(t) - 1.0) * p.dv(r)
         return d * d * r
 
-    cfg = hardy.graded_cfg(0.0, eps)
-    inner = integrate(f, 0.0, eps, cfg, singular_end="left").value_or_raise()
-    outer = integrate(f, eps, 2.0 * eps, cfg).value_or_raise()
+    inner = integrate(f, MOLLIFY_RADIUS, eps, singular_end="left").value_or_raise()
+    outer = integrate(f, eps, 2.0 * eps).value_or_raise()
     return p.dim.surface_factor * (inner + outer)
 
 
@@ -113,7 +112,6 @@ def log_cutoff(p: RadialProfile, eps: float) -> RadialProfile:
         dv=lambda r: dramp(r) * p.v(r) + ramp(r) * p.dv(r),
         support=p.support,
         origin_class="vanishing",
-        boundary_zero=p.boundary_zero,
         name=f"log_cutoff({eps:g})[{p.name}]",
     )
 
@@ -133,10 +131,8 @@ def log_cutoff_defect(p: RadialProfile, eps: float) -> float:
     def head(r):
         return (p.dv(r) * np.sqrt(r)) ** 2
 
-    mid = integrate(ramp, e2, eps, hardy.graded_cfg(e2, eps),
-                    singular_end="left").value_or_raise()
-    low = integrate(head, 0.0, e2, hardy.graded_cfg(0.0, e2),
-                    singular_end="left").value_or_raise()
+    mid = integrate(ramp, e2, eps, singular_end="left").value_or_raise()
+    low = integrate(head, MOLLIFY_RADIUS, e2, singular_end="left").value_or_raise()
     return p.dim.surface_factor * (mid + low)
 
 
@@ -183,12 +179,11 @@ def dim_reduction(p: RadialProfile, R: float | None = None) -> DimReduction:
         drdt = r * nm2 * t ** (-(n - 1.0))
         return np.where(r == 0.0, 0.0, (p.dv(r) * drdt) ** 2 * t ** (n - 1.0))
 
-    cfg = QuadConfig(endpoint_grading=60, max_depth=60)
-    near = integrate(w_integrand, 0.0, 1.0, cfg, singular_end="left").value_or_raise()
+    near = integrate(w_integrand, 0.0, 1.0, singular_end="left").value_or_raise()
     # map t in [1, inf) to tau = 1/t in (0, 1]; the transformed integrand is
     # bounded (~ tau^{N-3}) at tau = 0
     far = integrate(lambda tau: w_integrand(1.0 / tau) / (tau * tau),
-                    0.0, 1.0, cfg, singular_end="left").value_or_raise()
+                    0.0, 1.0, singular_end="left").value_or_raise()
     rhs = dim.surface_factor * (near + far)
     return DimReduction(lhs, rhs, lhs / rhs)
 
@@ -205,6 +200,5 @@ def level_truncation_defect(p: RadialProfile, level: float) -> float:
     def f(r):
         return np.where(np.abs(p.v(r)) <= level, 0.0, (p.dv(r) * np.sqrt(r)) ** 2)
 
-    res = integrate(f, 0.0, p.support[1], hardy.graded_cfg(0.0, p.support[1]),
-                    singular_end="left")
+    res = integrate(f, MOLLIFY_RADIUS, p.support[1], singular_end="left")
     return p.dim.surface_factor * res.value_or_raise()

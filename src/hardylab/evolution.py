@@ -249,6 +249,6 @@ def evolve_exterior(w0: RadialProfile, t: float, modes: int = 40,
 
         prof = RadialProfile(dim=u0.dim, v=v_interp, dv=dv_interp,
                              support=(0.0, 1.0), origin_class="finite_limit",
-                             boundary_zero=True, name="fd_state")
+                             name="fd_state")
         return kelvin_map(prof)
     raise ValueError(f"unknown method {method!r}")

@@ -14,7 +14,6 @@ exists (and equals D(0, R)) even when I alone oscillates or diverges.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -25,7 +24,6 @@ from .quadrature import (
     DEEP_EPS_SEQUENCE,
     DEFAULT_EPS_SEQUENCE,
     LimitResult,
-    QuadConfig,
     integrate,
     integrate_to_limit,
 )
@@ -38,7 +36,6 @@ __all__ = [
     "needs_deep_grid",
     "eps_grid",
     "dirichlet_diverges",
-    "graded_cfg",
     "running_integral",
     "annulus_functional",
     "weighted_dirichlet",
@@ -106,17 +103,6 @@ def needs_deep_grid(p: RadialProfile) -> bool:
     return p.origin_class in ("oscillating", "log_divergent") or not p.member
 
 
-def graded_cfg(lo: float, hi: float) -> QuadConfig:
-    """Grading toward lo deep enough to resolve every scale between lo and hi.
-
-    The depth comes from the interval alone: an interval that starts at 0 is
-    graded down to MOLLIFY_RADIUS, below which no profile has features.
-    """
-    floor = max(lo, 0.5 * MOLLIFY_RADIUS)
-    needed = int(math.log2(max(hi / floor, 4.0))) + 10
-    return QuadConfig(endpoint_grading=max(52, needed), max_depth=60)
-
-
 def running_integral(integral: Callable[[float, float], float],
                      top: float) -> Callable[[float], float]:
     """F(eps) = integral(eps, top) as a running sum along a decreasing eps
@@ -148,20 +134,25 @@ def weighted_l2_sq(p: RadialProfile, R: float | None = None) -> float:
 
     The identity is exact (the transformation is an isometry onto the
     weighted space), and the v-form never evaluates the singular u near 0.
+    The integral starts at MOLLIFY_RADIUS, below which no profile has
+    features.
     """
     R = _outer(p, R)
     f = lambda r: (p.v(r) * np.sqrt(r)) ** 2
-    res = integrate(f, 0.0, R, graded_cfg(0.0, R), singular_end="left")
+    res = integrate(f, MOLLIFY_RADIUS, R, singular_end="left")
     return p.dim.surface_factor * res.value_or_raise()
 
 
 def weighted_dirichlet(p: RadialProfile, eps: float, R: float | None = None) -> float:
-    r"""Weighted Dirichlet energy s_N \int_eps^R v'^2 r dr."""
+    r"""Weighted Dirichlet energy s_N \int_eps^R v'^2 r dr.
+
+    The integral starts no lower than MOLLIFY_RADIUS, below which no profile
+    has features."""
     R = _outer(p, R)
     if eps < 0.0 or eps >= R:
         raise ValueError(f"need 0 <= eps < R, got eps={eps}, R={R}")
     f = lambda r: (p.dv(r) * np.sqrt(r)) ** 2
-    res = integrate(f, eps, R, graded_cfg(eps, R), singular_end="left")
+    res = integrate(f, max(eps, MOLLIFY_RADIUS), R, singular_end="left")
     return p.dim.surface_factor * res.value_or_raise()
 
 
@@ -198,7 +189,7 @@ def annulus_functional(p: RadialProfile, eps: float, R: float | None = None,
     lo, hi = max(eps, p.support[0]), min(R, p.support[1])
     if not lo < hi:
         return 0.0
-    res = integrate(f, lo, hi, graded_cfg(lo, hi), singular_end="left")
+    res = integrate(f, lo, hi, singular_end="left")
     return p.dim.surface_factor * res.value_or_raise()
 
 

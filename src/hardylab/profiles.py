@@ -100,7 +100,6 @@ class RadialProfile:
     dv: Callable[[float], float]
     support: tuple[float, float]
     origin_class: str
-    boundary_zero: bool
     name: str = ""
     member: bool = True
 
@@ -146,7 +145,6 @@ def make_mode(dim: Dimension, k: int) -> RadialProfile:
         dv=lambda r: -z * bessel_j(1.0, z * r),
         support=(0.0, 1.0),
         origin_class="finite_limit",
-        boundary_zero=True,
         name=f"mode{k}",
     )
 
@@ -179,7 +177,6 @@ def make_subcritical(dim: Dimension, c: float) -> RadialProfile:
         dv=dv,
         support=(0.0, 1.0),
         origin_class="vanishing",
-        boundary_zero=True,
         name=f"subcritical(c={c:g})",
     )
 
@@ -272,7 +269,6 @@ def _log_family(dim: Dimension, a: float, oscillate: bool) -> RadialProfile:
         dv=dv,
         support=(0.0, 1.0),
         origin_class="oscillating" if oscillate else "log_divergent",
-        boundary_zero=True,
         name=f"{kind}({a:g})",
         member=0.0 < a < 0.5,
     )
@@ -311,7 +307,6 @@ def _bump(dim: Dimension, fall: tuple[float, float],
         dv=dv,
         support=(rise[0] if rise is not None else 0.0, b1),
         origin_class="finite_limit" if rise is None else "vanishing",
-        boundary_zero=True,
         name="bump" if rise is None else "annular_bump",
     )
 
@@ -337,7 +332,6 @@ def _constant_plateau(dim: Dimension, plateau_end: float, support_end: float,
         dv=dv,
         support=(0.0, support_end),
         origin_class="finite_limit",
-        boundary_zero=True,
         name="constant_plateau",
     )
 
@@ -358,7 +352,7 @@ def _log_ramp(dim: Dimension, delta: float) -> RadialProfile:
         return np.where(inside, 1.0 / (np.clip(r, delta, 1.0) * ln_d), 0.0)[()]
 
     return RadialProfile(dim=dim, v=v, dv=dv, support=(0.0, 1.0),
-                         origin_class="finite_limit", boundary_zero=True,
+                         origin_class="finite_limit",
                          name=f"log_ramp({delta:g})")
 
 

@@ -4,12 +4,22 @@ extrapolation of eps -> 0 limits with convergence classification.
 The base rule is the 21-point Gauss-Kronrod rule of QUADPACK's qk21
 (Piessens et al. 1983) per panel: the value is the Kronrod sum K21 and the
 error estimate is |K21 - G10|, where the 10-point Gauss rule reuses every
-other node.  Refinement bisects the panel with the worst error estimate.  A
-panel at most 2^8 float spacings of its larger end wide is not split: the
-outer nodes of its children would round onto their ends.  When an endpoint
-is flagged singular, the initial panels are graded geometrically toward it
-with ratio 1/2, which resolves integrands such as 1/r, log(1/r) and powers
-of log that concentrate over many decades.
+other node.  Refinement bisects the panel with the worst error estimate
+until the summed estimates meet max(1e-10, 1e-10 * |value|).
+
+When an endpoint e is flagged singular, the initial panels are graded
+geometrically toward it with ratio 1/2, which resolves integrands such as
+1/r, log(1/r) and powers of log that concentrate over many decades.  The
+number of levels comes from the interval alone: log2(max(width/|e|, 4)) + 10
+(one per octave between e and the far end, plus ten) when e is nonzero, 52
+when e is exactly 0, and never so many that the innermost nodes would round
+onto e.
+
+Two rules stop the refinement short of the tolerance, and the result then
+reports converged=False: a panel at most 2^8 float spacings of its larger
+end wide is not split (the outer nodes of its children would round onto
+their ends), and no more than 6,000 panels are made.  There is no depth
+limit.
 
 Integrands are array functions: ``f`` maps a 1-d array of nodes to an array
 of values of the same shape.  ``integrate`` calls it once on the 21 nodes of
@@ -26,7 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "QuadConfig",
     "QuadResult",
     "LimitResult",
     "InsufficientSamplesError",
@@ -61,6 +70,17 @@ _GK_WEIGHTS = np.array(list(_WGK) + [_WGK_CENTER] + list(reversed(_WGK)))
 _G_HALF = [0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3], 0.0, _WG[4]]
 _G_WEIGHTS = np.array(_G_HALF + [0.0] + list(reversed(_G_HALF)))
 
+#: the integral is converged once the summed error estimates reach
+#: max(_ABS_TOL, _REL_TOL * |value|)
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-10
+
+#: grading levels toward a singular endpoint at exactly 0
+_ZERO_END_LEVELS = 52
+
+#: the refinement makes at most this many panels
+_MAX_PANELS = 6_000
+
 #: a panel at most this many float spacings of its larger end wide is not
 #: split: the outer Kronrod nodes of its children would round onto their ends
 _SPLIT_SPACINGS = 2.0**8
@@ -81,26 +101,6 @@ class InsufficientSamplesError(RuntimeError):
 
 class NonConvergenceError(ArithmeticError):
     """An integral was asked for its value but carries converged=False."""
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances and subdivision limits for singular-endpoint quadrature."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_depth: int = 48
-    endpoint_grading: int = 52
-
-    def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be positive")
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_depth < 10:
-            raise ValueError("max_depth must be at least 10")
-        if self.endpoint_grading < 1:
-            raise ValueError("endpoint_grading must be at least 1")
 
 
 @dataclass
@@ -131,94 +131,96 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray):
     return kronrod, np.abs(kronrod - half * (fx @ _G_WEIGHTS))
 
 
-def _initial_edges(a: float, b: float, singular_end: str, levels: int):
-    if singular_end == "none":
-        return [a, b]
-    width = b - a
-    # never grade below the float resolution at the singular endpoint, or the
+def _grading_levels(width: float, endpoint: float) -> int:
+    """Levels of halving toward a singular endpoint, from the interval alone."""
+    # never grade below the float resolution at the endpoint, or the
     # quadrature nodes of the innermost panel would round onto it
-    endpoint = a if singular_end == "left" else b
     ulp = max(abs(endpoint) * 2.3e-16, 5e-324)
     cap = int(math.log2(width) - math.log2(ulp)) - 8 if width > ulp else 1
-    levels = min(levels, max(cap, 1))
+    if endpoint == 0.0:
+        levels = _ZERO_END_LEVELS
+    else:
+        ratio = width / abs(endpoint)
+        levels = int(math.log2(max(ratio, 4.0))) + 10 if ratio < math.inf else cap
+    return max(min(levels, cap), 1)
+
+
+def _initial_edges(a: float, b: float, singular_end: str):
+    if singular_end == "none":
+        return [a, b]
+    if singular_end not in ("left", "right"):
+        raise ValueError(f"singular_end must be none/left/right, got {singular_end!r}")
+    width = b - a
+    levels = _grading_levels(width, a if singular_end == "left" else b)
     offsets = [width * 0.5**j for j in range(1, levels + 1)]
     if singular_end == "left":
-        edges = [a] + [a + w for w in reversed(offsets)] + [b]
-    elif singular_end == "right":
-        edges = [a] + [b - w for w in offsets] + [b]
-    else:
-        raise ValueError(f"singular_end must be none/left/right, got {singular_end!r}")
-    return edges
+        return [a] + [a + w for w in reversed(offsets)] + [b]
+    return [a] + [b - w for w in offsets] + [b]
 
 
-def integrate(f, a: float, b: float, cfg: QuadConfig | None = None,
-              singular_end: str = "none") -> QuadResult:
+def integrate(f, a: float, b: float, singular_end: str = "none") -> QuadResult:
     """Integrate the array function f over (a, b); f is never evaluated at
     the endpoints, and numpy floating-point warnings are silenced inside it.
 
     Each panel costs 21 evaluations of f (the qk21 Kronrod nodes), each
-    split 42.  f is called once on every initial panel together; when their
-    summed |K21 - G10| estimates already meet the tolerance the result is
-    returned at once.  Otherwise the worst panel is bisected until they do.
+    split 42.  f is called once on every initial panel together (graded
+    toward ``singular_end`` when it is "left" or "right"); when their summed
+    |K21 - G10| estimates already meet the tolerance the result is returned
+    at once.  Otherwise the worst panel is bisected until they do.
 
     Returns a QuadResult; ``converged`` is False when the tolerance was not
-    met before max_depth, the panel budget or a panel too narrow to split
-    (2^8 float spacings) stopped the refinement (the best value is still
-    returned), when the value or its error estimate is not finite, and when
-    f raised an ArithmeticError (value nan).  Any other exception from f
-    propagates.
+    met before the panel budget or a panel too narrow to split (2^8 float
+    spacings) stopped the refinement (the best value is still returned),
+    when the value or its error estimate is not finite, and when f raised an
+    ArithmeticError (value nan).  Any other exception from f propagates.
     """
-    if cfg is None:
-        cfg = QuadConfig()
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     try:
         with np.errstate(all="ignore"):
-            total, err_total, exhausted = _refine(f, a, b, cfg, singular_end)
+            total, err_total, exhausted = _refine(f, a, b, singular_end)
     except ArithmeticError:
         return QuadResult(math.nan, math.inf, converged=False)
     finite = math.isfinite(total) and math.isfinite(err_total)
     return QuadResult(total, err_total, converged=finite and not exhausted)
 
 
-def _refine(f, a: float, b: float, cfg: QuadConfig, singular_end: str):
-    """(value, error estimate, depth exhausted) of the adaptive bisection."""
-    edges = _initial_edges(a, b, singular_end, cfg.endpoint_grading)
+def _refine(f, a: float, b: float, singular_end: str):
+    """(value, error estimate, stopped short) of the adaptive bisection."""
+    edges = _initial_edges(a, b, singular_end)
     vals, errs = _panels(f, np.array(edges[:-1]), np.array(edges[1:]))
     total = float(np.sum(vals))
     err_total = float(np.sum(errs))
-    if err_total <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+    if err_total <= max(_ABS_TOL, _REL_TOL * abs(total)):
         return total, err_total, False
-    heap = [(-e, i, lo, hi, v, 0) for i, (e, lo, hi, v)
+    heap = [(-e, i, lo, hi, v) for i, (e, lo, hi, v)
             in enumerate(zip(errs.tolist(), edges[:-1], edges[1:], vals.tolist()))]
     heapq.heapify(heap)
     counter = len(heap)
 
     exhausted = False
-    max_panels = max(6_000, 4 * len(edges))
     splits = 0
     while heap:
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        tol = max(_ABS_TOL, _REL_TOL * abs(total))
         # a nan or inf never refines away: the running total keeps it
         if err_total <= tol or not (math.isfinite(total) and math.isfinite(err_total)):
             break
-        neg_err, _, lo, hi, val, depth = heapq.heappop(heap)
+        neg_err, _, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        # a panel within 2^8 float spacings is as unrefinable as one at
-        # max_depth; stopping there with significant error is the signature
-        # of a non-integrable singularity
+        # stopping at a panel within 2^8 float spacings with significant
+        # error is the signature of a non-integrable singularity
         narrow = hi - lo <= _SPLIT_SPACINGS * math.ulp(max(abs(lo), abs(hi)))
-        if depth >= cfg.max_depth or counter >= max_panels or narrow:
-            heapq.heappush(heap, (neg_err, counter, lo, hi, val, depth))
+        if counter >= _MAX_PANELS or narrow:
+            heapq.heappush(heap, (neg_err, counter, lo, hi, val))
             exhausted = -neg_err > tol * 0.5
             break
         (v1, v2), (e1, e2) = (x.tolist() for x in _panels(
             f, np.array([lo, mid]), np.array([mid, hi])))
         total += v1 + v2 - val
         err_total += e1 + e2 + neg_err  # running sum; refreshed periodically
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, depth + 1))
+        heapq.heappush(heap, (-e1, counter, lo, mid, v1))
         counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, depth + 1))
+        heapq.heappush(heap, (-e2, counter, mid, hi, v2))
         counter += 1
         splits += 1
         if splits % 512 == 0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import hardy
 from .profiles import Dimension, RadialProfile, make_mode, make_subcritical
-from .quadrature import QuadConfig, integrate
+from .quadrature import integrate
 from .specfun import bessel_j, bessel_zero
 
 __all__ = ["EigenMode", "SpectralField", "eigenmode", "rayleigh", "expand",
@@ -81,8 +81,7 @@ class SpectralField:
     def profile(self) -> RadialProfile:
         dim = self.modes[0].dim
         return RadialProfile(dim=dim, v=self.v, dv=self.dv, support=(0.0, 1.0),
-                             origin_class="finite_limit", boundary_zero=True,
-                             name="spectral_field")
+                             origin_class="finite_limit", name="spectral_field")
 
 
 def rayleigh(p: RadialProfile, R: float | None = None) -> float:
@@ -104,10 +103,9 @@ def expand(p: RadialProfile, K: int) -> SpectralField:
         raise ValueError("expansion lives on the unit ball")
     modes = [eigenmode(dim, k) for k in range(1, K + 1)]
     coeffs = []
-    cfg = QuadConfig(endpoint_grading=52, max_depth=60)
     for mode in modes:
         f = lambda r, z=mode.zero: p.v(r) * bessel_j(0.0, z * r) * r
-        val = integrate(f, 0.0, R, cfg, singular_end="left").value_or_raise()
+        val = integrate(f, 0.0, R, singular_end="left").value_or_raise()
         coeffs.append(dim.surface_factor * val / mode.norm2)
     return SpectralField(modes, np.array(coeffs), time=0.0)
 
@@ -147,14 +145,13 @@ def subcritical_rayleigh_quadrature(dim: Dimension, c: float,
     c_star = dim.critical_coefficient
     m = math.sqrt(c_star - c)
     p = make_subcritical(dim, c)
-    cfg = QuadConfig(endpoint_grading=64, max_depth=60)
 
     def num_f(r):
         over = p.v(r) / np.sqrt(r)
         return (p.dv(r) * np.sqrt(r)) ** 2 + m * m * over * over
 
-    num = integrate(num_f, floor, 1.0, cfg, singular_end="left").value_or_raise()
+    num = integrate(num_f, floor, 1.0, singular_end="left").value_or_raise()
     den = integrate(lambda r: (p.v(r) * np.sqrt(r)) ** 2,
-                    floor, 1.0, cfg, singular_end="left").value_or_raise()
+                    floor, 1.0, singular_end="left").value_or_raise()
     return num / den
 

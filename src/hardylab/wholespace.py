@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import hardy
-from .profiles import Dimension, RadialProfile
-from .quadrature import QuadConfig, QuadResult, integrate
+from .profiles import MOLLIFY_RADIUS, Dimension, RadialProfile
+from .quadrature import QuadResult, integrate
 from .specfun import bessel_j, bessel_zero
 
 __all__ = ["JProfile", "JEnergy", "HardyPoincareResult", "j_functional",
@@ -102,7 +102,6 @@ class JProfile:
         origin = "finite_limit" if abs(self.v(1e-12)) > 1e-12 else "vanishing"
         return RadialProfile(dim=self.dim, v=v_eff, dv=dv_eff,
                              support=self.support, origin_class=origin,
-                             boundary_zero=True,
                              name=f"critical[{self.name}]" if self.name else "critical")
 
 
@@ -121,7 +120,7 @@ def _split_points(lo: float, hi: float) -> list[float]:
     return pts
 
 
-def _integrate_split(f, lo: float, hi: float, cfg: QuadConfig) -> QuadResult:
+def _integrate_split(f, lo: float, hi: float) -> QuadResult:
     """Integrate with panels split exactly at the Bessel zeros; each
     subinterval is graded toward both zero endpoints (the weight may have
     poles there)."""
@@ -130,27 +129,25 @@ def _integrate_split(f, lo: float, hi: float, cfg: QuadConfig) -> QuadResult:
     for a, b in zip(pts[:-1], pts[1:]):
         mid = 0.5 * (a + b)
         for seg_lo, seg_hi, end in ((a, mid, "left"), (mid, b, "right")):
-            res = integrate(f, seg_lo, seg_hi, cfg, singular_end=end)
+            res = integrate(f, seg_lo, seg_hi, singular_end=end)
             value += res.value
             err += res.err_est
             ok = ok and res.converged
     return QuadResult(value, err, ok)
 
 
-def j_functional(p: JProfile, cfg: QuadConfig | None = None) -> JEnergy:
+def j_functional(p: JProfile) -> JEnergy:
     r"""Both Bessel-weighted energies, split at the zeros in the support:
 
         gradient = s_N \int J_0^2 v'^2 r dr
         mass     = s_N \int J_0^2 v^2  r dr   (= ||u||^2_{L^2} exactly)
 
-    ``converged`` is False when the gradient term grows under panel
-    refinement at a zero instead of settling, i.e. when the profile is
-    inadmissible there.  (A double pole of the weight saturates at machine
-    resolution and can fool a single adaptive pass, so the flag compares a
-    shallow and a deep refinement.)
+    ``converged`` is False when either integral misses its tolerance.  On a
+    profile that is inadmissible at a zero (u does not vanish there, so v has
+    a pole) the gradient term is not integrable: refinement toward the zero
+    stops at the float resolution with an error estimate far above the
+    tolerance, and the flag says so.
     """
-    if cfg is None:
-        cfg = QuadConfig(endpoint_grading=8, max_depth=44)
     lo, hi = p.support
     sfac = p.dim.surface_factor
 
@@ -160,15 +157,10 @@ def j_functional(p: JProfile, cfg: QuadConfig | None = None) -> JEnergy:
     def m(r: float) -> float:
         return (bessel_j(0.0, r) * p.v(r)) ** 2 * r
 
-    shallow_cfg = QuadConfig(endpoint_grading=cfg.endpoint_grading,
-                             max_depth=max(10, cfg.max_depth - 26),
-                             abs_tol=cfg.abs_tol, rel_tol=cfg.rel_tol)
-    g_shallow = _integrate_split(g, lo, hi, shallow_cfg).value
-    grad = _integrate_split(g, lo, hi, cfg)
-    stable = abs(grad.value - g_shallow) <= 1e-6 * (1.0 + abs(grad.value))
-    mass = _integrate_split(m, lo, hi, cfg)
+    grad = _integrate_split(g, lo, hi)
+    mass = _integrate_split(m, lo, hi)
     return JEnergy(sfac * grad.value, sfac * mass.value,
-                   grad.converged and mass.converged and stable)
+                   grad.converged and mass.converged)
 
 
 @dataclass
@@ -189,7 +181,7 @@ def hardy_poincare_check(p: JProfile) -> HardyPoincareResult:
     pv = hardy.principal_value(crit, crit.support[1])
     if pv.classification != "converged":
         raise ValueError(f"principal value did not converge: {pv.classification}")
-    hs = crit.dim.hs_constant * crit.v_origin() ** 2
+    hs = hardy.singularity_energy(crit, MOLLIFY_RADIUS)
     je = j_functional(p)
     i_val = pv.limit - hs
     return HardyPoincareResult(
@@ -216,9 +208,6 @@ def infimum_sequence(n: int) -> float:
     r1 = n * math.pi / 4.0
     r2 = (n + 1) * math.pi / 4.0
     slope = 4.0 / math.pi
-    # smooth integrands: keep the zero splits, skip heavy endpoint grading
-    cfg = QuadConfig(endpoint_grading=4, max_depth=40)
-
     def grad(r: float) -> float:
         return (bessel_j(0.0, r) * slope) ** 2 * r
 
@@ -228,21 +217,20 @@ def infimum_sequence(n: int) -> float:
     def mass_ramp(r: float) -> float:
         return (bessel_j(0.0, r) * (r2 - r) * slope) ** 2 * r
 
-    gval = _integrate_split(grad, r1, r2, cfg).value_or_raise()
-    m1 = _integrate_split(mass_plateau, 0.0, r1, cfg).value_or_raise()
-    m2 = _integrate_split(mass_ramp, r1, r2, cfg).value_or_raise()
+    gval = _integrate_split(grad, r1, r2).value_or_raise()
+    m1 = _integrate_split(mass_plateau, 0.0, r1).value_or_raise()
+    m2 = _integrate_split(mass_ramp, r1, r2).value_or_raise()
     return gval / (m1 + m2)
 
 
 def r2_poincare_check(v, dv, support) -> float:
     r"""Planar margin 2 pi \int J_0^2 v'^2 r dr for u = J_0 v on the plane;
     positive for every nonzero smooth compactly supported v."""
-    cfg = QuadConfig(endpoint_grading=4, max_depth=40)
 
     def g(r: float) -> float:
         return (bessel_j(0.0, r) * dv(r)) ** 2 * r
 
-    val = _integrate_split(g, support[0], support[1], cfg).value_or_raise()
+    val = _integrate_split(g, support[0], support[1]).value_or_raise()
     return 2.0 * math.pi * val
 
 
@@ -284,17 +272,16 @@ def norm_decomposition(p: JProfile, eps: float) -> tuple[float, float, float]:
     lo, hi = p.support
     zeros = [z for z in bessel_zeros_upto(hi) if lo + eps < z < hi - eps]
     f = hardy.energy_density(dim, crit.u, crit.du)
-    cfg = QuadConfig(endpoint_grading=40, max_depth=40)
     bounds = [max(lo, eps)]
     for z in zeros:
         bounds.extend((z - eps, z + eps))
     bounds.append(hi)
     i_total = 0.0
     for a, b in zip(bounds[::2], bounds[1::2]):
-        i_total += integrate(f, a, b, cfg, singular_end="left").value_or_raise()
+        i_total += integrate(f, a, b, singular_end="left").value_or_raise()
     i_total *= dim.surface_factor
 
-    rhs = i_total - dim.hs_constant * crit.v(max(lo, eps)) ** 2
+    rhs = i_total - hardy.singularity_energy(crit, max(lo, eps))
     for m in range(1, len(zeros) + 1):
         lp, lm = zero_singularity_energies(p, m, eps)
         rhs += lp - lm

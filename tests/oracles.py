@@ -104,16 +104,16 @@ def _panel(f, a: float, b: float):
 
 
 def scalar_gk21(f, a: float, b: float, singular_end: str = "none",
-                endpoint_grading: int = 52, max_depth: int = 48,
                 abs_tol: float = 1e-10, rel_tol: float = 1e-10):
     """(value, points, initial panels) of the adaptive Gauss-Kronrod
     quadrature with scalar calls of f.
 
     The same algorithm as the library's: initial panels graded by halving
-    toward a singular end, |K21 - G10| as the error estimate, no refinement
-    when the initial panels already meet the tolerance, the worst panel
-    bisected first, and no split of a panel at most 2^8 float spacings of its
-    larger end wide.
+    toward a singular end e, log2(max(width/|e|, 4)) + 10 levels for e != 0
+    and 52 for e = 0, capped at the float resolution at e; |K21 - G10| as
+    the error estimate, no refinement when the initial panels already meet
+    the tolerance, the worst panel bisected first, no split of a panel at
+    most 2^8 float spacings of its larger end wide, and at most 6,000 panels.
     """
     points = 0
 
@@ -129,7 +129,11 @@ def scalar_gk21(f, a: float, b: float, singular_end: str = "none",
         endpoint = a if singular_end == "left" else b
         ulp = max(abs(endpoint) * 2.3e-16, 5e-324)
         cap = int(math.log2(width) - math.log2(ulp)) - 8 if width > ulp else 1
-        offsets = [width * 0.5**j for j in range(1, min(endpoint_grading, max(cap, 1)) + 1)]
+        if endpoint == 0.0:
+            levels = 52
+        else:
+            levels = int(math.log2(max(width / abs(endpoint), 4.0))) + 10
+        offsets = [width * 0.5**j for j in range(1, max(min(levels, cap), 1) + 1)]
         if singular_end == "left":
             edges = [a] + [a + w for w in reversed(offsets)] + [b]
         else:
@@ -138,29 +142,28 @@ def scalar_gk21(f, a: float, b: float, singular_end: str = "none",
     for lo, hi in zip(edges[:-1], edges[1:]):
         val, err = _panel(g, lo, hi)
         total += val
-        heapq.heappush(heap, (-err, counter, lo, hi, val, 0))
+        heapq.heappush(heap, (-err, counter, lo, hi, val))
         counter += 1
     err_total = sum(-item[0] for item in heap)
     if err_total <= max(abs_tol, rel_tol * abs(total)):
         return total, points, len(edges) - 1
-    max_panels = max(6_000, 4 * len(edges))
     splits = 0
     while heap:
         tol = max(abs_tol, rel_tol * abs(total))
         if err_total <= tol or not (math.isfinite(total) and math.isfinite(err_total)):
             break
-        neg_err, _, lo, hi, val, depth = heapq.heappop(heap)
+        neg_err, _, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         narrow = hi - lo <= 2.0**8 * math.ulp(max(abs(lo), abs(hi)))
-        if depth >= max_depth or counter >= max_panels or narrow:
+        if counter >= 6_000 or narrow:
             break
         v1, e1 = _panel(g, lo, mid)
         v2, e2 = _panel(g, mid, hi)
         total += v1 + v2 - val
         err_total += e1 + e2 + neg_err
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1, depth + 1))
+        heapq.heappush(heap, (-e1, counter, lo, mid, v1))
         counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi, v2, depth + 1))
+        heapq.heappush(heap, (-e2, counter, mid, hi, v2))
         counter += 1
         splits += 1
         if splits % 512 == 0:

@@ -260,7 +260,7 @@ def test_criterion_11_dimension_reduction():
         for radius in (1.0, 7.0):
             base = make_named(dim, "bump", fall=(0.4 * radius, 0.8 * radius))
             p = RadialProfile(dim=dim, v=base.v, dv=base.dv, support=(0.0, radius),
-                              origin_class="finite_limit", boundary_zero=True)
+                              origin_class="finite_limit")
             res = approx.dim_reduction(p, radius)
             ratios.append(res.ratio)
             worst = max(worst, abs(res.ratio - 1.0 / (n - 2)))

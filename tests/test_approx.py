@@ -134,7 +134,7 @@ def test_dim_reduction_radius_independent(dim4):
     for radius in (1.0, 7.0):
         base = make_named(dim4, "bump", fall=(0.4 * radius, 0.8 * radius))
         p = RadialProfile(dim=dim4, v=base.v, dv=base.dv, support=(0.0, radius),
-                          origin_class="finite_limit", boundary_zero=True)
+                          origin_class="finite_limit")
         ratios.append(approx.dim_reduction(p, radius).ratio)
     assert abs(ratios[0] - ratios[1]) < 1e-8
 

@@ -40,7 +40,7 @@ def test_e1_regular_part(dim3):
     # defining relation u * r^lam = v
     r = 0.5
     assert abs(p.u(r) * r**dim3.singular_exponent - bessel_j(0.0, Z01 * r)) < 1e-14
-    assert p.boundary_zero and p.origin_class == "finite_limit"
+    assert p.origin_class == "finite_limit"
 
 
 def test_subcritical_near_critical(dim3):

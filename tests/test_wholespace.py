@@ -19,10 +19,9 @@ def test_mass_term_is_plain_l2(dim3):
     v, dv = smooth_cap(1.0, 5.0)
     p = wholespace.JProfile.from_v(dim3, v, dv, (0.0, 5.0))
     je = wholespace.j_functional(p)
-    from hardylab.quadrature import QuadConfig, integrate
+    from hardylab.quadrature import integrate
     direct = dim3.surface_factor * integrate(
-        lambda r: p.u(r) ** 2 * r ** 2, 1e-12, 5.0,
-        QuadConfig(endpoint_grading=40), singular_end="left").value
+        lambda r: p.u(r) ** 2 * r ** 2, 1e-12, 5.0, singular_end="left").value
     assert abs(je.mass - direct) < 1e-7
 
 
@@ -41,12 +40,15 @@ def test_zero_profile(dim3):
     assert je.mass == pytest.approx(0.0, abs=1e-12)
 
 
-def test_nonvanishing_trace_across_zero_diverges(dim3):
-    # u equal to 1 at z_1: the factor v = r^lam u / J_0 has a pole there and
-    # the gradient term grows without bound under refinement
-    z1 = bessel_zero(0.0, 1)
-    u, du = smooth_cap(z1, z1 + 1.5)
-    p = wholespace.JProfile.from_u(dim3, u, du, (0.0, z1 + 1.5))
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("m", [1, 2])
+def test_nonvanishing_trace_across_zero_diverges(n, m):
+    # u equal to 1 at z_m: the factor v = r^lam u / J_0 has a pole there and
+    # the gradient term grows without bound under refinement; one pass of
+    # j_functional reports it
+    z = bessel_zero(0.0, m)
+    u, du = smooth_cap(z, z + 1.5)
+    p = wholespace.JProfile.from_u(Dimension(n), u, du, (0.0, z + 1.5))
     je = wholespace.j_functional(p)
     assert not je.converged
 
@@ -116,7 +118,7 @@ def test_r2_poincare_margin_shrinks_relative_to_mass():
 
     import numpy as np
 
-    from hardylab.quadrature import QuadConfig, integrate
+    from hardylab.quadrature import integrate
     from hardylab.specfun import bessel_j
 
     def ramp(n):
@@ -133,8 +135,7 @@ def test_r2_poincare_margin_shrinks_relative_to_mass():
         margin = wholespace.r2_poincare_check(v, dv, support)
         assert margin > 0.0
         mass = 2.0 * _m.pi * integrate(
-            lambda r: (bessel_j(0.0, r) * v(r)) ** 2 * r, 0.0, support[1],
-            QuadConfig(endpoint_grading=6, max_depth=40)).value
+            lambda r: (bessel_j(0.0, r) * v(r)) ** 2 * r, 0.0, support[1]).value
         rel.append(margin / mass)
     assert rel[1] < rel[0] and rel[2] < rel[1]
 
@@ -142,7 +143,7 @@ def test_r2_poincare_margin_shrinks_relative_to_mass():
 def test_r2_direct_gradient_identity():
     # 2 pi int J_0^2 v'^2 r dr equals int |grad(J_0 v)|^2 - (J_0 v)^2 over
     # the plane, both by quadrature
-    from hardylab.quadrature import QuadConfig, integrate
+    from hardylab.quadrature import integrate
     from hardylab.specfun import bessel_j
 
     v, dv = smooth_cap(0.5, 3.0)
@@ -155,9 +156,7 @@ def test_r2_direct_gradient_identity():
         uu = j0 * v(r)
         return (du * du - uu * uu) * r
 
-    got = 2.0 * math.pi * integrate(direct, 0.0, 3.0,
-                                    QuadConfig(endpoint_grading=20),
-                                    singular_end="left").value
+    got = 2.0 * math.pi * integrate(direct, 0.0, 3.0, singular_end="left").value
     assert abs(margin - got) < 1e-8
 
 
