@@ -352,8 +352,7 @@ def _log_ramp(dim: Dimension, delta: float) -> RadialProfile:
         return np.where(inside, 1.0 / (np.clip(r, delta, 1.0) * ln_d), 0.0)[()]
 
     return RadialProfile(dim=dim, v=v, dv=dv, support=(0.0, 1.0),
-                         origin_class="finite_limit",
-                         name=f"log_ramp({delta:g})")
+                         origin_class="finite_limit", name=f"log_ramp({delta:g})")
 
 
 def make_named(dim: Dimension, kind: str, **params) -> RadialProfile:
