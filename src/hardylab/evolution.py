@@ -76,7 +76,17 @@ def _operator_diagonals(grid: FDGrid):
 
 
 class FDRun:
-    """theta-scheme run storing the state at every time step."""
+    """theta-scheme run that computes its states on demand.
+
+    The constructor checks the data and factors the matrix but takes no
+    step.  ``state(t)`` steps forward from the newest state to t and holds
+    only the last ``HELD`` states in ``states`` (three: ``energy_rate`` reads
+    t + dt, then t - dt); a query older than those starts again from t = 0.
+    Each state comes from the same arithmetic on the same previous state, so
+    a state is bitwise the same whatever the order of the queries.
+    """
+
+    HELD = 3
 
     def __init__(self, p: RadialProfile, grid: FDGrid, t_final: float):
         self.profile = p
@@ -95,28 +105,34 @@ class FDRun:
 
         lower, main, upper = _operator_diagonals(grid)
         th, dt = grid.theta, grid.dt
-        m = grid.m
         # I - theta dt A is strictly diagonally dominant: factored once, no pivoting
         *factors, info = lapack.dgttrf(-th * dt * lower, 1.0 - th * dt * main,
                                        -th * dt * upper[:-1])
         if info != 0:
             raise ValueError(f"theta-scheme matrix is singular (dgttrf info={info})")
-
+        self._diagonals = (lower, main, upper[:-1])
+        self._factors = factors
+        self._initial = state
         self.states = [state]
-        u = state[: m + 1]
-        for _ in range(steps):
-            full = np.zeros(m + 2)
-            rhs = full[: m + 1]
-            np.multiply(main, u, out=rhs)
-            rhs[:-1] += upper[:-1] * u[1:]
-            rhs[1:] += lower * u[:-1]
-            rhs *= (1.0 - th) * dt
-            rhs += u
-            # solves in place, so the new state lands in ``full``
-            u, info = lapack.dgttrs(*factors, rhs, overwrite_b=1)
-            if info != 0:
-                raise ValueError(f"theta-scheme solve failed (dgttrs info={info})")
-            self.states.append(full)
+        self._newest = 0  # time index of states[-1]
+
+    def _step(self, v: np.ndarray) -> np.ndarray:
+        """The state one time step after ``v``, in a fresh array."""
+        lower, main, upper = self._diagonals
+        c = (1.0 - self.grid.theta) * self.grid.dt
+        u = v[:-1]
+        full = np.zeros(v.size)
+        rhs = full[:-1]
+        np.multiply(main, u, out=rhs)
+        rhs[:-1] += upper * u[1:]
+        rhs[1:] += lower * u[:-1]
+        rhs *= c
+        rhs += u
+        # solves in place, so the new state lands in ``full``
+        info = lapack.dgttrs(*self._factors, rhs, overwrite_b=1)[1]
+        if info != 0:
+            raise ValueError(f"theta-scheme solve failed (dgttrs info={info})")
+        return full
 
     def _index(self, t: float) -> int:
         idx = int(round(t / self.grid.dt))
@@ -125,7 +141,15 @@ class FDRun:
         return idx
 
     def state(self, t: float) -> np.ndarray:
-        return self.states[self._index(t)]
+        idx = self._index(t)
+        if self._newest - idx >= len(self.states):
+            self.states, self._newest = [self._initial], 0
+        while self._newest < idx:
+            self.states.append(self._step(self.states[-1]))
+            self._newest += 1
+            if len(self.states) > self.HELD:
+                del self.states[0]
+        return self.states[idx - self._newest - 1]
 
     def energy(self, t: float) -> float:
         """Weighted L^2 norm^2 by the trapezoid rule (both endpoints drop)."""

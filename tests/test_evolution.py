@@ -111,8 +111,40 @@ def test_fd_states_equal_banded_oracle(dim3, name, theta, m):
     # route, and strict diagonal dominance makes both eliminations the same
     p = named_profile(dim3, name)
     grid = FDGrid(m=m, dt=1e-3, theta=theta)
-    assert np.array_equal(np.array(FDRun(p, grid, 0.02).states),
+    run = FDRun(p, grid, 0.02)
+    assert np.array_equal(np.array([run.state(k * grid.dt) for k in range(run.steps + 1)]),
                           theta_scheme_banded(p, grid, 0.02))
+
+
+def test_fd_states_in_any_query_order(dim3):
+    # states are computed on demand and only the newest few are held; a query
+    # behind them starts again from t = 0 and must give the same bits
+    p = named_profile(dim3, "bump")
+    grid = FDGrid(m=128, dt=1e-3)
+    oracle = theta_scheme_banded(p, grid, 0.04)
+    run = FDRun(p, grid, 0.04)
+    order = [17, 16, 15, 40, 3, 38, 0, 39, 12, 12, 29, 28, 30, 5, 40, 1, 22, 21, 2]
+    order += list(np.random.default_rng(7).permutation(41))
+    for k in order:
+        assert np.array_equal(run.state(k * grid.dt), oracle[k]), k
+        assert len(run.states) <= FDRun.HELD
+
+
+def test_fd_run_holds_few_states(dim3):
+    # the heat_flow benchmark's largest run: its states would take 32 MB
+    import tracemalloc
+
+    p = named_profile(dim3, "bump")
+    times = [round(0.003 * j, 6) for j in range(1, 34)]
+    tracemalloc.start()
+    try:
+        run = FDRun(p, FDGrid(m=2048, dt=5e-5), 0.1)
+        energy_trace(run, times)
+        run.state(0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_fd_rejects_non_finite_initial_data(dim3):
