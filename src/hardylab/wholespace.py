@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import hardy
 from .profiles import MOLLIFY_RADIUS, Dimension, RadialProfile
-from .quadrature import QuadResult, integrate
+from .quadrature import NonConvergenceError, QuadResult, integrate
 from .specfun import bessel_j, bessel_zero
 
 __all__ = ["JProfile", "JEnergy", "HardyPoincareResult", "j_functional",
@@ -114,6 +114,15 @@ class JEnergy:
     def total(self) -> float:
         return self.gradient + self.mass
 
+    def or_raise(self) -> JEnergy:
+        """Itself, or NonConvergenceError when either integral missed its
+        tolerance."""
+        if not self.converged:
+            raise NonConvergenceError(
+                f"Bessel-weighted energies did not converge: gradient {self.gradient}, "
+                f"mass {self.mass}")
+        return self
+
 
 def _split_points(lo: float, hi: float) -> list[float]:
     pts = [lo] + [z for z in bessel_zeros_upto(hi) if lo < z < hi] + [hi]
@@ -176,13 +185,17 @@ class HardyPoincareResult:
 
 def hardy_poincare_check(p: JProfile) -> HardyPoincareResult:
     """Both sides of the decomposition I = gradient + mass + L, each by its
-    own quadrature, together with the strict-improvement margin."""
+    own quadrature, together with the strict-improvement margin.
+
+    Raises NonConvergenceError when the Bessel-weighted energies do not
+    converge, as on a profile with a pole of v at a zero of J_0.
+    """
     crit = p.critical_profile()
     pv = hardy.principal_value(crit, crit.support[1])
     if pv.classification != "converged":
         raise ValueError(f"principal value did not converge: {pv.classification}")
     hs = hardy.singularity_energy(crit, MOLLIFY_RADIUS)
-    je = j_functional(p)
+    je = j_functional(p).or_raise()
     i_val = pv.limit - hs
     return HardyPoincareResult(
         i_principal=pv.limit,
@@ -265,7 +278,8 @@ def norm_decomposition(p: JProfile, eps: float) -> tuple[float, float, float]:
 
     The reassembled side removes eps-balls around the origin and every zero,
     evaluates the Hardy functional there in the u-form, subtracts the origin
-    surface energy and adds the zero-circle pairs.
+    surface energy and adds the zero-circle pairs.  Raises
+    NonConvergenceError when the Bessel-weighted energies do not converge.
     """
     crit = p.critical_profile()
     dim = p.dim
@@ -286,6 +300,5 @@ def norm_decomposition(p: JProfile, eps: float) -> tuple[float, float, float]:
         lp, lm = zero_singularity_energies(p, m, eps)
         rhs += lp - lm
 
-    je = j_functional(p)
-    lhs = je.total()
+    lhs = j_functional(p).or_raise().total()
     return lhs, rhs, abs(lhs - rhs)

@@ -4,7 +4,7 @@ import pytest
 
 from hardylab import hardy, wholespace
 from hardylab.profiles import Dimension, make_named
-from hardylab.quadrature import integrate_to_limit
+from hardylab.quadrature import NonConvergenceError, integrate_to_limit
 from hardylab.specfun import bessel_zero
 
 
@@ -51,6 +51,18 @@ def test_nonvanishing_trace_across_zero_diverges(n, m):
     p = wholespace.JProfile.from_u(Dimension(n), u, du, (0.0, z + 1.5))
     je = wholespace.j_functional(p)
     assert not je.converged
+
+
+def test_nonconverged_energies_raise(dim3):
+    # u = 1 across z_1: the gradient term reads about 2e18 with no verdict,
+    # so neither check may return it as a number
+    z = bessel_zero(0.0, 1)
+    u, du = smooth_cap(z, z + 1.5)
+    p = wholespace.JProfile.from_u(dim3, u, du, (0.0, z + 1.5))
+    with pytest.raises(NonConvergenceError):
+        wholespace.hardy_poincare_check(p)
+    with pytest.raises(NonConvergenceError):
+        wholespace.norm_decomposition(p, 1e-4)
 
 
 def test_hardy_poincare_margin_and_decomposition(dim3):
