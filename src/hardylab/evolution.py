@@ -5,8 +5,9 @@ v_t = v'' + v'/r with Dirichlet data at r = 1 and the axis regularity
 condition v'(0) = 0.  The spectral solver decays mode coefficients exactly
 (c_k(t) = c_k(0) exp(-mu_k t)); the finite-difference solver discretizes the
 same equation with a theta scheme and an even-reflection ghost node at the
-axis.  The exterior flow is solved by pulling back through the Kelvin map,
-evolving on the ball, and pushing forward.
+axis, and solves it in its r-weighted symmetric form (see ``FDRun``).  The
+exterior flow is solved by pulling back through the Kelvin map, evolving on
+the ball, and pushing forward.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .kelvin import kelvin_map
 from .profiles import RadialProfile
 from .spectrum import SpectralField, expand
 
-__all__ = ["FDGrid", "evolve_spectral", "evolve_fd", "FDRun", "SpectralRun",
+__all__ = ["FDGrid", "evolve_spectral", "FDRun", "SpectralRun",
            "EnergySample", "energy_trace", "evolve_exterior"]
 
 
@@ -58,25 +59,25 @@ def evolve_spectral(f: SpectralField, t: float) -> SpectralField:
     return SpectralField(f.modes, f.coeffs * factors, time=f.time + t)
 
 
-def _operator_diagonals(grid: FDGrid):
-    """Tridiagonal v'' + v'/r on unknowns v_0..v_m (v_{m+1} = 0).
-
-    At the axis the even reflection v_{-1} = v_1 turns the singular term into
-    its regular limit: (v'' + v'/r)(0) = 2 v''(0) ~ 4 (v_1 - v_0)/h^2.
-    """
-    m, h = grid.m, grid.h
-    j = np.arange(1, m + 1, dtype=float)
-    main = np.full(m + 1, -2.0 / h**2)
-    main[0] = -4.0 / h**2
-    upper = np.empty(m + 1)
-    upper[0] = 4.0 / h**2
-    upper[1:] = (1.0 + 0.5 / j) / h**2
-    lower = (1.0 - 0.5 / j) / h**2  # entry for row j, j = 1..m
-    return lower, main, upper
-
-
 class FDRun:
     """theta-scheme run that computes its states on demand.
+
+    The operator A (v'' + v'/r on v_0..v_m, v_{m+1} = 0, the axis row from
+    the even reflection v_{-1} = v_1) is self-adjoint in L^2(r dr), and so is
+    its discrete form: with the cell masses W = diag(h/8, r_1, ..., r_m) (the
+    integral of r dr over each cell, over h), W A is the symmetric flux form
+    whose off-diagonal entries are the midpoint radii r_{j+1/2} / h^2, with
+    no flux through the axis.  The diagonal of W (I - theta dt A) exceeds the
+    sum of its off-diagonal magnitudes by W, so the matrix is symmetric
+    positive definite and the constructor factors it once as L D L^T (LAPACK
+    dpttrf).  It is assembled divided by h: the masses are then 1/8, 1, ...,
+    m and the flux form is theta dt / h^2 times half-integers, so rounding
+    enters the matrix only through that one scalar.  Since
+    (I - theta dt A)^-1 (I + (1 - theta) dt A)
+        = (1/theta) (I - theta dt A)^-1 - ((1 - theta)/theta) I,
+    a step is one solve W (I - theta dt A) y = W v_n (dpttrs) and
+    v_{n+1} = y/theta - ((1 - theta)/theta) v_n: 2y - v_n for
+    Crank-Nicolson and y for implicit Euler.
 
     The constructor checks the data and factors the matrix but takes no
     step.  ``state(t)`` steps forward from the newest state to t and holds
@@ -96,42 +97,48 @@ class FDRun:
             raise ValueError("t_final must be a positive multiple of dt")
         self.steps = steps
 
-        state = np.array(p.v(grid.nodes), dtype=float)
+        r = grid.nodes
+        self._nodes = r
+        self._midpoints = 0.5 * (r[:-1] + r[1:])
+        state = np.array(p.v(r), dtype=float)
         state[-1] = 0.0
         # the matrix is finite and the scheme linear and stable, so finite
         # initial data keep every later state finite
         if not np.all(np.isfinite(state)):
             raise ValueError(f"initial data of {p.name!r} are not finite on the grid")
 
-        lower, main, upper = _operator_diagonals(grid)
-        th, dt = grid.theta, grid.dt
-        # I - theta dt A is strictly diagonally dominant: factored once, no pivoting
-        *factors, info = lapack.dgttrf(-th * dt * lower, 1.0 - th * dt * main,
-                                       -th * dt * upper[:-1])
+        # divided by h: W/h = diag(1/8, 1, ..., m), and -h W A has 2j on its
+        # diagonal (1/2 at the axis) and -(j + 1/2) beside it
+        j = np.arange(grid.m + 1, dtype=float)
+        mass = j.copy()
+        mass[0] = 0.125
+        stiffness = 2.0 * j
+        stiffness[0] = 0.5
+        th = grid.theta
+        s = th * grid.dt / grid.h**2
+        *factors, info = lapack.dpttrf(mass + s * stiffness, -s * (j[:-1] + 0.5))
         if info != 0:
-            raise ValueError(f"theta-scheme matrix is singular (dgttrf info={info})")
-        self._diagonals = (lower, main, upper[:-1])
+            raise ValueError(f"theta-scheme matrix is not positive definite (dpttrf info={info})")
         self._factors = factors
+        # the right side carries 1/theta (1 or 2, an exact scaling), so the
+        # solve returns y/theta
+        self._rhs_weight = mass / th
+        self._carry = (1.0 - th) / th
         self._initial = state
         self.states = [state]
         self._newest = 0  # time index of states[-1]
 
     def _step(self, v: np.ndarray) -> np.ndarray:
         """The state one time step after ``v``, in a fresh array."""
-        lower, main, upper = self._diagonals
-        c = (1.0 - self.grid.theta) * self.grid.dt
         u = v[:-1]
         full = np.zeros(v.size)
-        rhs = full[:-1]
-        np.multiply(main, u, out=rhs)
-        rhs[:-1] += upper * u[1:]
-        rhs[1:] += lower * u[:-1]
-        rhs *= c
-        rhs += u
-        # solves in place, so the new state lands in ``full``
-        info = lapack.dgttrs(*self._factors, rhs, overwrite_b=1)[1]
+        y = full[:-1]
+        np.multiply(self._rhs_weight, u, out=y)
+        # solves in place, so y/theta lands in ``full``
+        info = lapack.dpttrs(*self._factors, y, overwrite_b=1)[1]
         if info != 0:
-            raise ValueError(f"theta-scheme solve failed (dgttrs info={info})")
+            raise ValueError(f"theta-scheme solve failed (dpttrs info={info})")
+        y -= self._carry * u
         return full
 
     def _index(self, t: float) -> int:
@@ -154,16 +161,15 @@ class FDRun:
     def energy(self, t: float) -> float:
         """Weighted L^2 norm^2 by the trapezoid rule (both endpoints drop)."""
         v = self.state(t)
-        r = self.grid.nodes
-        return self.profile.dim.surface_factor * self.grid.h * float(np.sum(v * v * r))
+        return (self.profile.dim.surface_factor * self.grid.h
+                * float(np.sum(v * v * self._nodes)))
 
     def dirichlet(self, t: float) -> float:
         """Weighted Dirichlet energy with midpoint radii."""
         v = self.state(t)
-        r = self.grid.nodes
         dv = np.diff(v) / self.grid.h
-        rmid = 0.5 * (r[:-1] + r[1:])
-        return self.profile.dim.surface_factor * self.grid.h * float(np.sum(dv * dv * rmid))
+        return (self.profile.dim.surface_factor * self.grid.h
+                * float(np.sum(dv * dv * self._midpoints)))
 
     def energy_rate(self, t: float) -> float:
         idx = self._index(t)
@@ -232,15 +238,6 @@ def energy_trace(run, times) -> list[EnergySample]:
     return rows
 
 
-def evolve_fd(p: RadialProfile, t: float, grid: FDGrid) -> np.ndarray:
-    """theta-scheme solution sampled on the grid nodes at time t."""
-    if t == 0.0:
-        v = np.array(p.v(grid.nodes), dtype=float)
-        v[-1] = 0.0
-        return v
-    return FDRun(p, grid, t).state(t)
-
-
 def evolve_exterior(w0: RadialProfile, t: float, modes: int = 40,
                     method: str = "spectral",
                     grid: FDGrid | None = None) -> RadialProfile:
@@ -259,8 +256,8 @@ def evolve_exterior(w0: RadialProfile, t: float, modes: int = 40,
     if method == "fd":
         if grid is None:
             grid = FDGrid(m=256, dt=min(1e-3, t / 64) if t > 0 else 1e-3)
-        run = FDRun(u0, grid, t) if t > 0 else None
-        v = run.state(t) if run else evolve_fd(u0, 0.0, grid)
+        # a run takes no step until asked, so t = 0 reads the initial samples
+        v = FDRun(u0, grid, t if t > 0 else grid.dt).state(t)
         r = grid.nodes
         # cubic-free reconstruction: linear interpolation of grid samples
         def v_interp(x):

@@ -3,8 +3,9 @@
 Everything here is deliberately primitive and self-contained (no imports
 from the package under test): a plain power series for J_0, bisection,
 composite Simpson, central differences, the scalar adaptive Gauss-Kronrod
-loop that evaluates an integrand one node at a time, and a theta-scheme loop
-that solves the banded system afresh at every time step.  Expected values
+loop that evaluates an integrand one node at a time, and theta-scheme loops
+that solve the banded system afresh at every time step, in the general and
+in the r-weighted symmetric form, and once more in long double.  Expected values
 frozen into the tests were produced by these routines.
 """
 
@@ -12,7 +13,7 @@ import heapq
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 
 def j0_series(x: float, terms: int = 80) -> float:
@@ -171,38 +172,126 @@ def scalar_gk21(f, a: float, b: float, singular_end: str = "none",
     return total, points, len(edges) - 1
 
 
-def theta_scheme_banded(p, grid, t_final: float) -> np.ndarray:
-    """Every state of the radial theta scheme, one ``solve_banded`` per step.
-
-    The same discretization as the library's finite-difference run (v'' + v'/r
-    on v_0..v_m, even reflection at the axis, v_{m+1} = 0), assembled here
-    from scratch and solved with a fresh banded LU at each step.  Returns an
-    array of shape (steps + 1, m + 2).
-    """
-    m, h, th, dt = grid.m, grid.h, grid.theta, grid.dt
-    steps = int(round(t_final / dt))
-    j = np.arange(1, m + 1, dtype=float)
-    main = np.full(m + 1, -2.0 / h**2)
+def theta_operator(grid, dtype=float):
+    """(lower, main, upper) of v'' + v'/r on v_0..v_m (v_{m+1} = 0) in the
+    general form: rows 1..m carry (1 -+ 1/(2j))/h^2 beside -2/h^2, and the
+    even reflection v_{-1} = v_1 makes row 0 4 (v_1 - v_0)/h^2.  ``lower``
+    holds the entries of rows 1..m, ``upper`` those of rows 0..m-1."""
+    m = grid.m
+    h = dtype(grid.h)
+    j = np.arange(1, m + 1).astype(dtype)
+    main = np.full(m + 1, -2.0 / h**2, dtype=dtype)
     main[0] = -4.0 / h**2
-    upper = np.empty(m + 1)
+    upper = np.empty(m, dtype=dtype)
     upper[0] = 4.0 / h**2
-    upper[1:] = (1.0 + 0.5 / j) / h**2
+    upper[1:] = (1.0 + 0.5 / j[:-1]) / h**2
     lower = (1.0 - 0.5 / j) / h**2
+    return lower, main, upper
+
+
+def _initial_state(p, grid) -> np.ndarray:
+    state = np.array(p.v(np.arange(grid.m + 2) * grid.h), dtype=float)
+    state[-1] = 0.0
+    return state
+
+
+def theta_scheme_banded(p, grid, t_final: float) -> np.ndarray:
+    """Every state of the radial theta scheme in the general form, one
+    ``solve_banded`` per step.
+
+    (I - theta dt A) v_{n+1} = (I + (1 - theta) dt A) v_n with A from
+    ``theta_operator``, the explicit product formed and a fresh banded LU at
+    each step.  Returns an array of shape (steps + 1, m + 2).
+    """
+    m, th, dt = grid.m, grid.theta, grid.dt
+    steps = int(round(t_final / dt))
+    lower, main, upper = theta_operator(grid)
     ab = np.zeros((3, m + 1))
-    ab[0, 1:] = -th * dt * upper[:-1]
+    ab[0, 1:] = -th * dt * upper
     ab[1, :] = 1.0 - th * dt * main
     ab[2, :-1] = -th * dt * lower
 
-    state = np.array(p.v(np.arange(m + 2) * h), dtype=float)
-    state[-1] = 0.0
-    states = [state.copy()]
-    u = state[: m + 1].copy()
+    states = [_initial_state(p, grid)]
+    u = states[0][: m + 1].copy()
     for _ in range(steps):
         av = main * u
-        av[:-1] += upper[:-1] * u[1:]
+        av[:-1] += upper * u[1:]
         av[1:] += lower * u[:-1]
         u = solve_banded((1, 1), ab, u + (1.0 - th) * dt * av)
         full = np.zeros(m + 2)
         full[: m + 1] = u
         states.append(full)
+    return np.array(states)
+
+
+def theta_scheme_symmetric(p, grid, t_final: float) -> np.ndarray:
+    """Every state of the radial theta scheme in the r-weighted symmetric
+    form, one ``solveh_banded`` per step.
+
+    With the cell masses w_j = r_j (h/8 at the axis), W A is the flux form
+    (r_{j+1/2} (v_{j+1} - v_j) - r_{j-1/2} (v_j - v_{j-1})) / h^2 with no
+    flux through the axis.  Each step solves W (I - theta dt A) y = W v_n,
+    divided by h so that the masses are j (1/8 at the axis) and the flux
+    weights j + 1/2, afresh (LAPACK ptsv on the two-row band), and sets
+    v_{n+1} = y/theta - (1 - theta)/theta v_n.  Returns an array of shape
+    (steps + 1, m + 2).
+    """
+    m, th, dt = grid.m, grid.theta, grid.dt
+    steps = int(round(t_final / dt))
+    s = th * dt / grid.h**2
+    w = np.array([0.125] + [float(k) for k in range(1, m + 1)])
+    f = np.array([k + 0.5 for k in range(m + 1)])  # flux weight between k and k+1
+    ab = np.zeros((2, m + 1))  # upper form: superdiagonal, then diagonal
+    ab[0, 1:] = -s * f[:-1]
+    ab[1, :] = w + s * (f + np.append(0.0, f[:-1]))
+
+    states = [_initial_state(p, grid)]
+    for _ in range(steps):
+        u = states[-1][: m + 1]
+        y = solveh_banded(ab, w * u)
+        full = np.zeros(m + 2)
+        full[: m + 1] = y / th - (1.0 - th) / th * u
+        states.append(full)
+    return np.array(states)
+
+
+def theta_scheme_longdouble(p, grid, t_final: float) -> np.ndarray:
+    """Every state of the general-form theta scheme in ``np.longdouble``,
+    solved by the Thomas algorithm one node at a time.
+
+    The same discrete problem as ``theta_scheme_banded`` (float64 h and
+    initial samples), with every operation carried in the platform's long
+    double.  Returns a long-double array of shape (steps + 1, m + 2).
+    """
+    ld = np.longdouble
+    m, th, dt = grid.m, ld(grid.theta), ld(grid.dt)
+    steps = int(round(t_final / grid.dt))
+    lower, main, upper = theta_operator(grid, ld)
+    a = -th * dt * lower  # row j's coefficient of x_{j-1}, rows 1..m
+    b = 1 - th * dt * main
+    c = -th * dt * upper
+    # elimination without pivoting (the matrix is diagonally dominant)
+    cp = np.empty(m, dtype=ld)
+    inv = np.empty(m + 1, dtype=ld)
+    inv[0] = 1 / b[0]
+    cp[0] = c[0] * inv[0]
+    for j in range(1, m + 1):
+        inv[j] = 1 / (b[j] - a[j - 1] * cp[j - 1])
+        if j < m:
+            cp[j] = c[j] * inv[j]
+
+    states = [_initial_state(p, grid).astype(ld)]
+    for _ in range(steps):
+        u = states[-1][: m + 1]
+        av = main * u
+        av[:-1] += upper * u[1:]
+        av[1:] += lower * u[:-1]
+        d = u + (1 - th) * dt * av
+        x = np.zeros(m + 2, dtype=ld)
+        x[0] = d[0] * inv[0]
+        for j in range(1, m + 1):
+            x[j] = (d[j] - a[j - 1] * x[j - 1]) * inv[j]
+        for j in range(m - 1, -1, -1):
+            x[j] -= cp[j] * x[j + 1]
+        states.append(x)
     return np.array(states)

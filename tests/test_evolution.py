@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from hardylab import evolution, kelvin, spectrum
-from hardylab.evolution import FDGrid, FDRun, SpectralRun, energy_trace, evolve_fd, evolve_spectral
+from hardylab.evolution import FDGrid, FDRun, SpectralRun, energy_trace, evolve_spectral
 from hardylab.profiles import make_e1, make_named, named_profile
 from hardylab.specfun import bessel_j
 
-from oracles import Z01, theta_scheme_banded
+from oracles import (Z01, theta_operator, theta_scheme_banded, theta_scheme_longdouble,
+                     theta_scheme_symmetric)
 
 MU1 = Z01 * Z01
 
@@ -59,7 +60,7 @@ def test_fd_grid_validation():
 def test_fd_time_zero_returns_samples(dim3):
     p = make_e1(dim3)
     g = FDGrid(m=128, dt=1e-4)
-    v = evolve_fd(p, 0.0, g)
+    v = FDRun(p, g, g.dt).state(0.0)
     r = g.nodes
     want = np.array([p.v(rj) for rj in r])
     want[-1] = 0.0
@@ -70,7 +71,7 @@ def test_fd_matches_exact_mode_decay(dim3):
     # spectral decay of the pure ground mode as the oracle
     p = make_e1(dim3)
     g = FDGrid(m=512, dt=1e-4, theta=0.5)
-    v = evolve_fd(p, 0.1, g)
+    v = FDRun(p, g, 0.1).state(0.1)
     r = g.nodes
     exact = math.exp(-MU1 * 0.1) * np.array([bessel_j(0.0, Z01 * rj) for rj in r])
     exact[-1] = 0.0
@@ -81,7 +82,7 @@ def test_fd_matches_exact_mode_decay(dim3):
 def test_fd_matches_spectral_for_bump(dim3):
     p = make_named(dim3, "bump")
     g = FDGrid(m=512, dt=1e-4)
-    v = evolve_fd(p, 0.1, g)
+    v = FDRun(p, g, 0.1).state(0.1)
     f = evolve_spectral(spectrum.expand(p, 40), 0.1)
     r = g.nodes
     vs = np.array([f.v(rj) for rj in r])
@@ -95,7 +96,7 @@ def test_grid_refinement_second_order(dim3):
     errs = []
     for m in (128, 257):
         g = FDGrid(m=m, dt=2e-5, theta=0.5)
-        v = evolve_fd(p, 0.02, g)
+        v = FDRun(p, g, 0.02).state(0.02)
         r = g.nodes
         exact = math.exp(-MU1 * 0.02) * np.array([bessel_j(0.0, Z01 * rj) for rj in r])
         exact[-1] = 0.0
@@ -104,17 +105,58 @@ def test_grid_refinement_second_order(dim3):
     assert 3.0 < ratio < 5.2
 
 
+def max_relative_gap(states, reference) -> float:
+    """Largest max-norm gap of a state to its reference, over the reference's
+    max norm at the same time."""
+    return max(float(np.max(np.abs(v - ref)) / np.max(np.abs(ref)))
+               for v, ref in zip(states, reference))
+
+
+@pytest.mark.parametrize("m", [64, 511, 2048])
+def test_weighted_operator_is_symmetric(m):
+    # the premise of the symmetric solve: with the cell masses r_j (h/8 at the
+    # axis) the general-form operator becomes the flux form, whose entries
+    # beside the diagonal are (j + 1/2)/h from either side
+    grid = FDGrid(m=m, dt=1e-3)
+    lower, _, upper = theta_operator(grid)
+    w = grid.nodes[:-1].copy()
+    w[0] = grid.h / 8.0
+    above, below = w[:-1] * upper, w[1:] * lower
+    flux = (np.arange(m) + 0.5) / grid.h
+    assert np.max(np.abs(above - below) / above) <= 5e-16
+    assert np.max(np.abs(above - flux) / flux) <= 5e-16
+
+
 @pytest.mark.parametrize("m", [64, 511, 2048])
 @pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("name", ["e1", "bump", "log_power(0.3)"])
 def test_fd_states_equal_banded_oracle(dim3, name, theta, m):
-    # the matrix is factored once; a fresh banded LU per step is the second
-    # route, and strict diagonal dominance makes both eliminations the same
+    # the symmetric matrix is factored once; a fresh solveh_banded per step is
+    # the second route and gives the same bits.  The general form with its
+    # explicit product is a third route, equal up to rounding
     p = named_profile(dim3, name)
     grid = FDGrid(m=m, dt=1e-3, theta=theta)
     run = FDRun(p, grid, 0.02)
-    assert np.array_equal(np.array([run.state(k * grid.dt) for k in range(run.steps + 1)]),
-                          theta_scheme_banded(p, grid, 0.02))
+    states = np.array([run.state(k * grid.dt) for k in range(run.steps + 1)])
+    assert np.array_equal(states, theta_scheme_symmetric(p, grid, 0.02))
+    assert max_relative_gap(states, theta_scheme_banded(p, grid, 0.02)) <= 1e-11
+
+
+@pytest.mark.parametrize("m", [64, 511, 2048])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("name", ["e1", "bump", "log_power(0.3)"])
+def test_fd_states_near_longdouble_oracle(dim3, name, theta, m):
+    # both float64 routes against the same scheme carried in long double; the
+    # symmetric form, whose assembly rounds only theta dt / h^2, is the closer
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double is no wider than double on this platform")
+    p = named_profile(dim3, name)
+    grid = FDGrid(m=m, dt=1e-3, theta=theta)
+    run = FDRun(p, grid, 0.02)
+    states = [run.state(k * grid.dt) for k in range(run.steps + 1)]
+    exact = theta_scheme_longdouble(p, grid, 0.02)
+    assert max_relative_gap(states, exact) <= 1e-12
+    assert max_relative_gap(theta_scheme_banded(p, grid, 0.02), exact) <= 1e-11
 
 
 def test_fd_states_in_any_query_order(dim3):
@@ -122,7 +164,7 @@ def test_fd_states_in_any_query_order(dim3):
     # behind them starts again from t = 0 and must give the same bits
     p = named_profile(dim3, "bump")
     grid = FDGrid(m=128, dt=1e-3)
-    oracle = theta_scheme_banded(p, grid, 0.04)
+    oracle = theta_scheme_symmetric(p, grid, 0.04)
     run = FDRun(p, grid, 0.04)
     order = [17, 16, 15, 40, 3, 38, 0, 39, 12, 12, 29, 28, 30, 5, 40, 1, 22, 21, 2]
     order += list(np.random.default_rng(7).permutation(41))
