@@ -4,9 +4,9 @@ Everything here is deliberately primitive and self-contained (no imports
 from the package under test): a plain power series for J_0, bisection,
 composite Simpson, central differences, the scalar adaptive Gauss-Kronrod
 loop that evaluates an integrand one node at a time, and theta-scheme loops
-that solve the banded system afresh at every time step, in the general and
-in the r-weighted symmetric form, and once more in long double.  Expected values
-frozen into the tests were produced by these routines.
+that solve the banded system afresh at every time step (in the general and
+in the r-weighted symmetric form) or in long double, node by node.  Expected
+values frozen into the tests were produced by these routines.
 """
 
 import heapq
