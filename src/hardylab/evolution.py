@@ -59,6 +59,15 @@ def evolve_spectral(f: SpectralField, t: float) -> SpectralField:
     return SpectralField(f.modes, f.coeffs * factors, time=f.time + t)
 
 
+def _time_index(t: float, dt: float) -> int:
+    """The index of t on the time grid k dt, refusing a t that is more than
+    1e-9 (relative, once above 1) off the grid."""
+    idx = int(round(t / dt))
+    if abs(idx * dt - t) > 1e-9 * max(t, 1.0):
+        raise ValueError(f"t={t} is not a multiple of dt={dt}")
+    return idx
+
+
 class FDRun:
     """theta-scheme run that computes its states on demand.
 
@@ -80,11 +89,16 @@ class FDRun:
     Crank-Nicolson and y for implicit Euler.
 
     The constructor checks the data and factors the matrix but takes no
-    step.  ``state(t)`` steps forward from the newest state to t and holds
-    only the last ``HELD`` states in ``states`` (three: ``energy_rate`` reads
-    t + dt, then t - dt); a query older than those starts again from t = 0.
-    Each state comes from the same arithmetic on the same previous state, so
-    a state is bitwise the same whatever the order of the queries.
+    step.  A query steps forward from the newest state to t and holds only
+    the last ``HELD`` states (three: ``energy_rate`` reads t + dt, then
+    t - dt), the state at time index k in the buffer ``states[k % HELD]``;
+    a query older than those starts again from t = 0.  The buffers are
+    allocated once and each step writes into the one whose state leaves
+    the window, so stepping allocates no state array.  ``state(t)`` returns
+    a copy, which later steps leave alone.  Each state comes from the same
+    arithmetic on the same previous state, so a state is bitwise the same
+    whatever the order of the queries.  Query times must lie on the time
+    grid, within the rule the constructor applies to ``t_final``.
     """
 
     HELD = 3
@@ -92,8 +106,8 @@ class FDRun:
     def __init__(self, p: RadialProfile, grid: FDGrid, t_final: float):
         self.profile = p
         self.grid = grid
-        steps = int(round(t_final / grid.dt))
-        if steps < 1 or abs(steps * grid.dt - t_final) > 1e-9 * max(t_final, 1.0):
+        steps = _time_index(t_final, grid.dt)
+        if steps < 1:
             raise ValueError("t_final must be a positive multiple of dt")
         self.steps = steps
 
@@ -123,50 +137,60 @@ class FDRun:
         # the right side carries 1/theta (1 or 2, an exact scaling), so the
         # solve returns y/theta
         self._rhs_weight = mass / th
-        self._carry = (1.0 - th) / th
+        # so v_{n+1} is that result less v_n for Crank-Nicolson, where
+        # (1 - theta)/theta = 1, and that result itself for implicit Euler
+        self._crank_nicolson = th == 0.5
         self._initial = state
-        self.states = [state]
-        self._newest = 0  # time index of states[-1]
+        self.states = [np.zeros(state.size) for _ in range(self.HELD)]
+        self._restart()
 
-    def _step(self, v: np.ndarray) -> np.ndarray:
-        """The state one time step after ``v``, in a fresh array."""
+    def _restart(self) -> None:
+        np.copyto(self.states[0], self._initial)
+        self._newest = 0  # time index of the newest held state
+
+    def _step(self, v: np.ndarray, out: np.ndarray) -> None:
+        """Write the state one time step after ``v`` into ``out``; the
+        boundary entry of ``out`` is not written and stays 0."""
         u = v[:-1]
-        full = np.zeros(v.size)
-        y = full[:-1]
+        y = out[:-1]
         np.multiply(self._rhs_weight, u, out=y)
-        # solves in place, so y/theta lands in ``full``
+        # solves in place, so y/theta lands in ``out``
         info = lapack.dpttrs(*self._factors, y, overwrite_b=1)[1]
         if info != 0:
             raise ValueError(f"theta-scheme solve failed (dpttrs info={info})")
-        y -= self._carry * u
-        return full
+        if self._crank_nicolson:
+            np.subtract(y, u, out=y)
 
     def _index(self, t: float) -> int:
-        idx = int(round(t / self.grid.dt))
+        idx = _time_index(t, self.grid.dt)
         if not 0 <= idx <= self.steps:
             raise ValueError(f"t={t} outside the computed range")
         return idx
 
-    def state(self, t: float) -> np.ndarray:
+    def _held(self, t: float) -> np.ndarray:
+        """The held buffer of the state at t, which later steps overwrite."""
         idx = self._index(t)
-        if self._newest - idx >= len(self.states):
-            self.states, self._newest = [self._initial], 0
+        if self._newest - idx >= self.HELD:
+            self._restart()
+        held = self.states
         while self._newest < idx:
-            self.states.append(self._step(self.states[-1]))
+            self._step(held[self._newest % self.HELD], held[(self._newest + 1) % self.HELD])
             self._newest += 1
-            if len(self.states) > self.HELD:
-                del self.states[0]
-        return self.states[idx - self._newest - 1]
+        return held[idx % self.HELD]
+
+    def state(self, t: float) -> np.ndarray:
+        """The grid samples at t, in a fresh array."""
+        return self._held(t).copy()
 
     def energy(self, t: float) -> float:
         """Weighted L^2 norm^2 by the trapezoid rule (both endpoints drop)."""
-        v = self.state(t)
+        v = self._held(t)
         return (self.profile.dim.surface_factor * self.grid.h
                 * float(np.sum(v * v * self._nodes)))
 
     def dirichlet(self, t: float) -> float:
         """Weighted Dirichlet energy with midpoint radii."""
-        v = self.state(t)
+        v = self._held(t)
         dv = np.diff(v) / self.grid.h
         return (self.profile.dim.surface_factor * self.grid.h
                 * float(np.sum(dv * dv * self._midpoints)))
@@ -183,7 +207,7 @@ class FDRun:
     def flux_diag(self, t: float) -> float:
         """Innermost-cell boundary flux  s_N * r1 * v(r1) * v'(r1); the term
         the weak formulation drops, monitored rather than assumed small."""
-        v = self.state(t)
+        v = self._held(t)
         h = self.grid.h
         dv1 = (v[2] - v[0]) / (2.0 * h)
         return self.profile.dim.surface_factor * h * v[1] * dv1

@@ -82,6 +82,13 @@ def test_bad_profile_exits_2(tmp_path):
     assert main(["energy", "--profile", "wat", "--out", str(tmp_path / "x")]) == 2
 
 
+def test_off_grid_evolve_time_exits_2(tmp_path):
+    # t_final = 0.1001 is 1001 steps of 1e-4, but its trace time
+    # t_final / 8 = 0.0125125 is not on the time grid
+    argv = ["evolve", "--t-final", "0.1001", "--grid", "64", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+
+
 def test_unknown_command_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--out", str(tmp_path / "x")])

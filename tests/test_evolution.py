@@ -188,6 +188,72 @@ def test_fd_run_holds_few_states(dim3):
     assert peak < 1_000_000
 
 
+class CountingRun(FDRun):
+    """FDRun that counts its steps, each one dpttrs solve."""
+
+    solves = 0
+
+    def _step(self, v, out):
+        self.solves += 1
+        super()._step(v, out)
+
+
+def test_fd_solve_count(dim3):
+    # the heat_flow benchmark's largest run: forward queries take each step
+    # once, and a query behind the held states pays its index again
+    p = named_profile(dim3, "bump")
+    run = CountingRun(p, FDGrid(m=2048, dt=5e-5), 0.1)
+    energy_trace(run, [round(0.003 * j, 6) for j in range(1, 34)])
+    run.state(0.1)
+    assert run.solves == run.steps == 2000
+    run.state(0.05)
+    assert run.solves == 3000
+
+
+def test_fd_steps_allocate_no_state(dim3):
+    # stepping writes into the held buffers; flux_diag reads only scalars
+    grid = FDGrid(m=2048, dt=1e-3)
+    run = FDRun(named_profile(dim3, "bump"), grid, 0.05)
+    tracemalloc.start()
+    try:
+        run.flux_diag(0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.m
+
+
+def test_fd_state_is_a_copy(dim3):
+    # the run recycles its held buffers: a returned state must not change as
+    # the run steps past it or starts again, nor reach the run when mutated
+    p = named_profile(dim3, "bump")
+    grid = FDGrid(m=64, dt=1e-3)
+    oracle = theta_scheme_symmetric(p, grid, 0.02)
+    run = FDRun(p, grid, 0.02)
+    v0, v5 = run.state(0.0), run.state(0.005)
+    run.state(0.02)
+    assert np.array_equal(v5, oracle[5])
+    run.state(0.0)
+    assert np.array_equal(v0, oracle[0]) and np.array_equal(v5, oracle[5])
+    v0[:] = 7.0
+    v5[:] = 7.0
+    run.state(0.02)
+    assert np.array_equal(run.state(0.0), oracle[0])
+    assert np.array_equal(run.state(0.005), oracle[5])
+
+
+def test_fd_rejects_off_grid_times(dim3):
+    grid = FDGrid(m=64, dt=1e-4)
+    run = FDRun(named_profile(dim3, "bump"), grid, 0.01)
+    for t in (0.00015, 0.0050125, 0.010001):
+        with pytest.raises(ValueError, match="not a multiple of dt"):
+            run.state(t)
+    with pytest.raises(ValueError, match="not a multiple of dt"):
+        run.energy_rate(0.00015)
+    # times that are multiples of dt up to rounding stay valid
+    assert np.array_equal(run.state(0.003 * 3), run.state(90 * grid.dt))
+
+
 def test_fd_rejects_non_finite_initial_data(dim3):
     p = make_e1(dim3)
     grid = FDGrid(m=64, dt=1e-3)
