@@ -40,10 +40,9 @@ print()
 
 print("2. naive vs logarithmic cutoff defect (unit-plateau bump)")
 bump = make_named(dim, "bump")
-step = approx.cubic_smoothstep()
-lim = approx.naive_cutoff_limit(bump, step)
-print(f"  naive defect at eps=1e-3: {approx.naive_cutoff_defect(bump, 1e-3, step):.6f}")
-print(f"  naive defect at eps=1e-4: {approx.naive_cutoff_defect(bump, 1e-4, step):.6f}")
+lim = approx.naive_cutoff_limit(bump)
+print(f"  naive defect at eps=1e-3: {approx.naive_cutoff_defect(bump, 1e-3):.6f}")
+print(f"  naive defect at eps=1e-4: {approx.naive_cutoff_defect(bump, 1e-4):.6f}")
 print(f"  its eps->0 limit        : {lim:.6f}   (never vanishes)")
 for eps in (1e-2, 1e-4, 1e-8, 1e-25):
     d = approx.log_cutoff_defect(bump, eps)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -21,48 +20,32 @@ from . import hardy
 from .profiles import MOLLIFY_RADIUS, RadialProfile, make_e1
 from .quadrature import DEEP_EPS_SEQUENCE, integrate
 
-__all__ = ["Smoothstep", "cubic_smoothstep", "smoothstep_energy",
+__all__ = ["smoothstep", "smoothstep_deriv", "smoothstep_energy",
            "naive_cutoff_defect", "naive_cutoff_limit", "log_cutoff",
            "log_cutoff_defect", "e1_obstruction", "dim_reduction", "DimReduction",
            "level_truncation_defect"]
 
 
-@dataclass(frozen=True)
-class Smoothstep:
-    """C^1 ramp on [1, 2] with rho(1) = 0, rho(2) = 1, rho'(1) = rho'(2) = 0;
-    the vanishing end slopes are what the defect calculation integrates by
-    parts against."""
-
-    rho: Callable[[float], float]
-    drho: Callable[[float], float]
-
-    def __post_init__(self) -> None:
-        for t, want in ((1.0, 0.0), (2.0, 1.0)):
-            if abs(self.rho(t) - want) > 1e-12 or abs(self.drho(t)) > 1e-12:
-                raise ValueError("smoothstep must satisfy rho(1)=0, rho(2)=1, rho'(1)=rho'(2)=0")
+def smoothstep(t):
+    """The cubic ramp rho(t) = 3(t-1)^2 - 2(t-1)^3 on [1, 2], clamped outside:
+    rho(1) = 0, rho(2) = 1 and rho'(1) = rho'(2) = 0; the vanishing end slopes
+    are what the defect calculation integrates by parts against."""
+    s = np.clip(t - 1.0, 0.0, 1.0)
+    return s * s * (3.0 - 2.0 * s)
 
 
-def cubic_smoothstep() -> Smoothstep:
-    """rho(t) = 3(t-1)^2 - 2(t-1)^3 on [1, 2], clamped outside."""
-
-    def rho(t):
-        s = np.clip(t - 1.0, 0.0, 1.0)
-        return s * s * (3.0 - 2.0 * s)
-
-    def drho(t):
-        s = np.clip(t - 1.0, 0.0, 1.0)
-        return 6.0 * s * (1.0 - s)
-
-    return Smoothstep(rho, drho)
+def smoothstep_deriv(t):
+    """rho'(t) = 6(t-1)(2-t) on [1, 2], 0 outside."""
+    s = np.clip(t - 1.0, 0.0, 1.0)
+    return 6.0 * s * (1.0 - s)
 
 
-def smoothstep_energy(step: Smoothstep) -> float:
+def smoothstep_energy() -> float:
     r"""\int_1^2 t rho'(t)^2 dt (equals 9/5 for the cubic ramp)."""
-    return integrate(lambda t: t * step.drho(t) ** 2, 1.0, 2.0).value_or_raise()
+    return integrate(lambda t: t * smoothstep_deriv(t) ** 2, 1.0, 2.0).value_or_raise()
 
 
-def naive_cutoff_defect(p: RadialProfile, eps: float,
-                        step: Smoothstep | None = None) -> float:
+def naive_cutoff_defect(p: RadialProfile, eps: float) -> float:
     """Weighted-Dirichlet distance^2 between v and rho(r/eps) v.
 
     The difference is supported on (0, 2 eps); its derivative is
@@ -72,12 +55,10 @@ def naive_cutoff_defect(p: RadialProfile, eps: float,
         raise ValueError("the cutoff obstruction experiment needs a bounded origin limit")
     if not 0.0 < 2.0 * eps < p.support[1]:
         raise ValueError(f"eps={eps} too large for support {p.support}")
-    if step is None:
-        step = cubic_smoothstep()
 
     def f(r: float) -> float:
         t = r / eps
-        d = step.drho(t) * p.v(r) / eps + (step.rho(t) - 1.0) * p.dv(r)
+        d = smoothstep_deriv(t) * p.v(r) / eps + (smoothstep(t) - 1.0) * p.dv(r)
         return d * d * r
 
     inner = integrate(f, MOLLIFY_RADIUS, eps, singular_end="left").value_or_raise()
@@ -85,11 +66,9 @@ def naive_cutoff_defect(p: RadialProfile, eps: float,
     return p.dim.surface_factor * (inner + outer)
 
 
-def naive_cutoff_limit(p: RadialProfile, step: Smoothstep | None = None) -> float:
+def naive_cutoff_limit(p: RadialProfile) -> float:
     r"""The eps -> 0 value of the naive defect: N omega_N v(0)^2 \int t rho'^2."""
-    if step is None:
-        step = cubic_smoothstep()
-    return p.dim.surface_factor * p.v_origin() ** 2 * smoothstep_energy(step)
+    return p.dim.surface_factor * p.v_origin() ** 2 * smoothstep_energy()
 
 
 def log_cutoff(p: RadialProfile, eps: float) -> RadialProfile:

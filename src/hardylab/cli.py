@@ -125,7 +125,6 @@ def suite_evolve(dim: Dimension, profile_name: str, t_final: float, grid_m: int)
     field0 = spectrum.expand(p, modes)
     srun = evolution.SpectralRun(field0)
     grid = evolution.FDGrid(m=grid_m, dt=1e-4, theta=0.5)
-    steps = int(round(t_final / grid.dt))
     frun = evolution.FDRun(p, grid, t_final)
 
     times = [t_final * j / 8.0 for j in range(1, 8)]
@@ -140,7 +139,7 @@ def suite_evolve(dim: Dimension, profile_name: str, t_final: float, grid_m: int)
 
     # cross-solver agreement in the weighted L^2 metric at t_final
     r = grid.nodes
-    v_fd = frun.state(steps * grid.dt)
+    v_fd = frun.state(t_final)
     f_t = evolution.evolve_spectral(field0, t_final)
     v_sp = f_t.v(r)
     dist2 = dim.surface_factor * grid.h * float(np.sum((v_fd - v_sp) ** 2 * r))
@@ -235,6 +234,11 @@ def suite_poincare(dim: Dimension):
         lp, lm = wholespace.zero_singularity_energies(wide, m, 1e-3)
         rows.append((float(m), lp, lm, 0.0, 0.0))
         checks.append(_check_true(f"zero_energy_signs_m{m}", lp >= 0.0 and -lm >= 0.0))
+
+    # whole-space norm = Hardy functional - origin surface energy + zero-circle pairs
+    lhs, rhs, defect = wholespace.norm_decomposition(wide, 1e-4)
+    rows.append((1e-4, lhs, rhs, defect, 0.0))
+    checks.append(_check("norm_decomposition_defect", defect, 0.0, 1e-7))
     return ("key,value1,value2,value3,value4", rows, checks)
 
 
@@ -242,14 +246,13 @@ def suite_density(dim: Dimension):
     rows, checks = [], []
     bump = make_named(dim, "bump")
     e1 = make_e1(dim)
-    step = approx.cubic_smoothstep()
 
-    lim = approx.naive_cutoff_limit(bump, step)
-    got = approx.naive_cutoff_defect(bump, 1e-4, step)
+    lim = approx.naive_cutoff_limit(bump)
+    got = approx.naive_cutoff_defect(bump, 1e-4)
     rows.append((1e-4, got, lim, 0.0))
     checks.append(_check("naive_cutoff_limit_match", got / lim, 1.0, 1e-2))
-    got_e1 = approx.naive_cutoff_defect(e1, 1e-4, step)
-    lim_e1 = approx.naive_cutoff_limit(e1, step)
+    got_e1 = approx.naive_cutoff_defect(e1, 1e-4)
+    lim_e1 = approx.naive_cutoff_limit(e1)
     rows.append((1e-4, got_e1, lim_e1, 0.0))
     checks.append(_check("naive_cutoff_limit_match_e1", got_e1 / lim_e1, 1.0, 1e-2))
 

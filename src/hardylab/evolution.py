@@ -60,8 +60,10 @@ def evolve_spectral(f: SpectralField, t: float) -> SpectralField:
 
 
 def _time_index(t: float, dt: float) -> int:
-    """The index of t on the time grid k dt, refusing a t that is more than
-    1e-9 (relative, once above 1) off the grid."""
+    """The index of t on the time grid k dt, refusing a t that is not finite
+    or more than 1e-9 (relative, once above 1) off the grid."""
+    if not math.isfinite(t):
+        raise ValueError(f"t={t} is not a finite time")
     idx = int(round(t / dt))
     if abs(idx * dt - t) > 1e-9 * max(t, 1.0):
         raise ValueError(f"t={t} is not a multiple of dt={dt}")
@@ -228,14 +230,16 @@ class SpectralRun:
     def dirichlet(self, t: float) -> float:
         return self.field(t).dirichlet_sq()
 
-    def energy_rate(self, t: float, delta: float = 1e-6) -> float:
-        lo = max(t - delta, 0.0)
-        return (self.energy(t + delta) - self.energy(lo)) / (t + delta - lo)
+    def energy_rate(self, t: float) -> float:
+        """Central difference of the energy over t -/+ 1e-6, one-sided at 0."""
+        lo = max(t - 1e-6, 0.0)
+        return (self.energy(t + 1e-6) - self.energy(lo)) / (t + 1e-6 - lo)
 
-    def flux_diag(self, t: float, r_probe: float = 1e-3) -> float:
+    def flux_diag(self, t: float) -> float:
+        """The flux s_N r v v' through the small circle r = 1e-3."""
         f = self.field(t)
         dim = f.modes[0].dim
-        return dim.surface_factor * r_probe * f.v(r_probe) * f.dv(r_probe)
+        return dim.surface_factor * 1e-3 * f.v(1e-3) * f.dv(1e-3)
 
 
 @dataclass

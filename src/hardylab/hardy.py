@@ -14,7 +14,7 @@ exists (and equals D(0, R)) even when I alone oscillates or diverges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "singularity_energy",
     "cutoff_norm",
     "principal_value",
-    "inner_product",
     "breakdown",
 ]
 
@@ -259,30 +258,3 @@ def principal_value(p: RadialProfile, R: float | None = None,
     R = _outer(p, R)
     eps_sequence = eps_grid(p, eps_sequence)
     return integrate_to_limit(_running_annulus(p, R, eps_sequence), eps_sequence)
-
-
-def inner_product(p1: RadialProfile, p2: RadialProfile,
-                  R: float | None = None) -> float:
-    r"""Bilinear form of the cutoff norm, by polarization:
-
-        <u1, u2> = (||u1 + u2||^2 - ||u1 - u2||^2) / 4,
-
-    which subtracts the cross singularity term N(N-2)/2 omega_N v1(eps)
-    v2(eps) in the limit.  Restricted to finite_limit and vanishing classes,
-    where both norms converge on the default grid; equals
-    s_N \int v1' v2' r dr.
-    """
-    for p in (p1, p2):
-        if p.origin_class not in ("finite_limit", "vanishing"):
-            raise ValueError(
-                f"inner product needs finite_limit/vanishing classes, got {p.origin_class}")
-    if p1.dim != p2.dim:
-        raise ValueError("profiles live in different dimensions")
-    R = _outer(p1, R)
-
-    def norm_sq(sign: float) -> float:
-        combo = replace(p1, v=lambda r: p1.v(r) + sign * p2.v(r),
-                        dv=lambda r: p1.dv(r) + sign * p2.dv(r), name="")
-        return cutoff_norm(combo, R, DEFAULT_EPS_SEQUENCE).limit
-
-    return 0.25 * (norm_sq(1.0) - norm_sq(-1.0))

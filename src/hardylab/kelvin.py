@@ -50,20 +50,20 @@ def kelvin_map(p: RadialProfile) -> RadialProfile:
                    name=f"kelvin[{p.name}]" if p.name else "kelvin")
 
 
-def exterior_functional(q: RadialProfile, S: float, method: str = "direct") -> float:
+def exterior_functional(q: RadialProfile, S: float) -> float:
     r"""Hardy functional on the truncated exterior annulus 1 < s < S:
     s_N \int_1^S (w'^2 - c* w^2/s^2) s^{N-1} ds.
 
     q is a Kelvin image: q.u = w, q.v = omega, and q.origin_class names the
-    behaviour at infinity.  This is the annulus functional of q on (1, S), so
-    ``method`` picks the integrand form as there: "reduced" stays
-    representable for truncations beyond ~1e100, where w' underflows.
-    Grading toward the inner edge gives roughly one panel per octave of s,
-    which covers energy spread over dozens of decades.
+    behaviour at infinity.  This is the annulus functional of q on (1, S) in
+    its u-form; the reduced form, which stays representable for truncations
+    beyond ~1e100 where w' underflows, is ``hardy.annulus_functional`` with
+    method="reduced".  Grading toward the inner edge gives roughly one panel
+    per octave of s, which covers energy spread over dozens of decades.
     """
     if not S > 1.0:
         raise ValueError(f"need S > 1, got {S}")
-    return hardy.annulus_functional(q, 1.0, S, method=method)
+    return hardy.annulus_functional(q, 1.0, S)
 
 
 def exterior_singularity_energy(q: RadialProfile, S: float) -> float:

@@ -29,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import classify_sequence
 from .specfun import bessel_j, bessel_zero
 
 __all__ = [
@@ -42,17 +41,12 @@ __all__ = [
     "make_subcritical",
     "make_named",
     "named_profile",
-    "classify_origin",
 ]
 
 ORIGIN_CLASSES = ("vanishing", "finite_limit", "oscillating", "log_divergent")
 
 #: radius below which log-type regular parts are frozen to a constant
 MOLLIFY_RADIUS = 1e-290
-
-#: radii 10^-g used by the origin-class oracle; geometric in the exponent so
-#: that slow (powers of log) growth and oscillation are actually visible
-CLASSIFY_EXPONENTS = (2, 4, 8, 16, 32, 64, 128, 250)
 
 
 @dataclass(frozen=True)
@@ -117,9 +111,10 @@ class RadialProfile:
         lam = self.dim.singular_exponent
         return r ** (-lam) * (self.dv(r) - lam * self.v(r) / r)
 
-    def v_origin(self, probe: float = 1e-12) -> float:
-        """Limit of v at the origin (meaningful for the finite_limit class)."""
-        return self.v(probe)
+    def v_origin(self) -> float:
+        """Limit of v at the origin (meaningful for the finite_limit class),
+        read at r = 1e-12."""
+        return self.v(1e-12)
 
     def scaled(self, alpha: float) -> "RadialProfile":
         v, dv = self.v, self.dv
@@ -415,21 +410,3 @@ def named_profile(dim: Dimension, text: str) -> RadialProfile:
     if head == "log_ramp":
         return make_named(dim, "log_ramp", delta=float(arg or 1e-6))
     raise ValueError(f"unknown profile name {text!r}")
-
-
-def classify_origin(p: RadialProfile) -> str:
-    """Empirical origin class from samples of v on r = 10^-g, g geometric.
-
-    Maps the sequence classifier onto the four origin classes: a convergent
-    sample sequence is ``vanishing`` or ``finite_limit`` depending on the
-    limit, monotone non-contracting growth is ``log_divergent``, and bounded
-    non-convergent behavior is ``oscillating``.
-    """
-    vals = p.v(np.array([10.0**-g for g in CLASSIFY_EXPONENTS]))
-    cls, limit = classify_sequence(vals, abs_tol=1e-12, rel_tol=1e-9)
-    if cls == "converged":
-        scale = max(max(abs(x) for x in vals), 1e-300)
-        return "vanishing" if abs(limit) <= 1e-6 * max(scale, 1.0) else "finite_limit"
-    if cls == "diverging":
-        return "log_divergent"
-    return "oscillating"

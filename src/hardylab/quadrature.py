@@ -109,10 +109,6 @@ class QuadResult:
     err_est: float
     converged: bool = True
 
-    def __iter__(self):
-        yield self.value
-        yield self.err_est
-
     def value_or_raise(self) -> float:
         """The value, or NonConvergenceError when it carries no verdict."""
         if not self.converged:
@@ -235,10 +231,6 @@ class LimitResult:
     classification: str  # converged | oscillating | diverging
     samples: list = field(default_factory=list)
     dropped: list = field(default_factory=list)  # (eps, reason) per unusable sample
-
-    def __iter__(self):
-        yield self.limit
-        yield self.classification
 
 
 def _aitken(values, stages: int = 2):

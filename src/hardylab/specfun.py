@@ -78,11 +78,12 @@ def _mcmahon_guess(nu: float, k: int) -> float:
 
 
 @lru_cache(maxsize=4096)
-def bessel_zero(nu: float, k: int, tol: float = 1e-13) -> float:
+def bessel_zero(nu: float, k: int) -> float:
     """k-th positive zero of J_nu (k >= 1), to about 1e-12 absolute.
 
     A McMahon estimate seeds a Newton iteration that is clipped to a sign
-    bracket; bisection steps take over whenever Newton leaves the bracket.
+    bracket; bisection steps take over whenever Newton leaves the bracket,
+    and the iteration stops once a step is at most 1e-13.
     Cached: zeros are reused constantly by spectra and panel splitting.
     """
     if nu < 0.0:
@@ -119,7 +120,7 @@ def bessel_zero(nu: float, k: int, tol: float = 1e-13) -> float:
         x_new = x - step
         if not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= tol:
+        if abs(x_new - x) <= 1e-13:
             return x_new
         x = x_new
     raise BesselError(f"zero search did not converge for nu={nu}, k={k}")

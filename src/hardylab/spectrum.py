@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hardy
-from .profiles import Dimension, RadialProfile, make_mode, make_subcritical
+from .profiles import Dimension, RadialProfile, make_mode
 from .quadrature import integrate
 from .specfun import bessel_j, bessel_zero
 
@@ -128,30 +128,3 @@ def subcritical_limit(dim: Dimension, c_sequence) -> list[tuple[float, float]]:
         z = bessel_zero(m, 1)
         out.append((float(c), z * z))
     return out
-
-
-def subcritical_rayleigh_quadrature(dim: Dimension, c: float,
-                                    floor: float = 1e-14) -> float:
-    r"""Quadrature route to the subcritical eigenvalue, used as a cross-check.
-
-    For u = r^{-lam} J_m(z r) the subcritical energy reduces in the regular
-    part v = J_m(z r) to
-
-        \int_0^1 (v'^2 r + m^2 v^2 / r) dr   over   \int_0^1 v^2 r dr.
-
-    Both numerator terms behave like r^{2m-1} near 0; the integral is cut at
-    ``floor``, which truncates a head of relative size O(floor^{2m}).
-    """
-    c_star = dim.critical_coefficient
-    m = math.sqrt(c_star - c)
-    p = make_subcritical(dim, c)
-
-    def num_f(r):
-        over = p.v(r) / np.sqrt(r)
-        return (p.dv(r) * np.sqrt(r)) ** 2 + m * m * over * over
-
-    num = integrate(num_f, floor, 1.0, singular_end="left").value_or_raise()
-    den = integrate(lambda r: (p.v(r) * np.sqrt(r)) ** 2,
-                    floor, 1.0, singular_end="left").value_or_raise()
-    return num / den
-

@@ -19,13 +19,8 @@ from .quadrature import NonConvergenceError, QuadResult, integrate
 from .specfun import bessel_j, bessel_zero
 
 __all__ = ["JProfile", "JEnergy", "HardyPoincareResult", "j_functional",
-           "hardy_poincare_check", "infimum_sequence", "r2_poincare_check",
-           "zero_singularity_energies", "norm_decomposition",
-           "bessel_zeros_upto"]
-
-#: default truncation window: all integrals stop at the 8th zero unless the
-#: support demands more
-DEFAULT_ZERO_WINDOW = 8
+           "hardy_poincare_check", "infimum_sequence", "zero_singularity_energies",
+           "norm_decomposition", "bessel_zeros_upto"]
 
 
 def bessel_zeros_upto(x: float) -> list[float]:
@@ -234,17 +229,6 @@ def infimum_sequence(n: int) -> float:
     m1 = _integrate_split(mass_plateau, 0.0, r1).value_or_raise()
     m2 = _integrate_split(mass_ramp, r1, r2).value_or_raise()
     return gval / (m1 + m2)
-
-
-def r2_poincare_check(v, dv, support) -> float:
-    r"""Planar margin 2 pi \int J_0^2 v'^2 r dr for u = J_0 v on the plane;
-    positive for every nonzero smooth compactly supported v."""
-
-    def g(r: float) -> float:
-        return (bessel_j(0.0, r) * dv(r)) ** 2 * r
-
-    val = _integrate_split(g, support[0], support[1]).value_or_raise()
-    return 2.0 * math.pi * val
 
 
 def zero_singularity_energies(p: JProfile, m: int, eps: float) -> tuple[float, float]:

@@ -1,12 +1,15 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately primitive and self-contained (no imports
-from the package under test): a plain power series for J_0, bisection,
-composite Simpson, central differences, the scalar adaptive Gauss-Kronrod
-loop that evaluates an integrand one node at a time, and theta-scheme loops
-that solve the banded system afresh at every time step (in the general and
-in the r-weighted symmetric form) or in long double, node by node.  Expected
-values frozen into the tests were produced by these routines.
+from the package under test, except the sequence classifier that
+``classify_origin`` maps onto origin classes): a plain power series for J_0,
+bisection, composite Simpson, central differences, the scalar adaptive
+Gauss-Kronrod loop that evaluates an integrand one node at a time, a
+quadrature Rayleigh quotient for the subcritical eigenvalue, and
+theta-scheme loops that solve the banded system afresh at every time step
+(in the general and in the r-weighted symmetric form) or in long double,
+node by node.  Expected values frozen into the tests were produced by these
+routines.
 """
 
 import heapq
@@ -14,6 +17,8 @@ import math
 
 import numpy as np
 from scipy.linalg import solve_banded, solveh_banded
+
+from hardylab.quadrature import classify_sequence
 
 
 def j0_series(x: float, terms: int = 80) -> float:
@@ -170,6 +175,50 @@ def scalar_gk21(f, a: float, b: float, singular_end: str = "none",
         if splits % 512 == 0:
             err_total = sum(-item[0] for item in heap)
     return total, points, len(edges) - 1
+
+
+def subcritical_rayleigh_quadrature(p, m: float, floor: float = 1e-14) -> float:
+    r"""Quadrature route to the subcritical eigenvalue z^2 of the profile
+    p = r^{-lam} J_m(z r), a cross-check of the zero finder.
+
+    In the regular part v = J_m(z r) the subcritical energy reduces to
+
+        \int_0^1 (v'^2 r + m^2 v^2 / r) dr   over   \int_0^1 v^2 r dr.
+
+    Both numerator terms behave like r^{2m-1} near 0; the integral is cut at
+    ``floor``, which truncates a head of relative size O(floor^{2m}).
+    """
+    def num_f(r):
+        over = p.v(r) / math.sqrt(r)
+        return (p.dv(r) * math.sqrt(r)) ** 2 + m * m * over * over
+
+    num = scalar_gk21(num_f, floor, 1.0, singular_end="left")[0]
+    den = scalar_gk21(lambda r: (p.v(r) * math.sqrt(r)) ** 2, floor, 1.0,
+                      singular_end="left")[0]
+    return num / den
+
+
+#: radii 10^-g used by ``classify_origin``; geometric in the exponent so that
+#: slow (powers of log) growth and oscillation are actually visible
+CLASSIFY_EXPONENTS = (2, 4, 8, 16, 32, 64, 128, 250)
+
+
+def classify_origin(p) -> str:
+    """Empirical origin class from samples of v on r = 10^-g, g geometric.
+
+    Maps the sequence classifier onto the four origin classes: a convergent
+    sample sequence is ``vanishing`` or ``finite_limit`` depending on the
+    limit, monotone non-contracting growth is ``log_divergent``, and bounded
+    non-convergent behavior is ``oscillating``.
+    """
+    vals = p.v(np.array([10.0**-g for g in CLASSIFY_EXPONENTS]))
+    cls, limit = classify_sequence(vals, abs_tol=1e-12, rel_tol=1e-9)
+    if cls == "converged":
+        scale = max(max(abs(x) for x in vals), 1e-300)
+        return "vanishing" if abs(limit) <= 1e-6 * max(scale, 1.0) else "finite_limit"
+    if cls == "diverging":
+        return "log_divergent"
+    return "oscillating"
 
 
 def theta_operator(grid, dtype=float):

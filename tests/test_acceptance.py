@@ -113,9 +113,8 @@ def test_criterion_05_oscillating_and_divergent_classes():
 
 def test_criterion_06_cutoff_defects():
     p = make_named(DIM3, "bump")
-    step = approx.cubic_smoothstep()
-    lim = approx.naive_cutoff_limit(p, step)
-    naive = approx.naive_cutoff_defect(p, 1e-4, step)
+    lim = approx.naive_cutoff_limit(p)
+    naive = approx.naive_cutoff_defect(p, 1e-4)
     naive_ok = abs(naive / lim - 1.0) <= 1e-2
     cs = [approx.log_cutoff_defect(p, e) * math.log(1.0 / e)
           for e in (1e-2, 1e-3, 1e-4)]

@@ -11,16 +11,23 @@ from oracles import Z01, simpson
 
 
 def test_cubic_smoothstep_energy():
-    step = approx.cubic_smoothstep()
     # int_1^2 t rho'^2 dt = 9/5 for the cubic ramp, checked against Simpson
-    assert abs(approx.smoothstep_energy(step) - 1.8) < 1e-12
-    ref = simpson(lambda t: t * step.drho(t) ** 2, 1.0, 2.0, 4096)
-    assert abs(approx.smoothstep_energy(step) - ref) < 1e-10
+    assert abs(approx.smoothstep_energy() - 1.8) < 1e-12
+    ref = simpson(lambda t: t * approx.smoothstep_deriv(t) ** 2, 1.0, 2.0, 4096)
+    assert abs(approx.smoothstep_energy() - ref) < 1e-10
 
 
 def test_smoothstep_validation():
-    with pytest.raises(ValueError):
-        approx.Smoothstep(lambda t: t - 1.0, lambda t: 1.0)
+    # the end conditions the defect limit integrates by parts against:
+    # rho(1) = 0, rho(2) = 1, rho'(1) = rho'(2) = 0, clamped outside [1, 2]
+    for t, want in ((0.5, 0.0), (1.0, 0.0), (2.0, 1.0), (3.0, 1.0)):
+        assert approx.smoothstep(t) == want
+        assert approx.smoothstep_deriv(t) == 0.0
+    assert abs(approx.smoothstep_deriv(1.5) - 1.5) < 1e-15
+    h = 1e-6
+    for t in (1.2, 1.5, 1.9):
+        fd = (approx.smoothstep(t + h) - approx.smoothstep(t - h)) / (2.0 * h)
+        assert abs(fd - approx.smoothstep_deriv(t)) < 1e-8
 
 
 def test_naive_cutoff_limit_plateau(dim3):

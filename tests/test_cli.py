@@ -89,6 +89,11 @@ def test_off_grid_evolve_time_exits_2(tmp_path):
     assert main(argv) == 2
 
 
+def test_nonfinite_evolve_time_exits_2(tmp_path):
+    argv = ["evolve", "--t-final", "inf", "--grid", "64", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+
+
 def test_unknown_command_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--out", str(tmp_path / "x")])

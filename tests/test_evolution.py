@@ -250,6 +250,12 @@ def test_fd_rejects_off_grid_times(dim3):
             run.state(t)
     with pytest.raises(ValueError, match="not a multiple of dt"):
         run.energy_rate(0.00015)
+    # an infinite or nan time has no index on the time grid
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="not a finite time"):
+            run.state(t)
+        with pytest.raises(ValueError, match="not a finite time"):
+            FDRun(named_profile(dim3, "bump"), grid, t_final=t)
     # times that are multiples of dt up to rounding stay valid
     assert np.array_equal(run.state(0.003 * 3), run.state(90 * grid.dt))
 

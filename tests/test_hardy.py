@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hardylab import approx, hardy
-from hardylab.profiles import Dimension, make_e1, make_mode, make_named, named_profile
+from hardylab.profiles import Dimension, make_e1, make_named, named_profile
 from hardylab.quadrature import (
     DEEP_EPS_SEQUENCE,
     DEFAULT_EPS_SEQUENCE,
@@ -182,35 +182,6 @@ def test_vanishing_approximants_stay_above_ground_eigenvalue(dim3):
         prev = q
     # the excess decays like 1/log(1/eps): slow, but strictly toward mu1
     assert prev - mu1 < 0.6
-
-
-def test_inner_product_polarization(dim3):
-    p = make_e1(dim3)
-    ip = hardy.inner_product(p, p)
-    cn = hardy.cutoff_norm(p)
-    assert abs(ip - cn.limit) < 1e-8
-
-
-def test_inner_product_mode_orthogonality(dim3):
-    p1 = make_e1(dim3)
-    p2 = make_mode(dim3, 2)
-    assert abs(hardy.inner_product(p1, p2)) < 1e-8
-
-
-def test_inner_product_vanishing_pair_is_plain_bilinear(dim3):
-    # both regular parts vanish at the origin: the correction term is zero
-    # and the inner product is the plain bilinear form
-    p1 = named_profile(dim3, "annular_bump")
-    p2 = named_profile(dim3, "subcritical(0.1)")
-    ip = hardy.inner_product(p1, p2)
-    direct = dim3.surface_factor * simpson(
-        lambda r: p1.dv(r) * p2.dv(r) * r, 1e-9, 1.0, 8192)
-    assert abs(ip - direct) < 1e-6
-
-
-def test_inner_product_rejects_bad_classes(dim3):
-    with pytest.raises(ValueError):
-        hardy.inner_product(make_e1(dim3), named_profile(dim3, "oscillating(0.3)"))
 
 
 def test_weighted_dirichlet_without_verdict_raises(dim3):

@@ -124,7 +124,7 @@ def test_exterior_norm_samples_match_whole_interval(dim3, name):
     method = hardy.limit_method(grid)
     for eps, got in zip(grid, res.samples):
         S = 1.0 / eps
-        want = (kelvin.exterior_functional(q, S, method=method)
+        want = (hardy.annulus_functional(q, 1.0, S, method=method)
                 + hardy.singularity_energy(q, S))
         assert abs(got - want) <= 1e-9 * abs(want), eps
 
@@ -142,7 +142,7 @@ def test_exterior_norm_oscillating_preimage(dim3):
     p = named_profile(dim3, "oscillating(0.3)")
     q = kelvin.kelvin_map(p)
     bare = integrate_to_limit(
-        lambda e: kelvin.exterior_functional(q, 1.0 / e, method="reduced"),
+        lambda e: hardy.annulus_functional(q, 1.0, 1.0 / e, method="reduced"),
         DEEP_EPS_SEQUENCE)
     assert bare.classification == "oscillating"
     corrected = kelvin.exterior_norm(q, eps_sequence=DEEP_EPS_SEQUENCE)

@@ -7,7 +7,6 @@ from hardylab import hardy, kelvin, spectrum, wholespace
 from hardylab.profiles import (
     MOLLIFY_RADIUS,
     Dimension,
-    classify_origin,
     make_e1,
     make_mode,
     make_named,
@@ -16,7 +15,7 @@ from hardylab.profiles import (
 )
 from hardylab.specfun import bessel_j, bessel_zero
 
-from oracles import Z01, central_diff
+from oracles import Z01, central_diff, classify_origin
 
 
 def test_dimension_constants(dim3, dim4):

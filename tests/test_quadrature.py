@@ -21,9 +21,10 @@ from oracles import GK21_RULE, Z01, scalar_gk21, simpson
 
 
 def test_linear_integrand():
-    value, err = integrate(lambda r: r, 0.0, 1.0)
-    assert abs(value - 0.5) < 1e-12
-    assert err < 1e-10
+    res = integrate(lambda r: r, 0.0, 1.0)
+    assert abs(res.value - 0.5) < 1e-12
+    assert res.err_est < 1e-10
+    assert res.converged
 
 
 def test_bessel_orthonormalization_integral():
@@ -99,13 +100,6 @@ def test_additivity():
     assert abs(whole - (left + right)) < 2e-10
 
 
-def test_result_unpacks_as_pair():
-    value, err = integrate(lambda r: r * r, 0.0, 1.0)
-    assert isinstance(value, float) and isinstance(err, float)
-    res = QuadResult(1.0, 0.0)
-    assert tuple(res) == (1.0, 0.0)
-
-
 def test_limit_converging():
     res = integrate_to_limit(lambda e: 1.0 + e, DEFAULT_EPS_SEQUENCE)
     assert res.classification == "converged"
@@ -120,12 +114,6 @@ def test_limit_oscillating():
 def test_limit_diverging():
     res = integrate_to_limit(lambda e: math.log(1.0 / e), DEFAULT_EPS_SEQUENCE)
     assert res.classification == "diverging"
-
-
-def test_limit_unpacks_as_pair():
-    limit, cls = integrate_to_limit(lambda e: 2.0 - e * e, DEFAULT_EPS_SEQUENCE)
-    assert cls == "converged"
-    assert abs(limit - 2.0) < 1e-9
 
 
 def test_limit_requires_four_samples():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from hardylab import hardy, spectrum
-from hardylab.profiles import make_e1, make_mode, make_named
+from hardylab.profiles import make_e1, make_mode, make_named, make_subcritical
 from hardylab.specfun import bessel_j, bessel_zero
 
-from oracles import Z01, Z02, Z11
+from oracles import Z01, Z02, Z11, subcritical_rayleigh_quadrature
 
 MU1 = Z01 * Z01
 
@@ -136,7 +136,7 @@ def test_subcritical_quadrature_cross_check(dim3, dim4):
     for dim, c in ((dim3, 0.0), (dim3, 0.12), (dim4, 0.5)):
         m = math.sqrt(dim.critical_coefficient - c)
         z = bessel_zero(m, 1)
-        quad = spectrum.subcritical_rayleigh_quadrature(dim, c)
+        quad = subcritical_rayleigh_quadrature(make_subcritical(dim, c), m)
         assert abs(quad - z * z) < 1e-7 * z * z
 
 

@@ -14,6 +14,14 @@ def smooth_cap(plateau: float, hi: float):
     return cap.v, cap.dv
 
 
+def planar_margin(v, dv, support) -> float:
+    r"""The planar margin 2 pi \int J_0^2 v'^2 r dr of u = J_0 v, from the
+    gradient term s_N \int J_0^2 v'^2 r dr of the N = 3 energies."""
+    dim = Dimension(3)
+    je = wholespace.j_functional(wholespace.JProfile.from_v(dim, v, dv, support))
+    return je.or_raise().gradient * 2.0 * math.pi / dim.surface_factor
+
+
 def test_mass_term_is_plain_l2(dim3):
     # the weighted mass term equals the L^2 norm of u computed directly
     v, dv = smooth_cap(1.0, 5.0)
@@ -115,11 +123,11 @@ def test_infimum_needs_n_at_least_4():
 
 def test_r2_poincare_positive():
     v, dv = smooth_cap(0.5, 3.0)
-    assert wholespace.r2_poincare_check(v, dv, (0.0, 3.0)) > 0.0
+    assert planar_margin(v, dv, (0.0, 3.0)) > 0.0
 
 
 def test_r2_poincare_zero_profile():
-    assert wholespace.r2_poincare_check(lambda r: 0.0, lambda r: 0.0, (0.0, 2.0)) == 0.0
+    assert planar_margin(lambda r: 0.0, lambda r: 0.0, (0.0, 2.0)) == 0.0
 
 
 def test_r2_poincare_margin_shrinks_relative_to_mass():
@@ -144,7 +152,7 @@ def test_r2_poincare_margin_shrinks_relative_to_mass():
     rel = []
     for n in (8, 16, 32):
         v, dv, support = ramp(n)
-        margin = wholespace.r2_poincare_check(v, dv, support)
+        margin = planar_margin(v, dv, support)
         assert margin > 0.0
         mass = 2.0 * _m.pi * integrate(
             lambda r: (bessel_j(0.0, r) * v(r)) ** 2 * r, 0.0, support[1]).value
@@ -159,7 +167,7 @@ def test_r2_direct_gradient_identity():
     from hardylab.specfun import bessel_j
 
     v, dv = smooth_cap(0.5, 3.0)
-    margin = wholespace.r2_poincare_check(v, dv, (0.0, 3.0))
+    margin = planar_margin(v, dv, (0.0, 3.0))
 
     def direct(r: float) -> float:
         j0 = bessel_j(0.0, r)
