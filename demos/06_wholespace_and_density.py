@@ -29,7 +29,7 @@ for plateau, hi in ((0.5, 3.0), (1.0, 5.0), (2.0, 9.0)):
     p = wholespace.JProfile.from_v(dim, cap.v, cap.dv, cap.support)
     res = wholespace.hardy_poincare_check(p)
     print(f"  support (0,{hi:3.0f}): functional={res.i_value:9.5f}  "
-          f"L2={res.l2_value:9.5f}  margin={res.margin:8.5f}  "
+          f"L2={res.energies.mass:9.5f}  margin={res.margin:8.5f}  "
           f"defect={res.defect:.1e}")
 
 print("  plateau quotients (gradient/mass): ", end="")

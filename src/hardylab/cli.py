@@ -213,7 +213,7 @@ def suite_poincare(dim: Dimension):
     for lo, hi in shapes:
         p = _cap(dim, lo, hi, name=f"bump{hi:g}")
         res = wholespace.hardy_poincare_check(p)
-        rows.append((hi, res.i_value, res.l2_value, res.margin, res.defect))
+        rows.append((hi, res.i_value, res.energies.mass, res.margin, res.defect))
         worst_defect = max(worst_defect, res.defect)
         checks.append(_check_true(f"margin_positive_bump{hi:g}", res.margin > 0.0,
                                   res.margin))
@@ -229,14 +229,15 @@ def suite_poincare(dim: Dimension):
                               and quots[64] < quots[32]))
     checks.append(_check_true("quotient_small_at_64", quots[64] < 0.05, quots[64]))
 
-    wide = _cap(dim, 2.0, 9.0)
+    # the last cap, (2, 9), spans two zeros of J_0; its energies are the check's
+    wide, wide_energies = p, res.energies
     for m in (1, 2):
         lp, lm = wholespace.zero_singularity_energies(wide, m, 1e-3)
         rows.append((float(m), lp, lm, 0.0, 0.0))
         checks.append(_check_true(f"zero_energy_signs_m{m}", lp >= 0.0 and -lm >= 0.0))
 
     # whole-space norm = Hardy functional - origin surface energy + zero-circle pairs
-    lhs, rhs, defect = wholespace.norm_decomposition(wide, 1e-4)
+    lhs, rhs, defect = wholespace.norm_decomposition(wide, wide_energies, 1e-4)
     rows.append((1e-4, lhs, rhs, defect, 0.0))
     checks.append(_check("norm_decomposition_defect", defect, 0.0, 1e-7))
     return ("key,value1,value2,value3,value4", rows, checks)

@@ -96,8 +96,14 @@ class FDRun:
     t - dt), the state at time index k in the buffer ``states[k % HELD]``;
     a query older than those starts again from t = 0.  The buffers are
     allocated once and each step writes into the one whose state leaves
-    the window, so stepping allocates no state array.  ``state(t)`` returns
-    a copy, which later steps leave alone.  Each state comes from the same
+    the window.  One loop in ``_held`` takes every step: it binds the
+    buffers' interior views, the factors, the right-side weight and the
+    solver once per query, and each step is then a product into the buffer,
+    the solve in place and, for Crank-Nicolson, a subtraction in place.
+    ``energy`` and ``dirichlet`` write their products into two scratch
+    arrays the constructor allocates, so neither stepping nor an energy
+    read allocates an array of the grid's size.  ``state(t)`` returns a
+    copy, which later steps leave alone.  Each state comes from the same
     arithmetic on the same previous state, so a state is bitwise the same
     whatever the order of the queries.  Query times must lie on the time
     grid, within the rule the constructor applies to ``t_final``.
@@ -144,24 +150,16 @@ class FDRun:
         self._crank_nicolson = th == 0.5
         self._initial = state
         self.states = [np.zeros(state.size) for _ in range(self.HELD)]
+        # the stepped entries; the boundary entry is never written and stays 0
+        self._interiors = [buf[:-1] for buf in self.states]
+        # scratch of the energy reads
+        self._cell_sq = np.empty(state.size)
+        self._slope_sq = np.empty(state.size - 1)
         self._restart()
 
     def _restart(self) -> None:
         np.copyto(self.states[0], self._initial)
         self._newest = 0  # time index of the newest held state
-
-    def _step(self, v: np.ndarray, out: np.ndarray) -> None:
-        """Write the state one time step after ``v`` into ``out``; the
-        boundary entry of ``out`` is not written and stays 0."""
-        u = v[:-1]
-        y = out[:-1]
-        np.multiply(self._rhs_weight, u, out=y)
-        # solves in place, so y/theta lands in ``out``
-        info = lapack.dpttrs(*self._factors, y, overwrite_b=1)[1]
-        if info != 0:
-            raise ValueError(f"theta-scheme solve failed (dpttrs info={info})")
-        if self._crank_nicolson:
-            np.subtract(y, u, out=y)
 
     def _index(self, t: float) -> int:
         idx = _time_index(t, self.grid.dt)
@@ -172,13 +170,33 @@ class FDRun:
     def _held(self, t: float) -> np.ndarray:
         """The held buffer of the state at t, which later steps overwrite."""
         idx = self._index(t)
-        if self._newest - idx >= self.HELD:
+        window = self.HELD
+        if self._newest - idx >= window:
             self._restart()
-        held = self.states
-        while self._newest < idx:
-            self._step(held[self._newest % self.HELD], held[(self._newest + 1) % self.HELD])
-            self._newest += 1
-        return held[idx % self.HELD]
+        k = self._newest
+        if k < idx:
+            # the one place a state is computed: each step writes its state
+            # into the buffer of the state that leaves the window
+            interiors = self._interiors
+            d, e = self._factors
+            w = self._rhs_weight
+            dpttrs = lapack.dpttrs
+            crank_nicolson = self._crank_nicolson
+            u = interiors[k % window]
+            while k < idx:
+                k += 1
+                y = interiors[k % window]
+                np.multiply(w, u, y)
+                # solves in place (overwrite_b), so y/theta lands in the buffer
+                info = dpttrs(d, e, y, 1)[1]
+                if info != 0:
+                    self._restart()  # the window lost a state
+                    raise ValueError(f"theta-scheme solve failed (dpttrs info={info})")
+                if crank_nicolson:
+                    np.subtract(y, u, y)
+                u = y
+            self._newest = k
+        return self.states[idx % window]
 
     def state(self, t: float) -> np.ndarray:
         """The grid samples at t, in a fresh array."""
@@ -187,15 +205,22 @@ class FDRun:
     def energy(self, t: float) -> float:
         """Weighted L^2 norm^2 by the trapezoid rule (both endpoints drop)."""
         v = self._held(t)
-        return (self.profile.dim.surface_factor * self.grid.h
-                * float(np.sum(v * v * self._nodes)))
+        sq = self._cell_sq
+        np.multiply(v, v, sq)
+        np.multiply(sq, self._nodes, sq)
+        return self.profile.dim.surface_factor * self.grid.h * float(np.sum(sq))
 
     def dirichlet(self, t: float) -> float:
         """Weighted Dirichlet energy with midpoint radii."""
         v = self._held(t)
-        dv = np.diff(v) / self.grid.h
-        return (self.profile.dim.surface_factor * self.grid.h
-                * float(np.sum(dv * dv * self._midpoints)))
+        h = self.grid.h
+        sq = self._slope_sq
+        # np.diff(v) / h, squared, times the midpoint radii
+        np.subtract(v[1:], v[:-1], sq)
+        np.divide(sq, h, sq)
+        np.multiply(sq, sq, sq)
+        np.multiply(sq, self._midpoints, sq)
+        return self.profile.dim.surface_factor * h * float(np.sum(sq))
 
     def energy_rate(self, t: float) -> float:
         idx = self._index(t)

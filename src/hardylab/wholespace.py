@@ -171,11 +171,10 @@ def j_functional(p: JProfile) -> JEnergy:
 class HardyPoincareResult:
     i_principal: float   # principal value of the Hardy functional
     i_value: float       # cutoff-limit value (= i_principal - hs_energy)
-    l2_value: float      # ||u||^2_{L^2} via the weighted mass term
-    gradient: float      # weighted gradient term
+    energies: JEnergy    # weighted gradient and mass (= ||u||^2_{L^2}), converged
     hs_energy: float     # singularity energy at the origin
-    margin: float        # i_value - l2_value  (> 0 is the inequality)
-    defect: float        # |i_principal - (gradient + l2_value + hs_energy)|
+    margin: float        # i_value - mass  (> 0 is the inequality)
+    defect: float        # |i_principal - (gradient + mass + hs_energy)|
 
 
 def hardy_poincare_check(p: JProfile) -> HardyPoincareResult:
@@ -195,8 +194,7 @@ def hardy_poincare_check(p: JProfile) -> HardyPoincareResult:
     return HardyPoincareResult(
         i_principal=pv.limit,
         i_value=i_val,
-        l2_value=je.mass,
-        gradient=je.gradient,
+        energies=je,
         hs_energy=hs,
         margin=i_val - je.mass,
         defect=abs(pv.limit - (je.gradient + je.mass + hs)),
@@ -257,10 +255,14 @@ def zero_singularity_energies(p: JProfile, m: int, eps: float) -> tuple[float, f
     return out[0], out[1]
 
 
-def norm_decomposition(p: JProfile, eps: float) -> tuple[float, float, float]:
+def norm_decomposition(p: JProfile, energies: JEnergy,
+                       eps: float) -> tuple[float, float, float]:
     """(weighted norm, reassembled norm, defect) at cut width eps.
 
-    The reassembled side removes eps-balls around the origin and every zero,
+    The weighted norm is the total of ``energies``, the caller's
+    ``j_functional(p)``: a caller that has already integrated them (as
+    ``hardy_poincare_check`` does) does not pay for them twice.  The
+    reassembled side removes eps-balls around the origin and every zero,
     evaluates the Hardy functional there in the u-form, subtracts the origin
     surface energy and adds the zero-circle pairs.  Raises
     NonConvergenceError when the Bessel-weighted energies do not converge.
@@ -284,5 +286,5 @@ def norm_decomposition(p: JProfile, eps: float) -> tuple[float, float, float]:
         lp, lm = zero_singularity_energies(p, m, eps)
         rhs += lp - lm
 
-    lhs = j_functional(p).or_raise().total()
+    lhs = energies.or_raise().total()
     return lhs, rhs, abs(lhs - rhs)

@@ -188,39 +188,58 @@ def test_fd_run_holds_few_states(dim3):
     assert peak < 1_000_000
 
 
-class CountingRun(FDRun):
-    """FDRun that counts its steps, each one dpttrs solve."""
-
-    solves = 0
-
-    def _step(self, v, out):
-        self.solves += 1
-        super()._step(v, out)
-
-
-def test_fd_solve_count(dim3):
+def test_fd_solve_count(dim3, monkeypatch):
     # the heat_flow benchmark's largest run: forward queries take each step
     # once, and a query behind the held states pays its index again
+    solves = []
+    dpttrs = evolution.lapack.dpttrs
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return dpttrs(*args, **kwargs)
+
+    monkeypatch.setattr(evolution.lapack, "dpttrs", counting)
     p = named_profile(dim3, "bump")
-    run = CountingRun(p, FDGrid(m=2048, dt=5e-5), 0.1)
+    run = FDRun(p, FDGrid(m=2048, dt=5e-5), 0.1)
     energy_trace(run, [round(0.003 * j, 6) for j in range(1, 34)])
     run.state(0.1)
-    assert run.solves == run.steps == 2000
+    assert len(solves) == run.steps == 2000
     run.state(0.05)
-    assert run.solves == 3000
+    assert len(solves) == 3000
 
 
 def test_fd_steps_allocate_no_state(dim3):
-    # stepping writes into the held buffers; flux_diag reads only scalars
+    # stepping writes into the held buffers and the energy reads into the
+    # run's scratch arrays; flux_diag reads only scalars.  Each read below
+    # has to step first
     grid = FDGrid(m=2048, dt=1e-3)
     run = FDRun(named_profile(dim3, "bump"), grid, 0.05)
-    tracemalloc.start()
-    try:
-        run.flux_diag(0.05)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * grid.m
+    reads = [(run.flux_diag, 0.01), (run.energy, 0.02), (run.energy_rate, 0.03),
+             (run.dirichlet, 0.04), (run.energy_rate, 0.05)]
+    for read, t in reads:
+        tracemalloc.start()
+        try:
+            read(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * grid.m, read.__name__
+
+
+@pytest.mark.parametrize("name", ["e1", "bump"])
+def test_fd_energies_equal_plain_formulas(dim3, name):
+    # the energy reads write into scratch arrays with the same operations, in
+    # the same order, as the plain formulas on a copy of the state
+    grid = FDGrid(m=2048, dt=5e-5)
+    run = FDRun(named_profile(dim3, name), grid, 0.02)
+    h, r = grid.h, grid.nodes
+    midpoints = 0.5 * (r[:-1] + r[1:])
+    sf = dim3.surface_factor
+    for t in (0.0, 0.003, 0.01, 0.0101, 0.02, 0.006):
+        v = run.state(t)
+        dv = np.diff(v) / h
+        assert run.energy(t) == sf * h * float(np.sum(v * v * r)), t
+        assert run.dirichlet(t) == sf * h * float(np.sum(dv * dv * midpoints)), t
 
 
 def test_fd_state_is_a_copy(dim3):

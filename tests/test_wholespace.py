@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import pytest
 
-from hardylab import hardy, wholespace
-from hardylab.profiles import Dimension, make_named
+from hardylab import approx, hardy, wholespace
+from hardylab.profiles import Dimension, make_e1, make_named
 from hardylab.quadrature import NonConvergenceError, integrate_to_limit
 from hardylab.specfun import bessel_zero
 
@@ -70,7 +71,28 @@ def test_nonconverged_energies_raise(dim3):
     with pytest.raises(NonConvergenceError):
         wholespace.hardy_poincare_check(p)
     with pytest.raises(NonConvergenceError):
-        wholespace.norm_decomposition(p, 1e-4)
+        wholespace.norm_decomposition(p, wholespace.j_functional(p), 1e-4)
+
+
+@pytest.mark.xfail(strict=True, reason="_integrate_split integrates from exactly 0, and "
+                   "the 52 levels graded toward it stop at about 2e-16, far above the "
+                   "mass: j_functional returns a clean converged 0.0")
+def test_j_functional_sees_mass_next_to_the_origin(dim3):
+    # e1 minus its log cutoff at 1e-25 lives on (0, 1e-25), where J_0 = 1 to
+    # the last bit, so its weighted gradient is the plain weighted Dirichlet
+    # energy, 0.2183 (which starts at MOLLIFY_RADIUS)
+    e1 = make_e1(dim3)
+    cut = approx.log_cutoff(e1, 1e-25)
+
+    def v(r):
+        return e1.v(r) - cut.v(r)
+
+    def dv(r):
+        return e1.dv(r) - cut.dv(r)
+
+    want = hardy.weighted_dirichlet(replace(e1, v=v, dv=dv), 0.0)
+    je = wholespace.j_functional(wholespace.JProfile.from_v(dim3, v, dv, e1.support))
+    assert not je.converged or je.gradient == pytest.approx(want, rel=1e-6)
 
 
 def test_hardy_poincare_margin_and_decomposition(dim3):
@@ -80,7 +102,7 @@ def test_hardy_poincare_margin_and_decomposition(dim3):
         p = wholespace.JProfile.from_v(dim3, v, dv, (0.0, hi))
         res = wholespace.hardy_poincare_check(p)
         assert res.margin > 0.0
-        assert abs(res.margin - res.gradient) < 1e-6
+        assert abs(res.margin - res.energies.gradient) < 1e-6
         worst = max(worst, res.defect)
     assert worst < 1e-7
 
@@ -93,8 +115,8 @@ def test_hardy_poincare_quadratic_scaling(dim3):
     r1 = wholespace.hardy_poincare_check(p1)
     r2 = wholespace.hardy_poincare_check(p2)
     for a, b in ((r1.i_principal, r2.i_principal),
-                 (r1.l2_value, r2.l2_value),
-                 (r1.gradient, r2.gradient)):
+                 (r1.energies.mass, r2.energies.mass),
+                 (r1.energies.gradient, r2.energies.gradient)):
         assert abs(b - 4.0 * a) < 1e-6 * (1.0 + abs(b))
 
 
@@ -219,7 +241,7 @@ def test_zero_energy_trace_rates(dim3):
 def test_norm_decomposition_identity(dim3):
     v, dv = smooth_cap(1.0, 5.0)
     p = wholespace.JProfile.from_v(dim3, v, dv, (0.0, 5.0))
-    lhs, rhs, defect = wholespace.norm_decomposition(p, 1e-4)
+    lhs, rhs, defect = wholespace.norm_decomposition(p, wholespace.j_functional(p), 1e-4)
     assert defect <= 1e-5 * (1.0 + abs(lhs))
 
 
