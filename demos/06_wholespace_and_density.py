@@ -25,8 +25,7 @@ dim = Dimension(3)
 
 print("1. improvement by the L2 norm on the whole space")
 for plateau, hi in ((0.5, 3.0), (1.0, 5.0), (2.0, 9.0)):
-    cap = make_named(dim, "bump", fall=(plateau, hi))
-    p = wholespace.JProfile.from_v(dim, cap.v, cap.dv, cap.support)
+    p = wholespace.bessel_weighted(make_named(dim, "bump", fall=(plateau, hi)))
     res = wholespace.hardy_poincare_check(p)
     print(f"  support (0,{hi:3.0f}): functional={res.i_value:9.5f}  "
           f"L2={res.energies.mass:9.5f}  margin={res.margin:8.5f}  "

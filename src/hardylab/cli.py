@@ -55,6 +55,8 @@ def _check_true(name: str, flag: bool, value: float | None = None) -> dict:
 
 
 def suite_spectrum(dim: Dimension, modes: int):
+    if modes < 1:
+        raise ValueError(f"need at least one mode, got modes={modes}")
     rows = []
     table = [spectrum.eigenmode(dim, k) for k in range(1, modes + 1)]
     for m in table:
@@ -91,6 +93,8 @@ def suite_energy(dim: Dimension, profile_name: str, eps_min: float):
     p = named_profile(dim, profile_name)
     rows = []
     eps_list = [10.0**-j for j in range(1, 13) if 10.0**-j >= eps_min * (1 - 1e-12)]
+    if not eps_list:
+        raise ValueError(f"eps_min={eps_min} leaves no eps on the grid 1e-1, ..., 1e-12")
     worst = 0.0
     for eps in eps_list:
         b = hardy.breakdown(p, eps)
@@ -200,18 +204,13 @@ def suite_kelvin(dim: Dimension):
     return ("eps,I_interior,I_exterior,L_interior,L_exterior,defect", rows, checks)
 
 
-def _cap(dim: Dimension, plateau: float, hi: float, name: str = "") -> wholespace.JProfile:
-    """J-profile with v = 1 on [0, plateau] and a smooth fall to 0 at hi."""
-    b = make_named(dim, "bump", fall=(plateau, hi))
-    return wholespace.JProfile.from_v(dim, b.v, b.dv, b.support, name=name)
-
-
 def suite_poincare(dim: Dimension):
     rows, checks = [], []
     shapes = [(0.5, 3.0), (1.0, 5.0), (2.0, 9.0)]
     worst_defect = 0.0
     for lo, hi in shapes:
-        p = _cap(dim, lo, hi, name=f"bump{hi:g}")
+        # Bessel factor 1 on [0, lo], a smooth fall to 0 at hi
+        p = wholespace.bessel_weighted(make_named(dim, "bump", fall=(lo, hi)))
         res = wholespace.hardy_poincare_check(p)
         rows.append((hi, res.i_value, res.energies.mass, res.margin, res.defect))
         worst_defect = max(worst_defect, res.defect)

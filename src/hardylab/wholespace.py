@@ -1,24 +1,26 @@
 """Bessel-weighted transformation on the whole space and its energies.
 
-Here a profile carries u(r) = r^{-(N-2)/2} J_0(r) v(r).  The weight J_0^2
-removes the obstruction at infinity (the transformed mass term is exactly
-the L^2 norm of u) at the price of interior singular circles at the zeros
-z_m of J_0: membership requires u to vanish there fast enough, and each
-circle carries a pair of one-sided surface energies of opposite sign.
+A whole-space profile is a plain ``RadialProfile``: u(r) = r^{-(N-2)/2} v(r)
+is the function itself, and its Bessel factor is v/J_0.  Weighting the
+critical transformation with J_0 removes the obstruction at infinity (the
+transformed mass term is exactly the L^2 norm of u) at the price of interior
+singular circles at the zeros z_m of J_0: membership requires u to vanish
+there fast enough, since the factor has a pole otherwise, and each circle
+carries a pair of one-sided surface energies of opposite sign.
+``bessel_weighted`` builds the profile with a given factor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 from . import hardy
-from .profiles import MOLLIFY_RADIUS, Dimension, RadialProfile
+from .profiles import MOLLIFY_RADIUS, RadialProfile
 from .quadrature import NonConvergenceError, QuadResult, integrate
 from .specfun import bessel_j, bessel_zero
 
-__all__ = ["JProfile", "JEnergy", "HardyPoincareResult", "j_functional",
+__all__ = ["bessel_weighted", "JEnergy", "HardyPoincareResult", "j_functional",
            "hardy_poincare_check", "infimum_sequence", "zero_singularity_energies",
            "norm_decomposition", "bessel_zeros_upto"]
 
@@ -35,69 +37,22 @@ def bessel_zeros_upto(x: float) -> list[float]:
         k += 1
 
 
-@dataclass
-class JProfile:
-    """Profile in the Bessel-weighted representation u = r^-lam J_0(r) v(r).
+def bessel_weighted(p: RadialProfile) -> RadialProfile:
+    """The profile whose Bessel factor is p's regular part: v = J_0 p.v.
 
-    Built either from the factor v (smooth v gives u vanishing at every z_m
-    automatically) or from u itself, in which case v = r^lam u / J_0 inherits
-    poles at any z_m where u does not vanish.
+    A smooth factor makes u vanish at every zero of J_0.  Since J_0(0) = 1,
+    the result keeps p's origin class, membership and support.
     """
+    v, dv = p.v, p.dv
 
-    dim: Dimension
-    v: Callable[[float], float]
-    dv: Callable[[float], float]
-    support: tuple[float, float]
-    name: str = ""
-    _u: Callable[[float], float] | None = None
-    _du: Callable[[float], float] | None = None
+    def v_j(r: float) -> float:
+        return bessel_j(0.0, r) * v(r)
 
-    def u(self, r: float) -> float:
-        if self._u is not None:
-            return self._u(r)
-        lam = self.dim.singular_exponent
-        return r ** (-lam) * bessel_j(0.0, r) * self.v(r)
+    def dv_j(r: float) -> float:
+        return -bessel_j(1.0, r) * v(r) + bessel_j(0.0, r) * dv(r)
 
-    def du(self, r: float) -> float:
-        if self._du is not None:
-            return self._du(r)
-        lam = self.dim.singular_exponent
-        j0 = bessel_j(0.0, r)
-        j0p = -bessel_j(1.0, r)
-        return r ** (-lam) * (j0p * self.v(r) + j0 * self.dv(r) - lam * j0 * self.v(r) / r)
-
-    @classmethod
-    def from_v(cls, dim: Dimension, v, dv, support, name: str = "") -> "JProfile":
-        return cls(dim=dim, v=v, dv=dv, support=tuple(support), name=name)
-
-    @classmethod
-    def from_u(cls, dim: Dimension, u, du, support, name: str = "") -> "JProfile":
-        lam = dim.singular_exponent
-
-        def v(r: float) -> float:
-            return r**lam * u(r) / bessel_j(0.0, r)
-
-        def dv(r: float) -> float:
-            j0 = bessel_j(0.0, r)
-            j0p = -bessel_j(1.0, r)
-            return r**lam * ((lam / r) * u(r) / j0 + du(r) / j0 - u(r) * j0p / (j0 * j0))
-
-        return cls(dim=dim, v=v, dv=dv, support=tuple(support), name=name,
-                   _u=u, _du=du)
-
-    def critical_profile(self) -> RadialProfile:
-        """The same u seen through the plain critical transformation, with
-        regular part J_0(r) v(r)."""
-        def v_eff(r: float) -> float:
-            return bessel_j(0.0, r) * self.v(r)
-
-        def dv_eff(r: float) -> float:
-            return -bessel_j(1.0, r) * self.v(r) + bessel_j(0.0, r) * self.dv(r)
-
-        origin = "finite_limit" if abs(self.v(1e-12)) > 1e-12 else "vanishing"
-        return RadialProfile(dim=self.dim, v=v_eff, dv=dv_eff,
-                             support=self.support, origin_class=origin,
-                             name=f"critical[{self.name}]" if self.name else "critical")
+    return replace(p, v=v_j, dv=dv_j,
+                   name=f"bessel_weighted({p.name})" if p.name else "bessel_weighted")
 
 
 @dataclass
@@ -140,26 +95,29 @@ def _integrate_split(f, lo: float, hi: float) -> QuadResult:
     return QuadResult(value, err, ok)
 
 
-def j_functional(p: JProfile) -> JEnergy:
-    r"""Both Bessel-weighted energies, split at the zeros in the support:
+def j_functional(p: RadialProfile) -> JEnergy:
+    r"""Both Bessel-weighted energies of p, whose Bessel factor is
+    w = v/J_0, split at the zeros in the support:
 
-        gradient = s_N \int J_0^2 v'^2 r dr
-        mass     = s_N \int J_0^2 v^2  r dr   (= ||u||^2_{L^2} exactly)
+        gradient = s_N \int J_0^2 w'^2 r dr = s_N \int (v' + (J_1/J_0) v)^2 r dr
+        mass     = s_N \int J_0^2 w^2  r dr = s_N \int v^2 r dr
+                                              (= ||u||^2_{L^2} exactly)
 
-    ``converged`` is False when either integral misses its tolerance.  On a
-    profile that is inadmissible at a zero (u does not vanish there, so v has
-    a pole) the gradient term is not integrable: refinement toward the zero
-    stops at the float resolution with an error estimate far above the
-    tolerance, and the flag says so.
+    by the identity J_0 (v/J_0)' = v' + (J_1/J_0) v.  ``converged`` is False
+    when either integral misses its tolerance.  On a profile that is
+    inadmissible at a zero (u does not vanish there, so w has a pole) the
+    gradient term is not integrable: refinement toward the zero stops at the
+    float resolution with an error estimate far above the tolerance, and the
+    flag says so.
     """
     lo, hi = p.support
     sfac = p.dim.surface_factor
 
     def g(r: float) -> float:
-        return (bessel_j(0.0, r) * p.dv(r)) ** 2 * r
+        return (p.dv(r) + bessel_j(1.0, r) / bessel_j(0.0, r) * p.v(r)) ** 2 * r
 
     def m(r: float) -> float:
-        return (bessel_j(0.0, r) * p.v(r)) ** 2 * r
+        return p.v(r) ** 2 * r
 
     grad = _integrate_split(g, lo, hi)
     mass = _integrate_split(m, lo, hi)
@@ -177,18 +135,18 @@ class HardyPoincareResult:
     defect: float        # |i_principal - (gradient + mass + hs_energy)|
 
 
-def hardy_poincare_check(p: JProfile) -> HardyPoincareResult:
+def hardy_poincare_check(p: RadialProfile) -> HardyPoincareResult:
     """Both sides of the decomposition I = gradient + mass + L, each by its
     own quadrature, together with the strict-improvement margin.
 
     Raises NonConvergenceError when the Bessel-weighted energies do not
-    converge, as on a profile with a pole of v at a zero of J_0.
+    converge, as on a profile whose Bessel factor has a pole at a zero of
+    J_0.
     """
-    crit = p.critical_profile()
-    pv = hardy.principal_value(crit, crit.support[1])
+    pv = hardy.principal_value(p, p.support[1])
     if pv.classification != "converged":
         raise ValueError(f"principal value did not converge: {pv.classification}")
-    hs = hardy.singularity_energy(crit, MOLLIFY_RADIUS)
+    hs = hardy.singularity_energy(p, MOLLIFY_RADIUS)
     je = j_functional(p).or_raise()
     i_val = pv.limit - hs
     return HardyPoincareResult(
@@ -229,7 +187,7 @@ def infimum_sequence(n: int) -> float:
     return gval / (m1 + m2)
 
 
-def zero_singularity_energies(p: JProfile, m: int, eps: float) -> tuple[float, float]:
+def zero_singularity_energies(p: RadialProfile, m: int, eps: float) -> tuple[float, float]:
     """One-sided surface energies at the m-th zero:
 
         L(+/-) = s_N s^{N-1} (J_0'/J_0)(s) u(s)^2   at  s = z_m +/- eps.
@@ -255,7 +213,7 @@ def zero_singularity_energies(p: JProfile, m: int, eps: float) -> tuple[float, f
     return out[0], out[1]
 
 
-def norm_decomposition(p: JProfile, energies: JEnergy,
+def norm_decomposition(p: RadialProfile, energies: JEnergy,
                        eps: float) -> tuple[float, float, float]:
     """(weighted norm, reassembled norm, defect) at cut width eps.
 
@@ -267,11 +225,10 @@ def norm_decomposition(p: JProfile, energies: JEnergy,
     surface energy and adds the zero-circle pairs.  Raises
     NonConvergenceError when the Bessel-weighted energies do not converge.
     """
-    crit = p.critical_profile()
     dim = p.dim
     lo, hi = p.support
     zeros = [z for z in bessel_zeros_upto(hi) if lo + eps < z < hi - eps]
-    f = hardy.energy_density(dim, crit.u, crit.du)
+    f = hardy.energy_density(dim, p.u, p.du)
     bounds = [max(lo, eps)]
     for z in zeros:
         bounds.extend((z - eps, z + eps))
@@ -281,7 +238,7 @@ def norm_decomposition(p: JProfile, energies: JEnergy,
         i_total += integrate(f, a, b, singular_end="left").value_or_raise()
     i_total *= dim.surface_factor
 
-    rhs = i_total - hardy.singularity_energy(crit, max(lo, eps))
+    rhs = i_total - hardy.singularity_energy(p, max(lo, eps))
     for m in range(1, len(zeros) + 1):
         lp, lm = zero_singularity_energies(p, m, eps)
         rhs += lp - lm

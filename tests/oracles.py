@@ -1,15 +1,19 @@
 """Independent oracles for the test suite.
 
-Everything here is deliberately primitive and self-contained (no imports
-from the package under test, except the sequence classifier that
-``classify_origin`` maps onto origin classes): a plain power series for J_0,
-bisection, composite Simpson, central differences, the scalar adaptive
-Gauss-Kronrod loop that evaluates an integrand one node at a time, a
-quadrature Rayleigh quotient for the subcritical eigenvalue, and
-theta-scheme loops that solve the banded system afresh at every time step
-(in the general and in the r-weighted symmetric form) or in long double,
-node by node.  Expected values frozen into the tests were produced by these
-routines.
+Everything here is deliberately primitive and self-contained: a plain
+power series for J_0, bisection, composite Simpson, central differences,
+the scalar adaptive Gauss-Kronrod loop that evaluates an integrand one node
+at a time, a quadrature Rayleigh quotient for the subcritical eigenvalue,
+and theta-scheme loops that solve the banded system afresh at every time
+step (in the general and in the r-weighted symmetric form) or in long
+double, node by node.  Expected values frozen into the tests were produced
+by these routines.
+
+The package under test is imported for the sequence classifier that
+``classify_origin`` maps onto origin classes, for the profile type that
+``profile_from_u`` builds, and for the quadrature and Bessel routines of
+``factor_energies``, whose second route is the integrand (the Bessel factor
+form), not the quadrature.
 """
 
 import heapq
@@ -18,7 +22,10 @@ import math
 import numpy as np
 from scipy.linalg import solve_banded, solveh_banded
 
-from hardylab.quadrature import classify_sequence
+from hardylab.profiles import RadialProfile
+from hardylab.quadrature import classify_sequence, integrate
+from hardylab.specfun import bessel_j
+from hardylab.wholespace import bessel_zeros_upto
 
 
 def j0_series(x: float, terms: int = 80) -> float:
@@ -196,6 +203,52 @@ def subcritical_rayleigh_quadrature(p, m: float, floor: float = 1e-14) -> float:
     den = scalar_gk21(lambda r: (p.v(r) * math.sqrt(r)) ** 2, floor, 1.0,
                       singular_end="left")[0]
     return num / den
+
+
+def profile_from_u(dim, u, du, support) -> RadialProfile:
+    """The profile of the function u itself: v = r^lam u and
+    dv = r^lam (du + lam u / r), origin class ``vanishing``."""
+    lam = dim.singular_exponent
+
+    def v(r):
+        return r**lam * u(r)
+
+    def dv(r):
+        return r**lam * (du(r) + lam * u(r) / r)
+
+    return RadialProfile(dim=dim, v=v, dv=dv, support=tuple(support),
+                         origin_class="vanishing")
+
+
+def factor_energies(b) -> tuple[float, float]:
+    r"""(gradient, mass) of the function r^-lam J_0 b.v in the Bessel
+    factor form, s_N \int (J_0 b')^2 r dr and s_N \int (J_0 b)^2 r dr.
+
+    Each interval between the support ends and the zeros of J_0 is halved,
+    and each half is integrated graded toward its zero or end, the same
+    panels as ``wholespace.j_functional``.  The mass integrand is the same
+    product, so the mass is that of ``j_functional(bessel_weighted(b))`` to
+    the last bit; the gradient integrand differs by the identity
+    J_0 (v/J_0)' = v' + (J_1/J_0) v.
+    """
+    lo, hi = b.support
+    pts = [lo] + [z for z in bessel_zeros_upto(hi) if lo < z < hi] + [hi]
+
+    def grad(r):
+        return (bessel_j(0.0, r) * b.dv(r)) ** 2 * r
+
+    def mass(r):
+        return (bessel_j(0.0, r) * b.v(r)) ** 2 * r
+
+    out = []
+    for f in (grad, mass):
+        total = 0.0
+        for a, c in zip(pts[:-1], pts[1:]):
+            mid = 0.5 * (a + c)
+            total += integrate(f, a, mid, singular_end="left").value_or_raise()
+            total += integrate(f, mid, c, singular_end="right").value_or_raise()
+        out.append(b.dim.surface_factor * total)
+    return out[0], out[1]
 
 
 #: radii 10^-g used by ``classify_origin``; geometric in the exponent so that

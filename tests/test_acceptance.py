@@ -21,7 +21,7 @@ from hardylab.profiles import (
 from hardylab.quadrature import DEFAULT_EPS_SEQUENCE, integrate_to_limit
 from hardylab.specfun import bessel_j, bessel_zero
 
-from oracles import bisect, j0_series
+from oracles import bisect, j0_series, profile_from_u
 
 DIM3 = Dimension(3)
 DIM4 = Dimension(4)
@@ -208,8 +208,7 @@ def test_criterion_08_evolution():
 
 
 def _wide_bump(dim, plateau, hi):
-    cap = make_named(dim, "bump", fall=(plateau, hi))
-    return wholespace.JProfile.from_v(dim, cap.v, cap.dv, cap.support)
+    return wholespace.bessel_weighted(make_named(dim, "bump", fall=(plateau, hi)))
 
 
 def test_criterion_09_hardy_poincare():
@@ -238,7 +237,7 @@ def test_criterion_10_zero_circle_energies():
     a = 0.25
     u = lambda r: abs(r - z1) ** a * math.exp(-4.0 * (r - z1) ** 2)
     du = lambda r, h=1e-9: (u(r + h) - u(r - h)) / (2.0 * h)
-    bad = wholespace.JProfile.from_u(DIM3, u, du, (z1 - 1.0, z1 + 1.0))
+    bad = profile_from_u(DIM3, u, du, (z1 - 1.0, z1 + 1.0))
     res = integrate_to_limit(
         lambda e: wholespace.zero_singularity_energies(bad, 1, e)[0],
         (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7))

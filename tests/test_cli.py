@@ -89,6 +89,16 @@ def test_off_grid_evolve_time_exits_2(tmp_path):
     assert main(argv) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["energy", "--eps-min", "0.5"],   # no eps of the grid 1e-1, ..., 1e-12 is left
+    ["energy", "--eps-min", "nan"],
+    ["spectrum", "--modes", "0"],
+    ["spectrum", "--modes", "-3"],
+], ids=lambda a: " ".join(a))
+def test_empty_eps_list_or_mode_table_exits_2(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+
+
 def test_nonfinite_evolve_time_exits_2(tmp_path):
     argv = ["evolve", "--t-final", "inf", "--grid", "64", "--out", str(tmp_path / "x")]
     assert main(argv) == 2

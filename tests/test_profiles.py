@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,7 +212,15 @@ def test_kelvin_images_are_array_functions(dim3, name):
 
 def test_derived_profiles_are_array_functions(dim3):
     cap = make_named(dim3, "bump", fall=(1.0, 5.0))
-    crit = wholespace.JProfile.from_v(dim3, cap.v, cap.dv, (0.0, 5.0)).critical_profile()
+    crit = wholespace.bessel_weighted(cap)
+    # J_0(0) = 1: the weighted profile keeps what its factor says about the
+    # origin, its membership and its support
+    annular = replace(make_named(dim3, "bump", rise=(0.5, 1.0), fall=(1.0, 5.0)),
+                      member=False)
+    for base in (cap, annular):
+        got = wholespace.bessel_weighted(base)
+        assert (got.origin_class, got.member, got.support) == \
+            (base.origin_class, base.member, base.support)
     modes = [spectrum.eigenmode(dim3, k) for k in (1, 2, 3)]
     field = spectrum.SpectralField(modes, np.array([1.0, 0.4, -0.2])).profile()
     for p in (crit, field):

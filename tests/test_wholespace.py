@@ -4,29 +4,28 @@ from dataclasses import replace
 import pytest
 
 from hardylab import approx, hardy, wholespace
-from hardylab.profiles import Dimension, make_e1, make_named
+from hardylab.profiles import Dimension, RadialProfile, make_e1, make_named
 from hardylab.quadrature import NonConvergenceError, integrate_to_limit
 from hardylab.specfun import bessel_zero
 
-
-def smooth_cap(plateau: float, hi: float):
-    """v = 1 on [0, plateau], smooth decay to 0 at hi."""
-    cap = make_named(Dimension(3), "bump", fall=(plateau, hi))  # v does not depend on N
-    return cap.v, cap.dv
+from oracles import factor_energies, profile_from_u
 
 
-def planar_margin(v, dv, support) -> float:
-    r"""The planar margin 2 pi \int J_0^2 v'^2 r dr of u = J_0 v, from the
-    gradient term s_N \int J_0^2 v'^2 r dr of the N = 3 energies."""
-    dim = Dimension(3)
-    je = wholespace.j_functional(wholespace.JProfile.from_v(dim, v, dv, support))
-    return je.or_raise().gradient * 2.0 * math.pi / dim.surface_factor
+def smooth_cap(plateau: float, hi: float, dim: Dimension = Dimension(3)) -> RadialProfile:
+    """v = 1 on [0, plateau], smooth decay to 0 at hi; support (0, hi)."""
+    return make_named(dim, "bump", fall=(plateau, hi))
+
+
+def planar_margin(b: RadialProfile) -> float:
+    r"""The planar margin 2 pi \int J_0^2 b'^2 r dr of u = J_0 b, from the
+    gradient term s_N \int J_0^2 b'^2 r dr of the N = 3 energies."""
+    je = wholespace.j_functional(wholespace.bessel_weighted(b))
+    return je.or_raise().gradient * 2.0 * math.pi / b.dim.surface_factor
 
 
 def test_mass_term_is_plain_l2(dim3):
     # the weighted mass term equals the L^2 norm of u computed directly
-    v, dv = smooth_cap(1.0, 5.0)
-    p = wholespace.JProfile.from_v(dim3, v, dv, (0.0, 5.0))
+    p = wholespace.bessel_weighted(smooth_cap(1.0, 5.0))
     je = wholespace.j_functional(p)
     from hardylab.quadrature import integrate
     direct = dim3.surface_factor * integrate(
@@ -35,15 +34,15 @@ def test_mass_term_is_plain_l2(dim3):
 
 
 def test_compact_inside_first_zero_is_finite(dim3):
-    v, dv = smooth_cap(0.5, 2.0)  # support inside (0, z_1)
-    p = wholespace.JProfile.from_v(dim3, v, dv, (0.0, 2.0))
+    p = wholespace.bessel_weighted(smooth_cap(0.5, 2.0))  # support inside (0, z_1)
     je = wholespace.j_functional(p)
     assert je.converged
     assert math.isfinite(je.gradient) and je.gradient > 0.0
 
 
 def test_zero_profile(dim3):
-    p = wholespace.JProfile.from_v(dim3, lambda r: 0.0, lambda r: 0.0, (0.0, 3.0))
+    p = wholespace.bessel_weighted(RadialProfile(dim3, lambda r: 0.0, lambda r: 0.0,
+                                                 (0.0, 3.0), "vanishing"))
     je = wholespace.j_functional(p)
     assert je.gradient == pytest.approx(0.0, abs=1e-12)
     assert je.mass == pytest.approx(0.0, abs=1e-12)
@@ -52,12 +51,12 @@ def test_zero_profile(dim3):
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("m", [1, 2])
 def test_nonvanishing_trace_across_zero_diverges(n, m):
-    # u equal to 1 at z_m: the factor v = r^lam u / J_0 has a pole there and
+    # u equal to 1 at z_m: the factor r^lam u / J_0 has a pole there and
     # the gradient term grows without bound under refinement; one pass of
     # j_functional reports it
     z = bessel_zero(0.0, m)
-    u, du = smooth_cap(z, z + 1.5)
-    p = wholespace.JProfile.from_u(Dimension(n), u, du, (0.0, z + 1.5))
+    cap = smooth_cap(z, z + 1.5, Dimension(n))
+    p = profile_from_u(Dimension(n), cap.v, cap.dv, (0.0, z + 1.5))
     je = wholespace.j_functional(p)
     assert not je.converged
 
@@ -66,8 +65,8 @@ def test_nonconverged_energies_raise(dim3):
     # u = 1 across z_1: the gradient term reads about 2e18 with no verdict,
     # so neither check may return it as a number
     z = bessel_zero(0.0, 1)
-    u, du = smooth_cap(z, z + 1.5)
-    p = wholespace.JProfile.from_u(dim3, u, du, (0.0, z + 1.5))
+    cap = smooth_cap(z, z + 1.5)
+    p = profile_from_u(dim3, cap.v, cap.dv, (0.0, z + 1.5))
     with pytest.raises(NonConvergenceError):
         wholespace.hardy_poincare_check(p)
     with pytest.raises(NonConvergenceError):
@@ -90,16 +89,16 @@ def test_j_functional_sees_mass_next_to_the_origin(dim3):
     def dv(r):
         return e1.dv(r) - cut.dv(r)
 
-    want = hardy.weighted_dirichlet(replace(e1, v=v, dv=dv), 0.0)
-    je = wholespace.j_functional(wholespace.JProfile.from_v(dim3, v, dv, e1.support))
+    diff = replace(e1, v=v, dv=dv)
+    want = hardy.weighted_dirichlet(diff, 0.0)
+    je = wholespace.j_functional(wholespace.bessel_weighted(diff))
     assert not je.converged or je.gradient == pytest.approx(want, rel=1e-6)
 
 
 def test_hardy_poincare_margin_and_decomposition(dim3):
     worst = 0.0
     for plateau, hi in ((0.5, 3.0), (1.0, 5.0), (2.0, 9.0)):
-        v, dv = smooth_cap(plateau, hi)
-        p = wholespace.JProfile.from_v(dim3, v, dv, (0.0, hi))
+        p = wholespace.bessel_weighted(smooth_cap(plateau, hi))
         res = wholespace.hardy_poincare_check(p)
         assert res.margin > 0.0
         assert abs(res.margin - res.energies.gradient) < 1e-6
@@ -108,10 +107,9 @@ def test_hardy_poincare_margin_and_decomposition(dim3):
 
 
 def test_hardy_poincare_quadratic_scaling(dim3):
-    v, dv = smooth_cap(1.0, 4.0)
-    p1 = wholespace.JProfile.from_v(dim3, v, dv, (0.0, 4.0))
-    p2 = wholespace.JProfile.from_v(dim3, lambda r: 2.0 * v(r),
-                                    lambda r: 2.0 * dv(r), (0.0, 4.0))
+    cap = smooth_cap(1.0, 4.0)
+    p1 = wholespace.bessel_weighted(cap)
+    p2 = wholespace.bessel_weighted(cap.scaled(2.0))
     r1 = wholespace.hardy_poincare_check(p1)
     r2 = wholespace.hardy_poincare_check(p2)
     for a, b in ((r1.i_principal, r2.i_principal),
@@ -144,12 +142,12 @@ def test_infimum_needs_n_at_least_4():
 
 
 def test_r2_poincare_positive():
-    v, dv = smooth_cap(0.5, 3.0)
-    assert planar_margin(v, dv, (0.0, 3.0)) > 0.0
+    assert planar_margin(smooth_cap(0.5, 3.0)) > 0.0
 
 
 def test_r2_poincare_zero_profile():
-    assert planar_margin(lambda r: 0.0, lambda r: 0.0, (0.0, 2.0)) == 0.0
+    zero = RadialProfile(Dimension(3), lambda r: 0.0, lambda r: 0.0, (0.0, 2.0), "vanishing")
+    assert planar_margin(zero) == 0.0
 
 
 def test_r2_poincare_margin_shrinks_relative_to_mass():
@@ -174,7 +172,7 @@ def test_r2_poincare_margin_shrinks_relative_to_mass():
     rel = []
     for n in (8, 16, 32):
         v, dv, support = ramp(n)
-        margin = planar_margin(v, dv, support)
+        margin = planar_margin(RadialProfile(Dimension(3), v, dv, support, "finite_limit"))
         assert margin > 0.0
         mass = 2.0 * _m.pi * integrate(
             lambda r: (bessel_j(0.0, r) * v(r)) ** 2 * r, 0.0, support[1]).value
@@ -188,8 +186,9 @@ def test_r2_direct_gradient_identity():
     from hardylab.quadrature import integrate
     from hardylab.specfun import bessel_j
 
-    v, dv = smooth_cap(0.5, 3.0)
-    margin = planar_margin(v, dv, (0.0, 3.0))
+    cap = smooth_cap(0.5, 3.0)
+    v, dv = cap.v, cap.dv
+    margin = planar_margin(cap)
 
     def direct(r: float) -> float:
         j0 = bessel_j(0.0, r)
@@ -203,8 +202,7 @@ def test_r2_direct_gradient_identity():
 
 
 def test_zero_energy_signs(dim3):
-    v, dv = smooth_cap(2.0, 9.0)
-    p = wholespace.JProfile.from_v(dim3, v, dv, (0.0, 9.0))
+    p = wholespace.bessel_weighted(smooth_cap(2.0, 9.0))
     for m in (1, 2):
         lp, lm = wholespace.zero_singularity_energies(p, m, 1e-3)
         assert lp >= 0.0
@@ -213,8 +211,7 @@ def test_zero_energy_signs(dim3):
 
 def test_zero_energy_eps_too_large_rejected(dim3):
     # z_1 + 3.2 lands past z_2, so another zero sits inside the bracket
-    v, dv = smooth_cap(2.0, 9.0)
-    p = wholespace.JProfile.from_v(dim3, v, dv, (0.0, 9.0))
+    p = wholespace.bessel_weighted(smooth_cap(2.0, 9.0))
     with pytest.raises(ValueError):
         wholespace.zero_singularity_energies(p, 1, 3.2)
 
@@ -227,7 +224,7 @@ def test_zero_energy_trace_rates(dim3):
     for a, expect in ((1.0, "converged"), (0.25, "diverging")):
         u = lambda r, a=a: abs(r - z1) ** a * math.exp(-4.0 * (r - z1) ** 2)
         du = lambda r, a=a, h=1e-9: (u(r + h) - u(r - h)) / (2.0 * h)
-        p = wholespace.JProfile.from_u(dim3, u, du, (z1 - 1.0, z1 + 1.0))
+        p = profile_from_u(dim3, u, du, (z1 - 1.0, z1 + 1.0))
         plus = [wholespace.zero_singularity_energies(p, 1, e)[0] for e in eps_seq]
         res = integrate_to_limit(lambda e: wholespace.zero_singularity_energies(p, 1, e)[0],
                                  eps_seq)
@@ -239,8 +236,7 @@ def test_zero_energy_trace_rates(dim3):
 
 
 def test_norm_decomposition_identity(dim3):
-    v, dv = smooth_cap(1.0, 5.0)
-    p = wholespace.JProfile.from_v(dim3, v, dv, (0.0, 5.0))
+    p = wholespace.bessel_weighted(smooth_cap(1.0, 5.0))
     lhs, rhs, defect = wholespace.norm_decomposition(p, wholespace.j_functional(p), 1e-4)
     assert defect <= 1e-5 * (1.0 + abs(lhs))
 
@@ -248,13 +244,23 @@ def test_norm_decomposition_identity(dim3):
 def test_j_norm_matches_ball_norm_inside_first_zero(dim3):
     # on the ball of radius z_1 the weighted norm and the cutoff machinery of
     # the plain critical transformation agree
-    v, dv = smooth_cap(0.5, 2.0)
-    p = wholespace.JProfile.from_v(dim3, v, dv, (0.0, 2.0))
+    p = wholespace.bessel_weighted(smooth_cap(0.5, 2.0))
     je = wholespace.j_functional(p)
-    crit = p.critical_profile()
     z1 = bessel_zero(0.0, 1)
-    ball_norm = hardy.weighted_dirichlet(crit, 0.0, z1)
+    ball_norm = hardy.weighted_dirichlet(p, 0.0, z1)
     assert abs(je.total() - ball_norm) < 1e-6
-    cn = hardy.cutoff_norm(crit, z1)
+    cn = hardy.cutoff_norm(p, z1)
     assert cn.classification == "converged"
     assert abs(je.total() - cn.limit) < 1e-6
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("plateau, hi", [(0.5, 3.0), (1.0, 5.0), (2.0, 9.0)])
+def test_j_functional_matches_factor_form(n, plateau, hi):
+    # j_functional reads J_0 (v/J_0)' as v' + (J_1/J_0) v; the factor form
+    # J_0 b' on the same panels is the second route
+    cap = smooth_cap(plateau, hi, Dimension(n))
+    je = wholespace.j_functional(wholespace.bessel_weighted(cap))
+    grad, mass = factor_energies(cap)
+    assert je.mass == mass
+    assert je.gradient == pytest.approx(grad, rel=1e-13, abs=0.0)
