@@ -61,7 +61,9 @@ def naive_cutoff_defect(p: RadialProfile, eps: float) -> float:
         d = smoothstep_deriv(t) * p.v(r) / eps + (smoothstep(t) - 1.0) * p.dv(r)
         return d * d * r
 
-    inner = integrate(f, MOLLIFY_RADIUS, eps, singular_end="left").value_or_raise()
+    # below eps the difference is -dv, which is 0 below p.flat_below
+    lo = max(MOLLIFY_RADIUS, p.flat_below)
+    inner = integrate(f, lo, eps, singular_end="left").value_or_raise() if lo < eps else 0.0
     outer = integrate(f, eps, 2.0 * eps).value_or_raise()
     return p.dim.surface_factor * (inner + outer)
 
@@ -92,6 +94,7 @@ def log_cutoff(p: RadialProfile, eps: float) -> RadialProfile:
         support=p.support,
         origin_class="vanishing",
         name=f"log_cutoff({eps:g})[{p.name}]",
+        flat_below=e2,
     )
 
 
@@ -111,7 +114,8 @@ def log_cutoff_defect(p: RadialProfile, eps: float) -> float:
         return (p.dv(r) * np.sqrt(r)) ** 2
 
     mid = integrate(ramp, e2, eps, singular_end="left").value_or_raise()
-    low = integrate(head, MOLLIFY_RADIUS, e2, singular_end="left").value_or_raise()
+    lo = max(MOLLIFY_RADIUS, p.flat_below)
+    low = integrate(head, lo, e2, singular_end="left").value_or_raise() if lo < e2 else 0.0
     return p.dim.surface_factor * (mid + low)
 
 
@@ -125,7 +129,7 @@ def e1_obstruction(phi: RadialProfile) -> float:
     e1 = make_e1(phi.dim)
     diff = replace(e1, v=lambda r: e1.v(r) - phi.v(r),
                    dv=lambda r: e1.dv(r) - phi.dv(r),
-                   name=f"e1-{phi.name}" if phi.name else "e1-phi")
+                   name=f"e1-{phi.name}" if phi.name else "e1-phi", flat_below=0.0)
     # competitors may differ from the ground mode only at arbitrarily small
     # radii, so the cut radius must go all the way down the deep sequence
     res = hardy.principal_value(diff, eps_sequence=DEEP_EPS_SEQUENCE)
@@ -158,11 +162,14 @@ def dim_reduction(p: RadialProfile, R: float | None = None) -> DimReduction:
         drdt = r * nm2 * t ** (-(n - 1.0))
         return np.where(r == 0.0, 0.0, (p.dv(r) * drdt) ** 2 * t ** (n - 1.0))
 
-    near = integrate(w_integrand, 0.0, 1.0, singular_end="left").value_or_raise()
+    # w' vanishes where r(t) <= flat_below, that is for t <= t_lo
+    t_lo = math.log(R / p.flat_below) ** (-1.0 / nm2) if p.flat_below > 0.0 else 0.0
+    near = integrate(w_integrand, t_lo, 1.0, singular_end="left").value_or_raise() \
+        if t_lo < 1.0 else 0.0
     # map t in [1, inf) to tau = 1/t in (0, 1]; the transformed integrand is
     # bounded (~ tau^{N-3}) at tau = 0
     far = integrate(lambda tau: w_integrand(1.0 / tau) / (tau * tau),
-                    0.0, 1.0, singular_end="left").value_or_raise()
+                    0.0, 1.0 / max(t_lo, 1.0), singular_end="left").value_or_raise()
     rhs = dim.surface_factor * (near + far)
     return DimReduction(lhs, rhs, lhs / rhs)
 
@@ -179,5 +186,5 @@ def level_truncation_defect(p: RadialProfile, level: float) -> float:
     def f(r):
         return np.where(np.abs(p.v(r)) <= level, 0.0, (p.dv(r) * np.sqrt(r)) ** 2)
 
-    res = integrate(f, MOLLIFY_RADIUS, p.support[1], singular_end="left")
+    res = integrate(f, max(MOLLIFY_RADIUS, p.flat_below), p.support[1], singular_end="left")
     return p.dim.surface_factor * res.value_or_raise()

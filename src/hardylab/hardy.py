@@ -145,13 +145,15 @@ def weighted_l2_sq(p: RadialProfile, R: float | None = None) -> float:
 def weighted_dirichlet(p: RadialProfile, eps: float, R: float | None = None) -> float:
     r"""Weighted Dirichlet energy s_N \int_eps^R v'^2 r dr.
 
-    The integral starts no lower than MOLLIFY_RADIUS, below which no profile
-    has features."""
+    The integral starts no lower than p.flat_below, below which v' is 0, and
+    no lower than MOLLIFY_RADIUS, below which no profile has features."""
     R = _outer(p, R)
     if eps < 0.0 or eps >= R:
         raise ValueError(f"need 0 <= eps < R, got eps={eps}, R={R}")
+    if R <= p.flat_below:
+        return 0.0
     f = lambda r: (p.dv(r) * np.sqrt(r)) ** 2
-    res = integrate(f, max(eps, MOLLIFY_RADIUS), R, singular_end="left")
+    res = integrate(f, max(eps, p.flat_below, MOLLIFY_RADIUS), R, singular_end="left")
     return p.dim.surface_factor * res.value_or_raise()
 
 
@@ -170,6 +172,7 @@ def annulus_functional(p: RadialProfile, eps: float, R: float | None = None,
     decomposition identity probes.  method="reduced" expands the square
     pointwise (no integration by parts) into  v'^2 r - 2 lam v v'  and stays
     representable down to eps ~ 1e-250; used for deep classification runs.
+    That integrand vanishes with v', so it starts no lower than p.flat_below.
 
     Only the part of the annulus inside p.support is integrated, so a narrow
     compactly supported profile cannot slip between quadrature nodes; the
@@ -178,14 +181,15 @@ def annulus_functional(p: RadialProfile, eps: float, R: float | None = None,
     R = _outer(p, R)
     if not 0.0 < eps < R:
         raise ValueError(f"need 0 < eps < R, got eps={eps}, R={R}")
+    lo, hi = max(eps, p.support[0]), min(R, p.support[1])
     if method == "direct":
         f = energy_density(p.dim, p.u, p.du)
     elif method == "reduced":
         f = reduced_density(p.dim, p.v, p.dv)
+        lo = max(lo, p.flat_below)
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    lo, hi = max(eps, p.support[0]), min(R, p.support[1])
     if not lo < hi:
         return 0.0
     res = integrate(f, lo, hi, singular_end="left")

@@ -46,8 +46,9 @@ def kelvin_map(p: RadialProfile) -> RadialProfile:
         return -(p.dv(y) * y) * y  # dv/x^2, ordered so huge*tiny pairs first
 
     inv_lo = math.inf if lo == 0.0 else 1.0 / lo  # and 1/inf = 0
+    # p flat below a radius makes the image flat above its inverse, not below
     return replace(p, v=v, dv=dv, support=(1.0 / hi, inv_lo),
-                   name=f"kelvin[{p.name}]" if p.name else "kelvin")
+                   name=f"kelvin[{p.name}]" if p.name else "kelvin", flat_below=0.0)
 
 
 def exterior_functional(q: RadialProfile, S: float) -> float:

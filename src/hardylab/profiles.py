@@ -16,6 +16,11 @@ constant below MOLLIFY_RADIUS so that every evaluation stays finite.  The
 freeze radius is far below anything probed numerically: classification
 experiments sample down to r ~ 1e-250.
 
+A profile may declare ``flat_below``, a radius below which dv is exactly 0
+(bump, plateau, log ramp and the logarithmic cutoff do).  Integrals from the
+origin whose integrand vanishes with dv start there instead of grading down
+to MOLLIFY_RADIUS.  The default 0.0 declares nothing.
+
 ``v`` and ``dv`` are array functions without branches on their argument: an
 array of radii gives an array, and a float radius gives a float.
 """
@@ -87,7 +92,14 @@ class Dimension:
 
 @dataclass
 class RadialProfile:
-    """Radial function stored via its regular part v, with u = r^-lam * v."""
+    """Radial function stored via its regular part v, with u = r^-lam * v.
+
+    ``flat_below`` is a fact about dv: dv(r) == 0.0 for every r below it.
+    ``dataclasses.replace`` copies it, which is right for a copy that keeps
+    dv's values (a scaled or counted copy), so every ``replace`` that swaps
+    dv for another function states ``flat_below=0.0`` unless it can prove a
+    radius of its own.
+    """
 
     dim: Dimension
     v: Callable[[float], float]
@@ -96,6 +108,7 @@ class RadialProfile:
     origin_class: str
     name: str = ""
     member: bool = True
+    flat_below: float = 0.0
 
     def __post_init__(self) -> None:
         if self.origin_class not in ORIGIN_CLASSES:
@@ -103,6 +116,8 @@ class RadialProfile:
         lo, hi = self.support
         if not (0.0 <= lo < hi):
             raise ValueError(f"bad support interval {self.support}")
+        if not 0.0 <= self.flat_below < hi:
+            raise ValueError(f"flat_below={self.flat_below} outside [0, {hi})")
 
     def u(self, r: float) -> float:
         return r ** (-self.dim.singular_exponent) * self.v(r)
@@ -113,8 +128,8 @@ class RadialProfile:
 
     def v_origin(self) -> float:
         """Limit of v at the origin (meaningful for the finite_limit class),
-        read at r = 1e-12."""
-        return self.v(1e-12)
+        read at flat_below, where v has stopped moving, or else at r = 1e-12."""
+        return self.v(self.flat_below if self.flat_below > 0.0 else 1e-12)
 
     def scaled(self, alpha: float) -> "RadialProfile":
         v, dv = self.v, self.dv
@@ -303,6 +318,7 @@ def _bump(dim: Dimension, fall: tuple[float, float],
         support=(rise[0] if rise is not None else 0.0, b1),
         origin_class="finite_limit" if rise is None else "vanishing",
         name="bump" if rise is None else "annular_bump",
+        flat_below=b0 if rise is None else rise[0],
     )
 
 
@@ -328,6 +344,7 @@ def _constant_plateau(dim: Dimension, plateau_end: float, support_end: float,
         support=(0.0, support_end),
         origin_class="finite_limit",
         name="constant_plateau",
+        flat_below=plateau_end,
     )
 
 
@@ -347,7 +364,8 @@ def _log_ramp(dim: Dimension, delta: float) -> RadialProfile:
         return np.where(inside, 1.0 / (np.clip(r, delta, 1.0) * ln_d), 0.0)[()]
 
     return RadialProfile(dim=dim, v=v, dv=dv, support=(0.0, 1.0),
-                         origin_class="finite_limit", name=f"log_ramp({delta:g})")
+                         origin_class="finite_limit", name=f"log_ramp({delta:g})",
+                         flat_below=delta)
 
 
 def make_named(dim: Dimension, kind: str, **params) -> RadialProfile:

@@ -41,7 +41,8 @@ def bessel_weighted(p: RadialProfile) -> RadialProfile:
     """The profile whose Bessel factor is p's regular part: v = J_0 p.v.
 
     A smooth factor makes u vanish at every zero of J_0.  Since J_0(0) = 1,
-    the result keeps p's origin class, membership and support.
+    the result keeps p's origin class, membership and support.  Its v' is
+    -J_1 p.v where p.v' is 0, so it declares no flat radius.
     """
     v, dv = p.v, p.dv
 
@@ -52,7 +53,8 @@ def bessel_weighted(p: RadialProfile) -> RadialProfile:
         return -bessel_j(1.0, r) * v(r) + bessel_j(0.0, r) * dv(r)
 
     return replace(p, v=v_j, dv=dv_j,
-                   name=f"bessel_weighted({p.name})" if p.name else "bessel_weighted")
+                   name=f"bessel_weighted({p.name})" if p.name else "bessel_weighted",
+                   flat_below=0.0)
 
 
 @dataclass
@@ -181,9 +183,10 @@ def infimum_sequence(n: int) -> float:
     def mass_ramp(r: float) -> float:
         return (bessel_j(0.0, r) * (r2 - r) * slope) ** 2 * r
 
-    gval = _integrate_split(grad, r1, r2).value_or_raise()
-    m1 = _integrate_split(mass_plateau, 0.0, r1).value_or_raise()
-    m2 = _integrate_split(mass_ramp, r1, r2).value_or_raise()
+    # J_0^2 times a polynomial has no pole: no split at the zeros of J_0
+    gval = integrate(grad, r1, r2).value_or_raise()
+    m1 = integrate(mass_plateau, 0.0, r1).value_or_raise()
+    m2 = integrate(mass_ramp, r1, r2).value_or_raise()
     return gval / (m1 + m2)
 
 

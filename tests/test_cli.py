@@ -1,8 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
+from hardylab import approx, hardy, spectrum, wholespace
 from hardylab.cli import main
+
+#: integrand points of one ``hardylab all`` run at the CLI defaults; a change
+#: may lower these bounds, never raise them
+ALL_POINT_BOUNDS = {3: 113_757, 4: 111_363}
 
 
 def test_spectrum_suite(tmp_path):
@@ -117,3 +123,26 @@ def test_dimension_four(tmp_path):
     neg = [r for r in report["rows"] if r["name"] == "exterior_functional_negative"]
     assert neg and neg[0]["pass"] is True
     assert neg[0]["value"] < 0.0
+
+
+@pytest.mark.parametrize("n", sorted(ALL_POINT_BOUNDS))
+def test_all_command_point_budget(tmp_path, monkeypatch, n):
+    # np.size of every integrand argument, over every module that integrates
+    # (kelvin integrates through hardy)
+    points = 0
+
+    def counting(plain):
+        def integrate(f, *args, **kwargs):
+            def counted(r):
+                nonlocal points
+                points += np.size(r)
+                return f(r)
+
+            return plain(counted, *args, **kwargs)
+
+        return integrate
+
+    for module in (approx, hardy, spectrum, wholespace):
+        monkeypatch.setattr(module, "integrate", counting(module.integrate))
+    assert main(["all", "--dim", str(n), "--out", str(tmp_path / "out")]) == 0
+    assert points <= ALL_POINT_BOUNDS[n]

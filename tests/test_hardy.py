@@ -193,6 +193,41 @@ def test_weighted_dirichlet_without_verdict_raises(dim3):
         hardy.weighted_dirichlet(bad, 0.0)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-12])
+def test_log_ramp_dirichlet_closed_form(n, delta):
+    # v' = 1/(r log delta) on (delta, 1): s_N int v'^2 r dr = s_N / log(1/delta)
+    dim = Dimension(n)
+    got = hardy.weighted_dirichlet(make_named(dim, "log_ramp", delta=delta), 0.0)
+    want = dim.surface_factor / math.log(1.0 / delta)
+    assert abs(got - want) <= 1e-14 * want
+
+
+FLAT_ROUTE_PROFILES = ["bump", "annular_bump", "constant_plateau", "log_ramp(1e-3)"]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name", FLAT_ROUTE_PROFILES)
+def test_flat_start_matches_integral_from_the_origin(n, name):
+    # second route: the same profile with no declaration, integrated down to
+    # MOLLIFY_RADIUS; the log ramp's kink at delta then sits inside a graded
+    # panel, which costs it 3e-10 relative
+    p = named_profile(Dimension(n), name)
+    q = replace(p, flat_below=0.0)
+    pairs = [
+        (hardy.weighted_dirichlet(p, 0.0), hardy.weighted_dirichlet(q, 0.0)),
+        (hardy.weighted_dirichlet(p, 1e-9, 0.5), hardy.weighted_dirichlet(q, 1e-9, 0.5)),
+        (hardy.annulus_functional(p, 1e-200, method="reduced"),
+         hardy.annulus_functional(q, 1e-200, method="reduced")),
+        (approx.dim_reduction(p).flat_norm_sq, approx.dim_reduction(q).flat_norm_sq),
+        (approx.naive_cutoff_defect(p, 1e-2), approx.naive_cutoff_defect(q, 1e-2)),
+        (approx.log_cutoff_defect(p, 1e-2), approx.log_cutoff_defect(q, 1e-2)),
+        (approx.level_truncation_defect(p, 0.5), approx.level_truncation_defect(q, 0.5)),
+    ]
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-9 * abs(want) + 1e-14, (got, want)
+
+
 def test_breakdown_row(dim3):
     b = hardy.breakdown(make_e1(dim3), 1e-2)
     assert b.eps == 1e-2

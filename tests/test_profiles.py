@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hardylab import hardy, kelvin, spectrum, wholespace
+from hardylab import approx, hardy, kelvin, spectrum, wholespace
 from hardylab.profiles import (
     MOLLIFY_RADIUS,
     Dimension,
@@ -226,3 +226,81 @@ def test_derived_profiles_are_array_functions(dim3):
     for p in (crit, field):
         for fn in (p.v, p.dv):
             assert_array_contract(fn, np.concatenate([RADII, [2.4, 4.99, 5.0, 7.0]]))
+
+
+#: flat_below of every named profile that declares one; the rest declare 0.0
+DECLARED_FLAT = {"bump": 0.4, "annular_bump": 0.2, "constant_plateau": 0.4,
+                 "log_ramp(1e-6)": 1e-6}
+
+
+def assert_flat_below(p):
+    """dv is exactly 0 on a geometric grid from MOLLIFY_RADIUS up to and at
+    p.flat_below, for an array call and for each float call."""
+    r = np.append(np.geomspace(MOLLIFY_RADIUS, p.flat_below, 600), p.flat_below)
+    assert np.all(p.dv(r) == 0.0), p.name
+    assert all(p.dv(float(x)) == 0.0 for x in r[::25]), p.name
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name", ARRAY_PROFILES)
+def test_flat_below_declarations_hold(n, name):
+    p = named_profile(Dimension(n), name)
+    assert p.flat_below == DECLARED_FLAT.get(name, 0.0)
+    if p.flat_below > 0.0:
+        assert_flat_below(p)
+        assert_flat_below(p.scaled(-1.5))
+    assert p.scaled(-1.5).flat_below == p.flat_below
+
+
+@pytest.mark.parametrize("name", ["e1", "bump", "log_power(0.3)", "subcritical(0.1)"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-25])
+def test_log_cutoff_declares_its_inner_edge(dim3, name, eps):
+    p = approx.log_cutoff(named_profile(dim3, name), eps)
+    assert p.flat_below == eps * eps
+    assert_flat_below(p)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-12, 1e-20, 1e-100])
+def test_log_ramp_declaration_at_every_depth(dim3, delta):
+    assert_flat_below(make_named(dim3, "log_ramp", delta=delta))
+
+
+def test_profiles_with_new_dv_declare_nothing(dim3, monkeypatch):
+    bump = make_named(dim3, "bump")
+    assert wholespace.bessel_weighted(bump).flat_below == 0.0
+    # the Kelvin image of a profile flat near the origin is flat near infinity
+    assert kelvin.kelvin_map(bump).flat_below == 0.0
+    assert kelvin.kelvin_map(kelvin.kelvin_map(bump)).flat_below == 0.0
+    modes = [spectrum.eigenmode(dim3, k) for k in (1, 2)]
+    assert spectrum.SpectralField(modes, np.array([1.0, 0.5])).profile().flat_below == 0.0
+    # e1_obstruction integrates e1 - phi, whose dv is e1's below phi's radius
+    seen = []
+    plain = hardy.principal_value
+
+    def spy(p, *args, **kwargs):
+        seen.append(p)
+        return plain(p, *args, **kwargs)
+
+    monkeypatch.setattr(hardy, "principal_value", spy)
+    approx.e1_obstruction(approx.log_cutoff(make_e1(dim3), 1e-6))
+    assert [p.flat_below for p in seen] == [0.0]
+
+
+def test_flat_below_must_lie_below_the_support_end(dim3):
+    bump = make_named(dim3, "bump")
+    for bad in (-1e-3, 0.8, 2.0):
+        with pytest.raises(ValueError):
+            replace(bump, flat_below=bad)
+
+
+def test_v_origin_reads_a_deep_flat_head(dim3):
+    # v(1e-12) is still on the ramp of log_ramp(delta) for delta < 1e-12:
+    # 0.6 for delta = 1e-20, 0.923 for delta = 1e-13
+    for delta in (1e-13, 1e-20, 1e-100):
+        p = make_named(dim3, "log_ramp", delta=delta)
+        assert p.v_origin() == 1.0
+        assert p.v(1e-12) < 0.93
+    # where the head reaches above 1e-12 both readings give the same value
+    for name in ("bump", "constant_plateau", "log_ramp(1e-6)", "annular_bump"):
+        p = named_profile(dim3, name)
+        assert p.v_origin() == p.v(1e-12)
