@@ -217,6 +217,7 @@ def test_flat_start_matches_integral_from_the_origin(n, name):
     pairs = [
         (hardy.weighted_dirichlet(p, 0.0), hardy.weighted_dirichlet(q, 0.0)),
         (hardy.weighted_dirichlet(p, 1e-9, 0.5), hardy.weighted_dirichlet(q, 1e-9, 0.5)),
+        (hardy.weighted_dirichlet(p, 1e-9, 1e-4), hardy.weighted_dirichlet(q, 1e-9, 1e-4)),
         (hardy.annulus_functional(p, 1e-200, method="reduced"),
          hardy.annulus_functional(q, 1e-200, method="reduced")),
         (approx.dim_reduction(p).flat_norm_sq, approx.dim_reduction(q).flat_norm_sq),
