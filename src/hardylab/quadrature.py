@@ -22,9 +22,10 @@ their ends), and no more than 6,000 panels are made.  There is no depth
 limit.
 
 Integrands are array functions: ``f`` maps a 1-d array of nodes to an array
-of values of the same shape.  ``integrate`` calls it once on the 21 nodes of
-every initial panel together, and then once per split, on the 42 nodes of
-the two children.
+of values of the same shape.  ``integrate`` calls it on the 21 nodes of
+consecutive batches of at most 128 initial panels (2,688 nodes a call), so
+the size of a call does not grow with the grading depth, and then once per
+split, on the 42 nodes of the two children.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ _ZERO_END_LEVELS = 52
 
 #: the refinement makes at most this many panels
 _MAX_PANELS = 6_000
+
+#: the initial panels are evaluated at most this many to a call of f, which
+#: bounds the temporary arrays of a deeply graded interval
+_BATCH_PANELS = 128
 
 #: a panel at most this many float spacings of its larger end wide is not
 #: split: the outer Kronrod nodes of its children would round onto their ends
@@ -159,10 +164,11 @@ def integrate(f, a: float, b: float, singular_end: str = "none") -> QuadResult:
     the endpoints, and numpy floating-point warnings are silenced inside it.
 
     Each panel costs 21 evaluations of f (the qk21 Kronrod nodes), each
-    split 42.  f is called once on every initial panel together (graded
-    toward ``singular_end`` when it is "left" or "right"); when their summed
-    |K21 - G10| estimates already meet the tolerance the result is returned
-    at once.  Otherwise the worst panel is bisected until they do.
+    split 42.  f is called on the initial panels (graded toward
+    ``singular_end`` when it is "left" or "right") in batches of at most
+    128; when their summed |K21 - G10| estimates already meet the tolerance
+    the result is returned at once.  Otherwise the worst panel is bisected
+    until they do.
 
     Returns a QuadResult; ``converged`` is False when the tolerance was not
     met before the panel budget or a panel too narrow to split (2^8 float
@@ -174,27 +180,32 @@ def integrate(f, a: float, b: float, singular_end: str = "none") -> QuadResult:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     try:
         with np.errstate(all="ignore"):
-            total, err_total, exhausted = _refine(f, a, b, singular_end)
+            total, err_total, short = _refine(f, a, b, singular_end)
     except ArithmeticError:
         return QuadResult(math.nan, math.inf, converged=False)
     finite = math.isfinite(total) and math.isfinite(err_total)
-    return QuadResult(total, err_total, converged=finite and not exhausted)
+    return QuadResult(total, err_total, converged=finite and not short)
 
 
 def _refine(f, a: float, b: float, singular_end: str):
-    """(value, error estimate, stopped short) of the adaptive bisection."""
-    edges = _initial_edges(a, b, singular_end)
-    vals, errs = _panels(f, np.array(edges[:-1]), np.array(edges[1:]))
+    """(value, error estimate, stopped short of the tolerance) of the
+    adaptive bisection."""
+    edges = np.array(_initial_edges(a, b, singular_end))
+    los, his = edges[:-1], edges[1:]
+    batches = [_panels(f, los[i:i + _BATCH_PANELS], his[i:i + _BATCH_PANELS])
+               for i in range(0, los.size, _BATCH_PANELS)]
+    vals = np.concatenate([v for v, _ in batches])
+    errs = np.concatenate([e for _, e in batches])
     total = float(np.sum(vals))
     err_total = float(np.sum(errs))
     if err_total <= max(_ABS_TOL, _REL_TOL * abs(total)):
         return total, err_total, False
     heap = [(-e, i, lo, hi, v) for i, (e, lo, hi, v)
-            in enumerate(zip(errs.tolist(), edges[:-1], edges[1:], vals.tolist()))]
+            in enumerate(zip(errs.tolist(), los.tolist(), his.tolist(), vals.tolist()))]
     heapq.heapify(heap)
     counter = len(heap)
 
-    exhausted = False
+    stopped = False
     splits = 0
     while heap:
         tol = max(_ABS_TOL, _REL_TOL * abs(total))
@@ -208,7 +219,7 @@ def _refine(f, a: float, b: float, singular_end: str):
         narrow = hi - lo <= _SPLIT_SPACINGS * math.ulp(max(abs(lo), abs(hi)))
         if counter >= _MAX_PANELS or narrow:
             heapq.heappush(heap, (neg_err, counter, lo, hi, val))
-            exhausted = -neg_err > tol * 0.5
+            stopped = True
             break
         (v1, v2), (e1, e2) = (x.tolist() for x in _panels(
             f, np.array([lo, mid]), np.array([mid, hi])))
@@ -222,7 +233,10 @@ def _refine(f, a: float, b: float, singular_end: str):
         if splits % 512 == 0:
             err_total = sum(-item[0] for item in heap)
 
-    return total, sum(-item[0] for item in heap), exhausted
+    err_total = sum(-item[0] for item in heap)
+    # a stop before the tolerance is short unless the summed estimate, not
+    # just the worst panel's, meets it after all
+    return total, err_total, stopped and err_total > max(_ABS_TOL, _REL_TOL * abs(total))
 
 
 @dataclass

@@ -168,6 +168,14 @@ def test_non_integrable_pole_flagged():
     assert not res.converged
 
 
+def test_panel_budget_with_summed_error_above_tolerance_is_not_converged():
+    # 1e7 oscillations use up the 6,000 panels while every single panel's
+    # estimate is below half the tolerance; the summed estimate is not
+    res = integrate(lambda x: 1.0 + 1e-7 * np.cos(1e7 * x), 0.0, 1.0)
+    assert res.err_est > 1e-10
+    assert res.converged is False
+
+
 def test_nan_on_subinterval_is_not_converged():
     res = integrate(lambda r: np.where((0.3 < r) & (r < 0.4), math.nan, r), 0.0, 1.0)
     assert res.converged is False
