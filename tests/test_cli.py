@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,14 @@ from hardylab.cli import main
 #: integrand points of one ``hardylab all`` run at the CLI defaults; a change
 #: may lower these bounds, never raise them
 ALL_POINT_BOUNDS = {3: 113_757, 4: 111_363}
+
+#: points of the largest single integrand call of that run: 128 initial
+#: panels of 21 nodes
+ALL_LARGEST_CALL = 2_688
+
+#: traced heap peak (tracemalloc, bytes) of that run after a warm-up run;
+#: a change may lower these bounds, never raise them
+ALL_PEAK_BYTES = {3: 400 * 1024, 4: 400 * 1024}
 
 
 def test_spectrum_suite(tmp_path):
@@ -129,13 +138,12 @@ def test_dimension_four(tmp_path):
 def test_all_command_point_budget(tmp_path, monkeypatch, n):
     # np.size of every integrand argument, over every module that integrates
     # (kelvin integrates through hardy)
-    points = 0
+    sizes = []
 
     def counting(plain):
         def integrate(f, *args, **kwargs):
             def counted(r):
-                nonlocal points
-                points += np.size(r)
+                sizes.append(np.size(r))
                 return f(r)
 
             return plain(counted, *args, **kwargs)
@@ -145,4 +153,20 @@ def test_all_command_point_budget(tmp_path, monkeypatch, n):
     for module in (approx, hardy, spectrum, wholespace):
         monkeypatch.setattr(module, "integrate", counting(module.integrate))
     assert main(["all", "--dim", str(n), "--out", str(tmp_path / "out")]) == 0
-    assert points <= ALL_POINT_BOUNDS[n]
+    assert sum(sizes) <= ALL_POINT_BOUNDS[n]
+    assert max(sizes) <= ALL_LARGEST_CALL
+
+
+@pytest.mark.parametrize("n", sorted(ALL_PEAK_BYTES))
+def test_all_command_heap_peak(tmp_path, n):
+    # the warm-up run fills the caches (Bessel zeros, lazy imports), so the
+    # traced run sees only what one run allocates and frees again
+    argv = ["all", "--dim", str(n), "--out"]
+    assert main(argv + [str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv + [str(tmp_path / "out")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ALL_PEAK_BYTES[n]

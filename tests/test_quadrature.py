@@ -169,8 +169,8 @@ def test_non_integrable_pole_flagged():
 
 
 def test_panel_budget_with_summed_error_above_tolerance_is_not_converged():
-    # 1e7 oscillations use up the 6,000 panels while every single panel's
-    # estimate is below half the tolerance; the summed estimate is not
+    # 1.6 million periods use up the 6,000 panels while every single panel's
+    # estimate is below half the tolerance; their sum is over 30 times above it
     res = integrate(lambda x: 1.0 + 1e-7 * np.cos(1e7 * x), 0.0, 1.0)
     assert res.err_est > 1e-10
     assert res.converged is False
@@ -248,12 +248,17 @@ def _cases(dim3):
                                     1e-32, 1e-16, "left"),
         # graded toward a Bessel zero from the left, as in the zero splits
         "log_j0_right": (lambda r: np.log(np.abs(bessel_j(0.0, r))), 1.5, Z01, "right"),
+        # 961 panels graded down to MOLLIFY_RADIUS, as in naive_cutoff_defect:
+        # more than one batch of initial panels
+        "e1_dirichlet_deep": (lambda r: (e1.dv(r) * np.sqrt(r)) ** 2,
+                              MOLLIFY_RADIUS, 1e-4, "left"),
     }
 
 
 @pytest.mark.parametrize("case", ["inverse_sqrt_right", "log_left", "near_pole_ungraded",
                                   "e1_direct_1e-6", "log_power_reduced_1e-32",
-                                  "log_power_reduced_slice", "log_j0_right"])
+                                  "log_power_reduced_slice", "log_j0_right",
+                                  "e1_dirichlet_deep"])
 def test_batched_panels_match_scalar_oracle(dim3, case):
     # the same panels refined in the same order as the one-node-at-a-time
     # loop: equal point counts, values equal up to the summation order
@@ -268,7 +273,9 @@ def test_batched_panels_match_scalar_oracle(dim3, case):
     want, points, panels = scalar_gk21(f, a, b, end)
     assert sum(sizes) == points
     assert abs(res.value - want) <= 1e-14 * abs(want)
-    # one call on the 21 nodes of every initial panel, then one call on the
-    # 42 nodes of the two children of each split: 1 + splits calls in all
-    assert sizes[0] == 21 * panels
-    assert all(n == 42 for n in sizes[1:])
+    # the initial panels in consecutive batches of at most 128, one call on
+    # the 21 nodes of each panel of a batch (at most 2,688 points), then one
+    # call on the 42 nodes of the two children of each split
+    batches = -(-panels // 128)
+    assert sizes[:batches] == [21 * min(128, panels - 128 * k) for k in range(batches)]
+    assert all(n == 42 for n in sizes[batches:])
