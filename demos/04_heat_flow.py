@@ -38,7 +38,8 @@ print(f"finite-difference vs spectral solution at t = 0.1 "
       f"(weighted L2 distance): {dist:.2e}")
 
 mu1 = spectrum.eigenmode(dim, 1).eigenvalue
-srun = evolution.SpectralRun(field)
-slope = (math.log(srun.energy(2.5)) - math.log(srun.energy(2.0))) / 0.5 / 2.0
+e_a = evolution.evolve_spectral(field, 2.0).norm_sq()
+e_b = evolution.evolve_spectral(field, 2.5).norm_sq()
+slope = (math.log(e_b) - math.log(e_a)) / 0.5 / 2.0
 print(f"long-time decay rate of log||v||: {-slope:.9f} -> ground eigenvalue "
       f"{mu1:.9f}")

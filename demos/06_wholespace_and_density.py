@@ -55,6 +55,6 @@ for n in (3, 4, 5):
     for radius in (1.0, 7.0):
         p = replace(make_named(d, "bump", fall=(0.4 * radius, 0.8 * radius)),
                     support=(0.0, radius))
-        res = approx.dim_reduction(p, radius)
-        print(f"  N={n} R={radius:g}: ratio = {res.ratio:.12f}"
+        ratio = approx.dim_reduction(p, radius)
+        print(f"  N={n} R={radius:g}: ratio = {ratio:.12f}"
               f"   (exact 1/(N-2) = {1.0/(n-2):.12f})")

@@ -12,7 +12,7 @@ the principal-value functional never drops below N(N-2)/2 omega_N v(0)^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .quadrature import DEEP_EPS_SEQUENCE, integrate
 
 __all__ = ["smoothstep", "smoothstep_deriv", "smoothstep_energy",
            "naive_cutoff_defect", "naive_cutoff_limit", "log_cutoff",
-           "log_cutoff_defect", "e1_obstruction", "dim_reduction", "DimReduction",
+           "log_cutoff_defect", "e1_obstruction", "dim_reduction",
            "level_truncation_defect"]
 
 
@@ -110,13 +110,9 @@ def log_cutoff_defect(p: RadialProfile, eps: float) -> float:
         d = c * p.v(r) / np.sqrt(r) + (c * np.log(r / e2) - 1.0) * p.dv(r) * np.sqrt(r)
         return d * d
 
-    def head(r):
-        return (p.dv(r) * np.sqrt(r)) ** 2
-
     mid = integrate(ramp, e2, eps, singular_end="left").value_or_raise()
-    lo = max(MOLLIFY_RADIUS, p.flat_below)
-    low = integrate(head, lo, e2, singular_end="left").value_or_raise() if lo < e2 else 0.0
-    return p.dim.surface_factor * (mid + low)
+    # below eps^2 the cut profile is 0, so the defect there is v's own energy
+    return p.dim.surface_factor * mid + hardy.weighted_dirichlet(p, 0.0, e2)
 
 
 def e1_obstruction(phi: RadialProfile) -> float:
@@ -138,18 +134,12 @@ def e1_obstruction(phi: RadialProfile) -> float:
     return res.limit
 
 
-@dataclass
-class DimReduction:
-    weighted_norm_sq: float   # s_N \int_0^R v'^2 r dr
-    flat_norm_sq: float       # s_N \int_0^inf w'(t)^2 t^{N-1} dt
-    ratio: float              # weighted / flat; equals 1/(N-2)
-
-
-def dim_reduction(p: RadialProfile, R: float | None = None) -> DimReduction:
-    """Map v on the ball of radius R to w(t) = v(r(t)) with
-    r(t) = R exp(-t^{-(N-2)}) and compare the two Dirichlet energies,
-    each by its own quadrature.  The squared-norm ratio is 1/(N-2),
-    independent of R."""
+def dim_reduction(p: RadialProfile, R: float | None = None) -> float:
+    r"""Map v on the ball of radius R to w(t) = v(r(t)) with
+    r(t) = R exp(-t^{-(N-2)}) and return the ratio of the two Dirichlet
+    energies, weighted s_N \int_0^R v'^2 r dr over flat
+    s_N \int_0^inf w'(t)^2 t^{N-1} dt, each by its own quadrature.  The
+    ratio is 1/(N-2), independent of R."""
     R = p.support[1] if R is None else R
     dim = p.dim
     n = dim.n
@@ -171,7 +161,7 @@ def dim_reduction(p: RadialProfile, R: float | None = None) -> DimReduction:
     far = integrate(lambda tau: w_integrand(1.0 / tau) / (tau * tau),
                     0.0, 1.0 / max(t_lo, 1.0), singular_end="left").value_or_raise()
     rhs = dim.surface_factor * (near + far)
-    return DimReduction(lhs, rhs, lhs / rhs)
+    return lhs / rhs
 
 
 def level_truncation_defect(p: RadialProfile, level: float) -> float:

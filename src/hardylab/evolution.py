@@ -5,9 +5,12 @@ v_t = v'' + v'/r with Dirichlet data at r = 1 and the axis regularity
 condition v'(0) = 0.  The spectral solver decays mode coefficients exactly
 (c_k(t) = c_k(0) exp(-mu_k t)); the finite-difference solver discretizes the
 same equation with a theta scheme and an even-reflection ghost node at the
-axis, and solves it in its r-weighted symmetric form (see ``FDRun``).  The
-exterior flow is solved by pulling back through the Kelvin map, evolving on
-the ball, and pushing forward.
+axis, and solves it in its r-weighted symmetric form (see ``FDRun``).
+
+The exterior flow is solved by pulling back through the Kelvin map, evolving
+on the ball, and pushing forward.  By Delta(K u) = |y|^-4 K(Delta u) the
+equation it solves outside the ball is |y|^-4 w_t = Delta w + c* w/|y|^2,
+not the unweighted heat equation.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from .kelvin import kelvin_map
 from .profiles import RadialProfile
 from .spectrum import SpectralField, expand
 
-__all__ = ["FDGrid", "evolve_spectral", "FDRun", "SpectralRun",
-           "EnergySample", "energy_trace", "evolve_exterior"]
+__all__ = ["FDGrid", "evolve_spectral", "FDRun", "EnergySample", "energy_trace",
+           "evolve_exterior"]
 
 
 @dataclass(frozen=True)
@@ -240,33 +243,6 @@ class FDRun:
         return self.profile.dim.surface_factor * h * v[1] * dv1
 
 
-class SpectralRun:
-    """Exact mode-decay run over a SpectralField initial datum."""
-
-    def __init__(self, f0: SpectralField):
-        self.field0 = f0
-
-    def field(self, t: float) -> SpectralField:
-        return evolve_spectral(self.field0, t)
-
-    def energy(self, t: float) -> float:
-        return self.field(t).norm_sq()
-
-    def dirichlet(self, t: float) -> float:
-        return self.field(t).dirichlet_sq()
-
-    def energy_rate(self, t: float) -> float:
-        """Central difference of the energy over t -/+ 1e-6, one-sided at 0."""
-        lo = max(t - 1e-6, 0.0)
-        return (self.energy(t + 1e-6) - self.energy(lo)) / (t + 1e-6 - lo)
-
-    def flux_diag(self, t: float) -> float:
-        """The flux s_N r v v' through the small circle r = 1e-3."""
-        f = self.field(t)
-        dim = f.modes[0].dim
-        return dim.surface_factor * 1e-3 * f.v(1e-3) * f.dv(1e-3)
-
-
 @dataclass
 class EnergySample:
     t: float
@@ -291,38 +267,17 @@ def energy_trace(run, times) -> list[EnergySample]:
     return rows
 
 
-def evolve_exterior(w0: RadialProfile, t: float, modes: int = 40,
-                    method: str = "spectral",
-                    grid: FDGrid | None = None) -> RadialProfile:
+def evolve_exterior(w0: RadialProfile, t: float, modes: int = 40) -> RadialProfile:
     """Exterior flow via pullback -> ball evolution -> pushforward.
 
-    method="spectral" expands the pullback in radial modes and decays them;
-    method="fd" marches the finite-difference solver and reconstructs the
-    final state by expansion of the grid solution.  The Kelvin map is an
-    involution, so it does both the pullback and the pushforward.
+    The pullback is expanded in radial modes, which decay exactly.  The
+    Kelvin map is an involution, so it does both the pullback and the
+    pushforward, and since Delta(K u) = |y|^-4 K(Delta u) the flow this
+    computes on the exterior of the ball is the weighted one
+
+        |y|^-4 w_t = Delta w + c* w / |y|^2,
+
+    whose regular part obeys omega_t = s^4 (omega'' + omega'/s).
     """
-    u0 = kelvin_map(w0)
-    if method == "spectral":
-        field = expand(u0, modes)
-        evolved = evolve_spectral(field, t)
-        return kelvin_map(evolved.profile())
-    if method == "fd":
-        if grid is None:
-            grid = FDGrid(m=256, dt=min(1e-3, t / 64) if t > 0 else 1e-3)
-        # a run takes no step until asked, so t = 0 reads the initial samples
-        v = FDRun(u0, grid, t if t > 0 else grid.dt).state(t)
-        r = grid.nodes
-        # cubic-free reconstruction: linear interpolation of grid samples
-        def v_interp(x):
-            return np.interp(x, r, v)
-
-        def dv_interp(x):
-            h = grid.h
-            x = np.clip(x, h, 1.0 - h)
-            return (v_interp(x + 0.5 * h) - v_interp(x - 0.5 * h)) / h
-
-        prof = RadialProfile(dim=u0.dim, v=v_interp, dv=dv_interp,
-                             support=(0.0, 1.0), origin_class="finite_limit",
-                             name="fd_state")
-        return kelvin_map(prof)
-    raise ValueError(f"unknown method {method!r}")
+    field = expand(kelvin_map(w0), modes)
+    return kelvin_map(evolve_spectral(field, t).profile())

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -96,7 +96,7 @@ class RadialProfile:
 
     ``flat_below`` is a fact about dv: dv(r) == 0.0 for every r below it.
     ``dataclasses.replace`` copies it, which is right for a copy that keeps
-    dv's values (a scaled or counted copy), so every ``replace`` that swaps
+    dv's values (a counted copy), so every ``replace`` that swaps
     dv for another function states ``flat_below=0.0`` unless it can prove a
     radius of its own.
     """
@@ -130,15 +130,6 @@ class RadialProfile:
         """Limit of v at the origin (meaningful for the finite_limit class),
         read at flat_below, where v has stopped moving, or else at r = 1e-12."""
         return self.v(self.flat_below if self.flat_below > 0.0 else 1e-12)
-
-    def scaled(self, alpha: float) -> "RadialProfile":
-        v, dv = self.v, self.dv
-        return replace(
-            self,
-            v=lambda r, _v=v, _a=alpha: _a * _v(r),
-            dv=lambda r, _dv=dv, _a=alpha: _a * _dv(r),
-            name=f"{alpha:g}*{self.name}" if self.name else "",
-        )
 
 
 def make_e1(dim: Dimension) -> RadialProfile:
@@ -240,9 +231,12 @@ def _log_family(dim: Dimension, a: float, oscillate: bool) -> RadialProfile:
 
     The pure law holds on (MOLLIFY_RADIUS, r_c] with r_c = 1/e; a cubic Hermite
     bridge takes v to 0 at r = 1 with zero slope there.  Membership in the
-    weighted Dirichlet space requires 0 < a < 1/2; other values are allowed for
-    stress tests and flagged as non-members.
+    weighted Dirichlet space requires 0 < a < 1/2; a >= 1/2 is allowed for
+    stress tests and flagged as non-member.  a <= 0 is refused: s^a no
+    longer grows, so neither origin class of the family would be right.
     """
+    if not a > 0.0:
+        raise ValueError(f"the log family needs a > 0, got a={a}")
     r_c = math.exp(-1.0)
     if oscillate:
         p_c = math.sin(1.0)
@@ -412,7 +406,10 @@ def named_profile(dim: Dimension, text: str) -> RadialProfile:
     if head == "e1":
         return make_e1(dim)
     if head == "mode":
-        return make_mode(dim, int(float(arg or 2)))
+        k = float(arg or 2)
+        if not k.is_integer():
+            raise ValueError(f"mode index must be a whole number, got {arg}")
+        return make_mode(dim, int(k))
     if head == "bump":
         return make_named(dim, "bump")
     if head == "annular_bump":

@@ -129,12 +129,10 @@ def j_functional(p: RadialProfile) -> JEnergy:
 
 @dataclass
 class HardyPoincareResult:
-    i_principal: float   # principal value of the Hardy functional
-    i_value: float       # cutoff-limit value (= i_principal - hs_energy)
+    i_value: float       # cutoff-limit value: principal value - singularity energy
     energies: JEnergy    # weighted gradient and mass (= ||u||^2_{L^2}), converged
-    hs_energy: float     # singularity energy at the origin
     margin: float        # i_value - mass  (> 0 is the inequality)
-    defect: float        # |i_principal - (gradient + mass + hs_energy)|
+    defect: float        # |principal value - (gradient + mass + singularity energy)|
 
 
 def hardy_poincare_check(p: RadialProfile) -> HardyPoincareResult:
@@ -152,10 +150,8 @@ def hardy_poincare_check(p: RadialProfile) -> HardyPoincareResult:
     je = j_functional(p).or_raise()
     i_val = pv.limit - hs
     return HardyPoincareResult(
-        i_principal=pv.limit,
         i_value=i_val,
         energies=je,
-        hs_energy=hs,
         margin=i_val - je.mass,
         defect=abs(pv.limit - (je.gradient + je.mass + hs)),
     )

@@ -18,6 +18,7 @@ form), not the quadrature.
 
 import heapq
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import solve_banded, solveh_banded
@@ -203,6 +204,14 @@ def subcritical_rayleigh_quadrature(p, m: float, floor: float = 1e-14) -> float:
     den = scalar_gk21(lambda r: (p.v(r) * math.sqrt(r)) ** 2, floor, 1.0,
                       singular_end="left")[0]
     return num / den
+
+
+def scaled(p: RadialProfile, alpha: float) -> RadialProfile:
+    """alpha times p: the same origin class and support, and the same
+    flat_below, since alpha dv vanishes where dv does."""
+    v, dv = p.v, p.dv
+    return replace(p, v=lambda r: alpha * v(r), dv=lambda r: alpha * dv(r),
+                   name=f"{alpha:g}*{p.name}" if p.name else "")
 
 
 def profile_from_u(dim, u, du, support) -> RadialProfile:

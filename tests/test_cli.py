@@ -97,6 +97,23 @@ def test_bad_profile_exits_2(tmp_path):
     assert main(["energy", "--profile", "wat", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("profile", [
+    "mode(2.5)",          # was truncated to mode 2
+    "log_power(-0.2)",    # v = s^a -> 0 at the origin, but tagged log_divergent
+    "log_power(0)",       # v = 1 near the origin, tagged log_divergent
+    "oscillating(-0.2)",  # sin(s^a) -> 0, tagged oscillating
+])
+def test_profile_outside_its_family_exits_2(tmp_path, profile):
+    assert main(["energy", "--profile", profile, "--out", str(tmp_path / "x")]) == 2
+
+
+def test_whole_mode_index_written_as_float(tmp_path):
+    out = tmp_path / "out"
+    assert main(["energy", "--profile", "mode(2.0)", "--out", str(out)]) == 0
+    assert main(["energy", "--profile", "mode(2)", "--out", str(tmp_path / "ref")]) == 0
+    assert (out / "energy.csv").read_text() == (tmp_path / "ref" / "energy.csv").read_text()
+
+
 def test_off_grid_evolve_time_exits_2(tmp_path):
     # t_final = 0.1001 is 1001 steps of 1e-4, but its trace time
     # t_final / 8 = 0.0125125 is not on the time grid

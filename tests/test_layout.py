@@ -18,6 +18,23 @@ UNREACHED = {
 }
 
 
+#: public members that no report or demo reads yet, each with the ROADMAP
+#: item that needs it; the list may only shrink
+UNREACHED_MEMBERS = {
+    "quadrature.LimitResult.samples":
+        "ROADMAP item 3: the samples behind each limit, for the reports",
+    "quadrature.LimitResult.dropped":
+        "ROADMAP item 3: the samples a limit dropped, for the reports",
+    "spectrum.SpectralField.dirichlet_sq":
+        "ROADMAP item 6: the Parseval route to the cutoff norm",
+}
+
+#: member names that more than one public class defines; a read of such a
+#: name reaches every class that defines it, so the set is pinned
+SHARED = {"converged", "defect", "dim", "dirichlet", "dv", "energy", "eps",
+          "flux_diag", "profile", "v"}
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
@@ -107,3 +124,107 @@ def test_every_public_function_reaches_a_report_or_demo():
     assert [name for name in unreached if name not in UNREACHED] == []
     # an exception that a report or demo now reaches leaves the list
     assert [name for name in UNREACHED if name not in unreached] == []
+
+
+def _targets(node) -> list:
+    """The targets of an assignment, annotated or not; none otherwise."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, ast.AnnAssign):
+        return [node.target]
+    return []
+
+
+def public_members(source: str) -> list[tuple[str, str]]:
+    """(class, member) for each public top-level class of ``source`` and each
+    public method, property, class-body field and ``__init__`` attribute
+    (``self.x = ...``) of it."""
+    found = []
+    for top in ast.parse(source).body:
+        if not isinstance(top, ast.ClassDef) or top.name.startswith("_"):
+            continue
+        names = []
+        for node in top.body:
+            if isinstance(node, ast.FunctionDef):
+                names.append(node.name)
+                if node.name == "__init__":
+                    names += [t.attr for sub in ast.walk(node) for t in _targets(sub)
+                              if isinstance(t, ast.Attribute)
+                              and isinstance(t.value, ast.Name) and t.value.id == "self"]
+            else:
+                names += [t.id for t in _targets(node) if isinstance(t, ast.Name)]
+        found += [(top.name, n) for n in dict.fromkeys(names) if not n.startswith("_")]
+    return found
+
+
+def loaded_attributes(source: str) -> set[str]:
+    """Attribute names that ``source`` reads, as ``x.name``, outside the body
+    of every function of that name."""
+    loads = set()
+
+    def visit(node, own):
+        if isinstance(node, ast.FunctionDef):
+            own = own | {node.name}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and node.attr not in own):
+            loads.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(ast.parse(source), frozenset())
+    return loads
+
+
+def package_members() -> dict[str, list[str]]:
+    """Each public member name of the package, with the ``module.Class``
+    that define it."""
+    owners: dict[str, list[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for cls, name in public_members(path.read_text()):
+            owners.setdefault(name, []).append(f"{path.stem}.{cls}")
+    return owners
+
+
+def unreached_members() -> list[str]:
+    """Public members of the package whose name no module of the package and
+    no demo reads as an attribute."""
+    loads = set()
+    for path in [*sorted(SRC.glob("*.py")), *sorted(DEMOS.glob("*.py"))]:
+        loads |= loaded_attributes(path.read_text())
+    return [f"{owner}.{name}" for name, owners in package_members().items()
+            if name not in loads for owner in owners]
+
+
+def test_member_checker_sees_every_kind_and_ignores_own_body():
+    source = ("class A:\n"
+              "    HELD = 3\n"
+              "    size: int\n"
+              "    _hidden: int\n"
+              "    def __init__(self):\n"
+              "        self.data = []\n"
+              "        self._cache = {}\n"
+              "    @property\n"
+              "    def width(self):\n"
+              "        return self.size\n"
+              "    def grow(self):\n"
+              "        return self.grow()\n"
+              "class _B:\n"
+              "    def hidden(self):\n"
+              "        return 0\n")
+    assert public_members(source) == [("A", "HELD"), ("A", "size"), ("A", "data"),
+                                      ("A", "width"), ("A", "grow")]
+    loads = loaded_attributes(source)
+    assert "size" in loads
+    assert "grow" not in loads
+
+
+def test_shared_member_names_are_pinned():
+    shared = {name for name, owners in package_members().items() if len(owners) > 1}
+    assert shared == SHARED
+
+
+def test_every_public_member_reaches_a_report_or_demo():
+    unreached = unreached_members()
+    assert [name for name in unreached if name not in UNREACHED_MEMBERS] == []
+    # an exception that a report or demo now reaches leaves the list
+    assert [name for name in UNREACHED_MEMBERS if name not in unreached] == []

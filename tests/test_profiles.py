@@ -16,7 +16,7 @@ from hardylab.profiles import (
 )
 from hardylab.specfun import bessel_j, bessel_zero
 
-from oracles import Z01, central_diff, classify_origin
+from oracles import Z01, central_diff, classify_origin, scaled
 
 
 def test_dimension_constants(dim3, dim4):
@@ -137,7 +137,7 @@ def test_derivative_consistency(dim3, name):
 
 
 def test_scaled(dim3):
-    p = make_e1(dim3).scaled(2.5)
+    p = scaled(make_e1(dim3), 2.5)
     assert abs(p.v(0.3) - 2.5 * bessel_j(0.0, Z01 * 0.3)) < 1e-14
 
 
@@ -195,7 +195,7 @@ ARRAY_PROFILES = ["e1", "mode(3)", "bump", "annular_bump", "constant_plateau",
 @pytest.mark.parametrize("name", ARRAY_PROFILES)
 def test_named_profiles_are_array_functions(n, name):
     p = named_profile(Dimension(n), name)
-    for fn in (p.v, p.dv, p.scaled(-1.5).v, p.scaled(-1.5).dv):
+    for fn in (p.v, p.dv, scaled(p, -1.5).v, scaled(p, -1.5).dv):
         assert_array_contract(fn, RADII)
 
 
@@ -248,8 +248,8 @@ def test_flat_below_declarations_hold(n, name):
     assert p.flat_below == DECLARED_FLAT.get(name, 0.0)
     if p.flat_below > 0.0:
         assert_flat_below(p)
-        assert_flat_below(p.scaled(-1.5))
-    assert p.scaled(-1.5).flat_below == p.flat_below
+        assert_flat_below(scaled(p, -1.5))
+    assert scaled(p, -1.5).flat_below == p.flat_below
 
 
 @pytest.mark.parametrize("name", ["e1", "bump", "log_power(0.3)", "subcritical(0.1)"])
