@@ -111,8 +111,8 @@ def suite_energy(dim: Dimension, profile_name: str, eps_min: float):
                     "log_divergent": "diverging", "oscillating": "oscillating"}
     checks.append(_check_true(f"bare_functional_{expected_cls[p.origin_class]}",
                               pv.classification == expected_cls[p.origin_class]))
-    cn = hardy.cutoff_norm(p)
     if p.member:
+        cn = hardy.cutoff_norm(p)
         checks.append(_check_true("cutoff_norm_converged",
                                   cn.classification == "converged", cn.limit))
         if p.origin_class == "finite_limit":
@@ -124,10 +124,17 @@ def suite_energy(dim: Dimension, profile_name: str, eps_min: float):
 
 
 def suite_evolve(dim: Dimension, profile_name: str, t_final: float, grid_m: int):
+    grid = evolution.FDGrid(m=grid_m, dt=1e-4, theta=0.5)
+    # the trace samples t_final j/8, so t_final/8 must lie on the time grid
+    step = t_final / 8.0
+    k = round(step / grid.dt) if math.isfinite(step) else 0
+    if k < 1 or abs(k * grid.dt - step) > 1e-9 * max(step, 1.0):
+        raise ValueError(f"--t-final {t_final:g} must be a positive multiple of "
+                         f"8 dt = {8.0 * grid.dt:g}, since the evolve suite "
+                         "reports the times t_final j/8")
     p = named_profile(dim, profile_name)
     modes = 3 if profile_name == "e1" else 40
     field0 = spectrum.expand(p, modes)
-    grid = evolution.FDGrid(m=grid_m, dt=1e-4, theta=0.5)
     frun = evolution.FDRun(p, grid, t_final)
 
     times = [t_final * j / 8.0 for j in range(1, 8)]

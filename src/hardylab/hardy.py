@@ -32,10 +32,7 @@ __all__ = [
     "HardyBreakdown",
     "energy_density",
     "reduced_density",
-    "limit_method",
-    "needs_deep_grid",
     "eps_grid",
-    "dirichlet_diverges",
     "running_integral",
     "annulus_functional",
     "weighted_dirichlet",
@@ -88,18 +85,6 @@ def reduced_density(dim: Dimension, v: Callable[[float], float],
         return (d * np.sqrt(r)) ** 2 - 2.0 * lam * v(r) * d
 
     return f
-
-
-def limit_method(eps_sequence) -> str:
-    """Integrand form for a cutoff sequence: the u-form while u stays
-    representable, the reduced form once eps goes below 1e-7."""
-    return "direct" if min(eps_sequence) >= 1e-7 else "reduced"
-
-
-def needs_deep_grid(p: RadialProfile) -> bool:
-    """Whether p's behavior at the origin only shows on DEEP_EPS_SEQUENCE:
-    powers of log(1/r) and profiles outside the weighted Dirichlet space."""
-    return p.origin_class in ("oscillating", "log_divergent") or not p.member
 
 
 def running_integral(integral: Callable[[float, float], float],
@@ -171,8 +156,9 @@ def annulus_functional(p: RadialProfile, eps: float, R: float | None = None,
     two terms cancel strongly near the origin, which is exactly what the
     decomposition identity probes.  method="reduced" expands the square
     pointwise (no integration by parts) into  v'^2 r - 2 lam v v'  and stays
-    representable down to eps ~ 1e-250; used for deep classification runs.
-    That integrand vanishes with v', so it starts no lower than p.flat_below.
+    representable down to eps ~ 1e-250; every eps -> 0 limit takes its
+    samples in this form.  That integrand vanishes with v', so it starts no
+    lower than p.flat_below.
 
     Only the part of the annulus inside p.support is integrated, so a narrow
     compactly supported profile cannot slip between quadrature nodes; the
@@ -206,52 +192,34 @@ def breakdown(p: RadialProfile, eps: float, R: float | None = None) -> HardyBrea
     return HardyBreakdown(eps, annulus, sing, diri, annulus - diri - sing)
 
 
-def dirichlet_diverges(p: RadialProfile, R: float | None = None) -> bool:
-    """Whether p lies outside the weighted Dirichlet space: for the classes
-    that need the deep grid, whether D(eps, R) diverges along it."""
-    if not needs_deep_grid(p):
-        return False
-    R = _outer(p, R)
-    seq = [e for e in DEEP_EPS_SEQUENCE if e < R]
-    res = integrate_to_limit(
-        running_integral(lambda lo, hi: weighted_dirichlet(p, lo, hi), R), seq)
-    return res.classification == "diverging"
-
-
-def eps_grid(p: RadialProfile, eps_sequence):
+def eps_grid(p: RadialProfile):
     """Default eps grid per origin class: fast classes contract at least
-    geometrically on 10^-1..10^-6; powers of log need log(1/eps) itself
-    sampled geometrically to reveal their behavior."""
-    if eps_sequence is not None:
-        return eps_sequence
-    if needs_deep_grid(p):
+    geometrically on 10^-1..10^-6; powers of log(1/r), and profiles outside
+    the weighted Dirichlet space, need log(1/eps) itself sampled
+    geometrically to reveal their behavior."""
+    if p.origin_class in ("oscillating", "log_divergent") or not p.member:
         return DEEP_EPS_SEQUENCE
     return DEFAULT_EPS_SEQUENCE
 
 
-def _running_annulus(p: RadialProfile, R: float, eps_sequence):
-    """The annulus functional on (eps, R) along eps_sequence, slice by slice,
-    in the integrand form the sequence needs."""
-    method = limit_method(eps_sequence)
-    return running_integral(lambda lo, hi: annulus_functional(p, lo, hi, method=method), R)
+def _running_annulus(p: RadialProfile, R: float):
+    """The annulus functional on (eps, R), slice by slice, in the reduced
+    form, which stays representable on every grid."""
+    return running_integral(lambda lo, hi: annulus_functional(p, lo, hi, method="reduced"), R)
 
 
-def cutoff_norm(p: RadialProfile, R: float | None = None,
-                eps_sequence=None) -> LimitResult:
+def cutoff_norm(p: RadialProfile, R: float | None = None) -> LimitResult:
     """The cutoff limit lim_{eps->0} (annulus functional - singularity energy).
 
-    This is the correct squared norm for every origin class; it coincides
-    with the weighted Dirichlet energy of the regular part.  Profiles whose
-    Dirichlet energy itself diverges under refinement are classified
-    ``diverging`` without attempting the limit.
+    This is the correct squared norm for every origin class.  In the reduced
+    form each sample is the weighted Dirichlet energy D(eps, R), since
+    s_N lam = hs, so the limit is classified on those samples: ``converged``
+    to D(0, R) for members, ``diverging`` where D grows without bound.
     """
     R = _outer(p, R)
-    eps_sequence = eps_grid(p, eps_sequence)
-    if dirichlet_diverges(p, R):
-        return LimitResult(float("nan"), "diverging")
-    annulus = _running_annulus(p, R, eps_sequence)
+    annulus = _running_annulus(p, R)
     return integrate_to_limit(lambda eps: annulus(eps) - singularity_energy(p, eps),
-                              eps_sequence)
+                              eps_grid(p))
 
 
 def principal_value(p: RadialProfile, R: float | None = None,
@@ -260,5 +228,5 @@ def principal_value(p: RadialProfile, R: float | None = None,
     functional.  Converges for vanishing and finite_limit classes; oscillates
     or diverges exactly when the singularity energy does."""
     R = _outer(p, R)
-    eps_sequence = eps_grid(p, eps_sequence)
-    return integrate_to_limit(_running_annulus(p, R, eps_sequence), eps_sequence)
+    eps_sequence = eps_grid(p) if eps_sequence is None else eps_sequence
+    return integrate_to_limit(_running_annulus(p, R), eps_sequence)

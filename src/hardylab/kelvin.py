@@ -59,8 +59,9 @@ def exterior_functional(q: RadialProfile, S: float) -> float:
     behaviour at infinity.  This is the annulus functional of q on (1, S) in
     its u-form; the reduced form, which stays representable for truncations
     beyond ~1e100 where w' underflows, is ``hardy.annulus_functional`` with
-    method="reduced".  Grading toward the inner edge gives roughly one panel
-    per octave of s, which covers energy spread over dozens of decades.
+    method="reduced", the form ``exterior_norm`` takes.  Grading toward the
+    inner edge gives roughly one panel per octave of s, which covers energy
+    spread over dozens of decades.
     """
     if not S > 1.0:
         raise ValueError(f"need S > 1, got {S}")
@@ -109,22 +110,20 @@ def identity_check(p: RadialProfile, eps: float) -> IdentityCheck:
     )
 
 
-def exterior_norm(q: RadialProfile, eps_sequence=None) -> LimitResult:
+def exterior_norm(q: RadialProfile) -> LimitResult:
     """Exterior squared norm: lim_{eps->0} I_exterior(1/eps) + L_exterior(1/eps).
 
     The surface term enters with the opposite sign convention from the ball:
     at infinity the hidden energy adds to the functional instead of being cut
     away, and the sum is the quantity unitarily equivalent to the interior
-    cutoff norm.  The eps grid and the non-member guard are those of
-    ``hardy.cutoff_norm``; the weighted Dirichlet energy is invariant under
-    the inversion, so the guard runs on the preimage.
+    cutoff norm.  The eps grid is ``hardy.eps_grid`` and the functional is
+    taken in the reduced form, as in ``hardy.cutoff_norm``: each sample is
+    then the weighted Dirichlet energy of the image on (1, 1/eps), which the
+    inversion carries to that of the preimage on (eps, 1), so the image of a
+    ball profile reports the interior limit, or ``diverging`` with it.
     """
-    eps_sequence = hardy.eps_grid(q, eps_sequence)
-    if hardy.dirichlet_diverges(kelvin_map(q)):
-        return LimitResult(float("nan"), "diverging")
-    method = hardy.limit_method(eps_sequence)
     # slices in S = 1/eps: the slice (eps_j, eps_{j-1}) is 1/eps_{j-1} < s < 1/eps_j
     functional = hardy.running_integral(
-        lambda lo, hi: hardy.annulus_functional(q, 1.0 / hi, 1.0 / lo, method=method), 1.0)
+        lambda lo, hi: hardy.annulus_functional(q, 1.0 / hi, 1.0 / lo, method="reduced"), 1.0)
     return integrate_to_limit(
-        lambda eps: functional(eps) + hardy.singularity_energy(q, 1.0 / eps), eps_sequence)
+        lambda eps: functional(eps) + hardy.singularity_energy(q, 1.0 / eps), hardy.eps_grid(q))

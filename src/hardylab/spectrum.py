@@ -84,12 +84,12 @@ class SpectralField:
                              origin_class="finite_limit", name="spectral_field")
 
 
-def rayleigh(p: RadialProfile, R: float | None = None) -> float:
+def rayleigh(p: RadialProfile) -> float:
     """Cutoff-norm Rayleigh quotient ||u||^2_H / ||u||^2_{L^2}."""
-    res = hardy.cutoff_norm(p, R)
+    res = hardy.cutoff_norm(p)
     if res.classification != "converged":
         raise ValueError(f"cutoff norm did not converge: {res.classification}")
-    return res.limit / hardy.weighted_l2_sq(p, R)
+    return res.limit / hardy.weighted_l2_sq(p)
 
 
 def expand(p: RadialProfile, K: int) -> SpectralField:

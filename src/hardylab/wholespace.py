@@ -143,7 +143,7 @@ def hardy_poincare_check(p: RadialProfile) -> HardyPoincareResult:
     converge, as on a profile whose Bessel factor has a pole at a zero of
     J_0.
     """
-    pv = hardy.principal_value(p, p.support[1])
+    pv = hardy.principal_value(p)
     if pv.classification != "converged":
         raise ValueError(f"principal value did not converge: {pv.classification}")
     hs = hardy.singularity_energy(p, MOLLIFY_RADIUS)

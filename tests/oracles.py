@@ -23,8 +23,10 @@ from dataclasses import replace
 import numpy as np
 from scipy.linalg import solve_banded, solveh_banded
 
+from hardylab.hardy import weighted_dirichlet
 from hardylab.profiles import RadialProfile
-from hardylab.quadrature import classify_sequence, integrate
+from hardylab.quadrature import (DEEP_EPS_SEQUENCE, LimitResult, classify_sequence,
+                                 integrate, integrate_to_limit)
 from hardylab.specfun import bessel_j
 from hardylab.wholespace import bessel_zeros_upto
 
@@ -212,6 +214,27 @@ def scaled(p: RadialProfile, alpha: float) -> RadialProfile:
     v, dv = p.v, p.dv
     return replace(p, v=lambda r: alpha * v(r), dv=lambda r: alpha * dv(r),
                    name=f"{alpha:g}*{p.name}" if p.name else "")
+
+
+def dirichlet_limit(p: RadialProfile) -> LimitResult:
+    """lim_{eps->0} of the weighted Dirichlet energy D(eps, R) on
+    DEEP_EPS_SEQUENCE (the radii below the outer end R of the support), as a
+    running sum of ``weighted_dirichlet`` slices.
+
+    A second route to ``cutoff_norm`` and ``exterior_norm``, whose samples
+    are the same energy reached through the Hardy functional and the
+    singularity energy: the same verdict and, where that is ``converged``,
+    the same limit.
+    """
+    R = p.support[1]
+    total, upper = 0.0, R
+
+    def F(eps):
+        nonlocal total, upper
+        total, upper = total + weighted_dirichlet(p, eps, upper), eps
+        return total
+
+    return integrate_to_limit(F, [e for e in DEEP_EPS_SEQUENCE if e < R])
 
 
 def profile_from_u(dim, u, du, support) -> RadialProfile:

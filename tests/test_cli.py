@@ -121,6 +121,16 @@ def test_off_grid_evolve_time_exits_2(tmp_path):
     assert main(argv) == 2
 
 
+def test_trace_time_error_names_the_flag(tmp_path, capsys):
+    # t_final = 0.001 is 10 steps of 1e-4, but the trace time t_final / 8 =
+    # 0.000125 is not: the error names the flag the user typed and the rule
+    argv = ["evolve", "--t-final", "0.001", "--grid", "64", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--t-final 0.001" in err and "8 dt = 0.0008" in err
+    assert "0.000125" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["energy", "--eps-min", "0.5"],   # no eps of the grid 1e-1, ..., 1e-12 is left
     ["energy", "--eps-min", "nan"],

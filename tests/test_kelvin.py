@@ -5,8 +5,7 @@ import pytest
 
 from hardylab import hardy, kelvin
 from hardylab.profiles import Dimension, make_e1, make_named, named_profile
-from hardylab.quadrature import (DEEP_EPS_SEQUENCE, DEFAULT_EPS_SEQUENCE, integrate,
-                                 integrate_to_limit)
+from hardylab.quadrature import DEEP_EPS_SEQUENCE, integrate, integrate_to_limit
 from hardylab.specfun import bessel_j
 
 from oracles import Z01, central_diff, simpson
@@ -92,7 +91,7 @@ def test_exterior_norm_is_unitary(dim3):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_exterior_norm_follows_cutoff_norm_on_log_family(n):
-    # the image takes the interior's eps grid and non-member guard, so it
+    # the image takes the interior's eps grid and integrand form, so it
     # reports the interior value for members and diverges for the rest
     dim = Dimension(n)
     for a in (0.1, 0.2, 0.3, 0.36, 0.4):
@@ -104,7 +103,6 @@ def test_exterior_norm_follows_cutoff_norm_on_log_family(n):
     for name in ("log_power(0.5)", "log_power(0.7)", "oscillating(0.7)"):
         q = kelvin.kelvin_map(named_profile(dim, name))
         assert kelvin.exterior_norm(q).classification == "diverging"
-        assert kelvin.exterior_norm(q, DEFAULT_EPS_SEQUENCE).classification == "diverging"
 
 
 @pytest.mark.parametrize("name", [
@@ -118,13 +116,12 @@ def test_exterior_norm_samples_match_whole_interval(dim3, name):
     # exterior_norm sums slices in S = 1/eps; each sample equals the
     # functional on the whole (1, 1/eps) plus the surface term
     q = kelvin.kelvin_map(named_profile(dim3, name))
-    grid = hardy.eps_grid(q, None)
+    grid = hardy.eps_grid(q)
     res = kelvin.exterior_norm(q)
     assert res.dropped == []
-    method = hardy.limit_method(grid)
     for eps, got in zip(grid, res.samples):
         S = 1.0 / eps
-        want = (hardy.annulus_functional(q, 1.0, S, method=method)
+        want = (hardy.annulus_functional(q, 1.0, S, method="reduced")
                 + hardy.singularity_energy(q, S))
         assert abs(got - want) <= 1e-9 * abs(want), eps
 
@@ -145,7 +142,7 @@ def test_exterior_norm_oscillating_preimage(dim3):
         lambda e: hardy.annulus_functional(q, 1.0, 1.0 / e, method="reduced"),
         DEEP_EPS_SEQUENCE)
     assert bare.classification == "oscillating"
-    corrected = kelvin.exterior_norm(q, eps_sequence=DEEP_EPS_SEQUENCE)
+    corrected = kelvin.exterior_norm(q)
     assert corrected.classification == "converged"
 
 
