@@ -41,8 +41,9 @@ def smoothstep_deriv(t):
 
 
 def smoothstep_energy() -> float:
-    r"""\int_1^2 t rho'(t)^2 dt (equals 9/5 for the cubic ramp)."""
-    return integrate(lambda t: t * smoothstep_deriv(t) ** 2, 1.0, 2.0).value_or_raise()
+    r"""\int_1^2 t rho'(t)^2 dt = \int_0^1 36 (1+s) s^2 (1-s)^2 ds = 9/5, in
+    closed form for the cubic ramp."""
+    return 9.0 / 5.0
 
 
 def naive_cutoff_defect(p: RadialProfile, eps: float) -> float:
@@ -61,25 +62,25 @@ def naive_cutoff_defect(p: RadialProfile, eps: float) -> float:
         d = smoothstep_deriv(t) * p.v(r) / eps + (smoothstep(t) - 1.0) * p.dv(r)
         return d * d * r
 
-    # below eps the difference is -dv, which is 0 below p.flat_below
-    lo = max(MOLLIFY_RADIUS, p.flat_below)
-    inner = integrate(f, lo, eps, singular_end="left").value_or_raise() if lo < eps else 0.0
+    # below eps the difference is -dv, so the defect there is D(0, eps)
     outer = integrate(f, eps, 2.0 * eps).value_or_raise()
-    return p.dim.surface_factor * (inner + outer)
+    return p.dim.surface_factor * outer + hardy.weighted_dirichlet(p, 0.0, eps)
 
 
 def naive_cutoff_limit(p: RadialProfile) -> float:
     r"""The eps -> 0 value of the naive defect: N omega_N v(0)^2 \int t rho'^2."""
-    return p.dim.surface_factor * p.v_origin() ** 2 * smoothstep_energy()
+    return p.dim.surface_factor * p.v(0.0) ** 2 * smoothstep_energy()
 
 
 def log_cutoff(p: RadialProfile, eps: float) -> RadialProfile:
     """p times the logarithmic ramp: 0 below eps^2, log(r/eps^2)/log(1/eps)
-    up to eps, 1 beyond.  Its regular part vanishes at the origin."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"need 0 < eps < 1, got {eps}")
-    c = 1.0 / math.log(1.0 / eps)
+    up to eps, 1 beyond.  Its regular part vanishes at the origin.  The ramp
+    starts where profiles still have features: eps^2 >= MOLLIFY_RADIUS."""
     e2 = eps * eps
+    if not (0.0 < eps < 1.0 and e2 >= MOLLIFY_RADIUS):
+        raise ValueError(f"need 0 < eps < 1 with eps^2 >= MOLLIFY_RADIUS = "
+                         f"{MOLLIFY_RADIUS:g}, got eps={eps}")
+    c = 1.0 / math.log(1.0 / eps)
 
     def ramp(r):
         return np.where(r >= eps, 1.0, c * np.log(np.clip(r, e2, eps) / e2))
@@ -99,18 +100,18 @@ def log_cutoff(p: RadialProfile, eps: float) -> RadialProfile:
 
 
 def log_cutoff_defect(p: RadialProfile, eps: float) -> float:
-    """Defect of the logarithmic cutoff: 0 below eps^2, ramp
-    log(r/eps^2)/log(1/eps) up to eps, 1 beyond.  Bounded by C/log(1/eps)."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"need 0 < eps < 1, got {eps}")
-    c = 1.0 / math.log(1.0 / eps)
-    e2 = eps * eps
+    """Weighted-Dirichlet distance^2 between p and ``log_cutoff(p, eps)``.
+    Bounded by C/log(1/eps)."""
+    q = log_cutoff(p, eps)
+    e2 = q.flat_below  # the ramp's inner end, eps^2
 
-    def ramp(r):
-        d = c * p.v(r) / np.sqrt(r) + (c * np.log(r / e2) - 1.0) * p.dv(r) * np.sqrt(r)
-        return d * d
+    def f(r):
+        # (q' - p')^2 r, ordered so that the ramp's c/r meets r before it
+        # is squared: it stays finite down to eps^2 = MOLLIFY_RADIUS
+        d = q.dv(r) - p.dv(r)
+        return d * (d * r)
 
-    mid = integrate(ramp, e2, eps, singular_end="left").value_or_raise()
+    mid = integrate(f, e2, eps, singular_end="left").value_or_raise()
     # below eps^2 the cut profile is 0, so the defect there is v's own energy
     return p.dim.surface_factor * mid + hardy.weighted_dirichlet(p, 0.0, e2)
 
@@ -134,13 +135,12 @@ def e1_obstruction(phi: RadialProfile) -> float:
     return res.limit
 
 
-def dim_reduction(p: RadialProfile, R: float | None = None) -> float:
+def dim_reduction(p: RadialProfile, R: float) -> float:
     r"""Map v on the ball of radius R to w(t) = v(r(t)) with
     r(t) = R exp(-t^{-(N-2)}) and return the ratio of the two Dirichlet
     energies, weighted s_N \int_0^R v'^2 r dr over flat
     s_N \int_0^inf w'(t)^2 t^{N-1} dt, each by its own quadrature.  The
     ratio is 1/(N-2), independent of R."""
-    R = p.support[1] if R is None else R
     dim = p.dim
     n = dim.n
     nm2 = float(n - 2)

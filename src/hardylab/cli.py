@@ -103,7 +103,7 @@ def suite_energy(dim: Dimension, profile_name: str, eps_min: float):
     checks = [_check("decomposition_residual", worst, 0.0, 1e-7)]
 
     if p.origin_class == "finite_limit":
-        lim = dim.hs_constant * p.v_origin() ** 2
+        lim = hardy.singularity_energy(p, 0.0)
         got = hardy.singularity_energy(p, eps_list[-1])
         checks.append(_check("singularity_energy_limit", got / lim, 1.0, 1e-5))
     pv = hardy.principal_value(p)
@@ -117,7 +117,7 @@ def suite_energy(dim: Dimension, profile_name: str, eps_min: float):
                                   cn.classification == "converged", cn.limit))
         if p.origin_class == "finite_limit":
             gap_lhs = pv.limit - cn.limit
-            gap_rhs = dim.hs_constant * p.v_origin() ** 2
+            gap_rhs = hardy.singularity_energy(p, 0.0)
             checks.append(_check("norm_gap_vs_singularity_energy",
                                  gap_lhs / gap_rhs, 1.0, 1e-5))
     return ("eps,annulus,singularity,dirichlet,residual", rows, checks)
@@ -125,11 +125,14 @@ def suite_energy(dim: Dimension, profile_name: str, eps_min: float):
 
 def suite_evolve(dim: Dimension, profile_name: str, t_final: float, grid_m: int):
     grid = evolution.FDGrid(m=grid_m, dt=1e-4, theta=0.5)
-    # the trace samples t_final j/8, so t_final/8 must lie on the time grid
-    step = t_final / 8.0
-    k = round(step / grid.dt) if math.isfinite(step) else 0
-    if k < 1 or abs(k * grid.dt - step) > 1e-9 * max(step, 1.0):
-        raise ValueError(f"--t-final {t_final:g} must be a positive multiple of "
+    # the trace samples t_final j/8, so t_final must be a multiple of 8 dt
+    # by the rule the run applies to it
+    try:
+        k = evolution.time_index(t_final, grid.dt)
+    except ValueError:
+        k = 0
+    if k < 8 or k % 8:
+        raise ValueError(f"--t-final {t_final} must be a positive multiple of "
                          f"8 dt = {8.0 * grid.dt:g}, since the evolve suite "
                          "reports the times t_final j/8")
     p = named_profile(dim, profile_name)
@@ -190,7 +193,7 @@ def suite_kelvin(dim: Dimension):
                          1e-7 * (1.0 + abs(interior.limit))))
     # additivity at infinity: exterior norm - truncated functional -> surface energy
     i_ext = kelvin.exterior_functional(q, 4.0e4)
-    hs = dim.hs_constant * e1.v_origin() ** 2
+    hs = hardy.singularity_energy(e1, 0.0)
     checks.append(_check("hidden_energy_additive", nrm.limit - i_ext, hs, 1e-5))
     checks.append(_check("exterior_functional_identity", i_ext,
                          interior.limit - hs, 1e-5))

@@ -25,8 +25,8 @@ from .kelvin import kelvin_map
 from .profiles import RadialProfile
 from .spectrum import SpectralField, expand
 
-__all__ = ["FDGrid", "evolve_spectral", "FDRun", "EnergySample", "energy_trace",
-           "evolve_exterior"]
+__all__ = ["FDGrid", "evolve_spectral", "time_index", "FDRun", "EnergySample",
+           "energy_trace", "evolve_exterior"]
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def evolve_spectral(f: SpectralField, t: float) -> SpectralField:
     return SpectralField(f.modes, f.coeffs * factors, time=f.time + t)
 
 
-def _time_index(t: float, dt: float) -> int:
+def time_index(t: float, dt: float) -> int:
     """The index of t on the time grid k dt, refusing a t that is not finite
     or more than 1e-9 (relative, once above 1) off the grid."""
     if not math.isfinite(t):
@@ -117,7 +117,7 @@ class FDRun:
     def __init__(self, p: RadialProfile, grid: FDGrid, t_final: float):
         self.profile = p
         self.grid = grid
-        steps = _time_index(t_final, grid.dt)
+        steps = time_index(t_final, grid.dt)
         if steps < 1:
             raise ValueError("t_final must be a positive multiple of dt")
         self.steps = steps
@@ -165,7 +165,7 @@ class FDRun:
         self._newest = 0  # time index of the newest held state
 
     def _index(self, t: float) -> int:
-        idx = _time_index(t, self.grid.dt)
+        idx = time_index(t, self.grid.dt)
         if not 0 <= idx <= self.steps:
             raise ValueError(f"t={t} outside the computed range")
         return idx

@@ -109,11 +109,7 @@ def running_integral(integral: Callable[[float, float], float],
     return F
 
 
-def _outer(p: RadialProfile, R: float | None) -> float:
-    return p.support[1] if R is None else R
-
-
-def weighted_l2_sq(p: RadialProfile, R: float | None = None) -> float:
+def weighted_l2_sq(p: RadialProfile) -> float:
     r"""||u||^2_{L^2} computed in the regular part: s_N \int v^2 r dr.
 
     The identity is exact (the transformation is an isometry onto the
@@ -121,9 +117,8 @@ def weighted_l2_sq(p: RadialProfile, R: float | None = None) -> float:
     The integral starts at MOLLIFY_RADIUS, below which no profile has
     features.
     """
-    R = _outer(p, R)
     f = lambda r: (p.v(r) * np.sqrt(r)) ** 2
-    res = integrate(f, MOLLIFY_RADIUS, R, singular_end="left")
+    res = integrate(f, MOLLIFY_RADIUS, p.support[1], singular_end="left")
     return p.dim.surface_factor * res.value_or_raise()
 
 
@@ -131,11 +126,12 @@ def weighted_dirichlet(p: RadialProfile, eps: float, R: float | None = None) -> 
     r"""Weighted Dirichlet energy s_N \int_eps^R v'^2 r dr.
 
     The integral starts no lower than p.flat_below, below which v' is 0, and
-    no lower than MOLLIFY_RADIUS, below which no profile has features."""
-    R = _outer(p, R)
+    no lower than MOLLIFY_RADIUS, below which no profile has features, so it
+    is 0.0 when R lies below either."""
+    R = p.support[1] if R is None else R
     if eps < 0.0 or eps >= R:
         raise ValueError(f"need 0 <= eps < R, got eps={eps}, R={R}")
-    if R <= p.flat_below:
+    if R <= max(p.flat_below, MOLLIFY_RADIUS):
         return 0.0
     f = lambda r: (p.dv(r) * np.sqrt(r)) ** 2
     res = integrate(f, max(eps, p.flat_below, MOLLIFY_RADIUS), R, singular_end="left")
@@ -164,7 +160,7 @@ def annulus_functional(p: RadialProfile, eps: float, R: float | None = None,
     compactly supported profile cannot slip between quadrature nodes; the
     functional is 0.0 where the two do not overlap.
     """
-    R = _outer(p, R)
+    R = p.support[1] if R is None else R
     if not 0.0 < eps < R:
         raise ValueError(f"need 0 < eps < R, got eps={eps}, R={R}")
     lo, hi = max(eps, p.support[0]), min(R, p.support[1])
@@ -182,13 +178,12 @@ def annulus_functional(p: RadialProfile, eps: float, R: float | None = None,
     return p.dim.surface_factor * res.value_or_raise()
 
 
-def breakdown(p: RadialProfile, eps: float, R: float | None = None) -> HardyBreakdown:
+def breakdown(p: RadialProfile, eps: float) -> HardyBreakdown:
     """All three energies at one eps, each by its own route, plus the residual
     of the decomposition identity."""
-    R = _outer(p, R)
-    annulus = annulus_functional(p, eps, R)
+    annulus = annulus_functional(p, eps)
     sing = singularity_energy(p, eps)
-    diri = weighted_dirichlet(p, eps, R)
+    diri = weighted_dirichlet(p, eps)
     return HardyBreakdown(eps, annulus, sing, diri, annulus - diri - sing)
 
 
@@ -196,37 +191,39 @@ def eps_grid(p: RadialProfile):
     """Default eps grid per origin class: fast classes contract at least
     geometrically on 10^-1..10^-6; powers of log(1/r), and profiles outside
     the weighted Dirichlet space, need log(1/eps) itself sampled
-    geometrically to reveal their behavior."""
-    if p.origin_class in ("oscillating", "log_divergent") or not p.member:
+    geometrically to reveal their behavior.  A profile that declares a flat
+    radius takes the deep grid too, whose slices below that radius are 0.0
+    without an evaluation: its limit is reached wherever the radius lies."""
+    if p.origin_class in ("oscillating", "log_divergent") or not p.member \
+            or p.flat_below > 0.0:
         return DEEP_EPS_SEQUENCE
     return DEFAULT_EPS_SEQUENCE
 
 
-def _running_annulus(p: RadialProfile, R: float):
-    """The annulus functional on (eps, R), slice by slice, in the reduced
-    form, which stays representable on every grid."""
-    return running_integral(lambda lo, hi: annulus_functional(p, lo, hi, method="reduced"), R)
+def _running_annulus(p: RadialProfile):
+    """The annulus functional on (eps, p.support[1]), slice by slice, in the
+    reduced form, which stays representable on every grid."""
+    return running_integral(lambda lo, hi: annulus_functional(p, lo, hi, method="reduced"),
+                            p.support[1])
 
 
-def cutoff_norm(p: RadialProfile, R: float | None = None) -> LimitResult:
+def cutoff_norm(p: RadialProfile) -> LimitResult:
     """The cutoff limit lim_{eps->0} (annulus functional - singularity energy).
 
     This is the correct squared norm for every origin class.  In the reduced
-    form each sample is the weighted Dirichlet energy D(eps, R), since
-    s_N lam = hs, so the limit is classified on those samples: ``converged``
-    to D(0, R) for members, ``diverging`` where D grows without bound.
+    form each sample is the weighted Dirichlet energy D(eps, R) with
+    R = p.support[1], since s_N lam = hs, so the limit is classified on
+    those samples: ``converged`` to D(0, R) for members, ``diverging`` where
+    D grows without bound.
     """
-    R = _outer(p, R)
-    annulus = _running_annulus(p, R)
+    annulus = _running_annulus(p)
     return integrate_to_limit(lambda eps: annulus(eps) - singularity_energy(p, eps),
                               eps_grid(p))
 
 
-def principal_value(p: RadialProfile, R: float | None = None,
-                    eps_sequence=None) -> LimitResult:
+def principal_value(p: RadialProfile, eps_sequence=None) -> LimitResult:
     """Principal value of the Hardy functional: limit of the bare annulus
     functional.  Converges for vanishing and finite_limit classes; oscillates
     or diverges exactly when the singularity energy does."""
-    R = _outer(p, R)
     eps_sequence = eps_grid(p) if eps_sequence is None else eps_sequence
-    return integrate_to_limit(_running_annulus(p, R), eps_sequence)
+    return integrate_to_limit(_running_annulus(p), eps_sequence)

@@ -7,7 +7,7 @@ works with v and dv; u is reconstructed on demand.
 Origin behavior is tagged with one of four classes:
 
 * ``vanishing``      v -> 0 at the origin (u lies in the classical H^1_0 range)
-* ``finite_limit``   v has a finite nonzero limit at the origin
+* ``finite_limit``   v has a finite nonzero limit at the origin, which v(0.0) reads
 * ``oscillating``    v stays bounded but has no limit
 * ``log_divergent``  v grows (like a power of log 1/r) toward the origin
 
@@ -125,11 +125,6 @@ class RadialProfile:
     def du(self, r: float) -> float:
         lam = self.dim.singular_exponent
         return r ** (-lam) * (self.dv(r) - lam * self.v(r) / r)
-
-    def v_origin(self) -> float:
-        """Limit of v at the origin (meaningful for the finite_limit class),
-        read at flat_below, where v has stopped moving, or else at r = 1e-12."""
-        return self.v(self.flat_below if self.flat_below > 0.0 else 1e-12)
 
 
 def make_e1(dim: Dimension) -> RadialProfile:

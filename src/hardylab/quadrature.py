@@ -247,9 +247,10 @@ class LimitResult:
     dropped: list = field(default_factory=list)  # (eps, reason) per unusable sample
 
 
-def _aitken(values, stages: int = 2):
+def _aitken(values):
+    """Two stages of Aitken's delta-squared process; the last extrapolant."""
     seq = list(values)
-    for _ in range(stages):
+    for _ in range(2):
         if len(seq) < 3:
             break
         nxt = []

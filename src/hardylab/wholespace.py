@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import hardy
-from .profiles import MOLLIFY_RADIUS, RadialProfile
+from .profiles import RadialProfile
 from .quadrature import NonConvergenceError, QuadResult, integrate
 from .specfun import bessel_j, bessel_zero
 
@@ -146,7 +146,7 @@ def hardy_poincare_check(p: RadialProfile) -> HardyPoincareResult:
     pv = hardy.principal_value(p)
     if pv.classification != "converged":
         raise ValueError(f"principal value did not converge: {pv.classification}")
-    hs = hardy.singularity_energy(p, MOLLIFY_RADIUS)
+    hs = hardy.singularity_energy(p, 0.0)
     je = j_functional(p).or_raise()
     i_val = pv.limit - hs
     return HardyPoincareResult(

@@ -65,8 +65,8 @@ def test_criterion_03_singularity_energy_limit():
     for dim, want in ((DIM3, 2.0 * math.pi), (DIM4, 2.0 * math.pi**2)):
         for maker in (make_e1, lambda d: make_named(d, "bump")):
             p = maker(dim)
-            limit = dim.hs_constant * p.v_origin() ** 2
-            assert abs(limit - want * p.v_origin() ** 2) < 1e-12
+            limit = hardy.singularity_energy(p, 0.0)
+            assert abs(limit - want * p.v(0.0) ** 2) < 1e-12
             got = hardy.singularity_energy(p, 1e-8)
             worst = max(worst, abs(got - limit) / limit)
     ok = worst <= 1e-5

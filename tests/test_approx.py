@@ -4,16 +4,22 @@ from dataclasses import replace
 import pytest
 
 from hardylab import approx, hardy
-from hardylab.profiles import Dimension, make_e1, make_named
+from hardylab.profiles import MOLLIFY_RADIUS, Dimension, make_e1, make_named
+from hardylab.quadrature import integrate
 from hardylab.specfun import bessel_j
 
 from oracles import Z01, simpson
 
 
 def test_cubic_smoothstep_energy():
-    # int_1^2 t rho'^2 dt = 9/5 for the cubic ramp, checked against Simpson
-    assert abs(approx.smoothstep_energy() - 1.8) < 1e-12
-    ref = simpson(lambda t: t * approx.smoothstep_deriv(t) ** 2, 1.0, 2.0, 4096)
+    # int_1^2 t rho'^2 dt = 9/5 for the cubic ramp: the closed form, checked
+    # against the adaptive quadrature and against Simpson
+    assert approx.smoothstep_energy() == 9.0 / 5.0
+    f = lambda t: t * approx.smoothstep_deriv(t) ** 2
+    quad = integrate(f, 1.0, 2.0)
+    assert quad.converged
+    assert abs(quad.value - approx.smoothstep_energy()) <= 1e-14
+    ref = simpson(f, 1.0, 2.0, 4096)
     assert abs(approx.smoothstep_energy() - ref) < 1e-10
 
 
@@ -97,6 +103,45 @@ def test_naive_exceeds_log_by_two_orders(dim3):
     naive = approx.naive_cutoff_defect(p, 1e-4)
     assert naive >= 100.0 * approx.log_cutoff_defect(p, 1e-25)
     assert naive >= 10.0 * approx.log_cutoff_defect(p, 1e-4)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_log_cutoff_defect_closed_form_on_a_flat_head(n):
+    # v = 1 and v' = 0 below 0.4, so the defect is the ramp's own energy:
+    # s_N int_{eps^2}^{eps} r^-2 r dr / ln(1/eps)^2 = s_N / ln(1/eps)
+    dim = Dimension(n)
+    bump = make_named(dim, "bump")
+    for eps in (1e-2, 1e-3, 1e-4, 1e-25):
+        got = approx.log_cutoff_defect(bump, eps) * math.log(1.0 / eps) / dim.surface_factor
+        assert abs(got - 1.0) <= 1e-14, eps
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_naive_cutoff_defect_closed_form_on_a_flat_head(n):
+    # v = 1 and v' = 0 on (0, 2 eps), so the defect is
+    # s_N int (rho'(r/eps)/eps)^2 r dr = s_N int_1^2 t rho'^2 dt at every eps
+    dim = Dimension(n)
+    bump = make_named(dim, "bump")
+    want = 9.0 / 5.0 * dim.surface_factor
+    for eps in (0.2, 1e-2, 1e-4):
+        assert abs(approx.naive_cutoff_defect(bump, eps) - want) <= 1e-14 * want, eps
+
+
+def test_log_cutoff_enforces_the_eps_domain(dim3):
+    # the ramp starts at eps^2, which may not lie below MOLLIFY_RADIUS; the
+    # smallest eps accepted still gives a finite defect on its closed form
+    e1, bump = make_e1(dim3), make_named(dim3, "bump")
+    edge = math.sqrt(MOLLIFY_RADIUS)
+    while edge * edge < MOLLIFY_RADIUS:
+        edge = math.nextafter(edge, 1.0)
+    for bad in (math.nextafter(edge, 0.0), 1e-145, 1e-150, 1e-300, 0.0, 1.0):
+        with pytest.raises(ValueError, match=r"eps\^2 >= MOLLIFY_RADIUS"):
+            approx.log_cutoff(e1, bad)
+        with pytest.raises(ValueError, match=r"eps\^2 >= MOLLIFY_RADIUS"):
+            approx.log_cutoff_defect(e1, bad)
+    got = approx.log_cutoff_defect(bump, edge) * math.log(1.0 / edge) / dim3.surface_factor
+    assert abs(got - 1.0) <= 1e-14
+    assert math.isfinite(approx.log_cutoff_defect(e1, edge))
 
 
 def test_e1_obstruction_zero_competitor(dim3):

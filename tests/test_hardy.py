@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hardylab import approx, hardy, kelvin
-from hardylab.profiles import Dimension, make_e1, make_named, named_profile
+from hardylab.profiles import MOLLIFY_RADIUS, Dimension, make_e1, make_named, named_profile
 from hardylab.quadrature import (
     DEEP_EPS_SEQUENCE,
     DEFAULT_EPS_SEQUENCE,
@@ -134,7 +134,8 @@ LIMIT_SWEEP = (
      "log_ramp(1e-3)",
      pytest.param("log_ramp(1e-6)", marks=pytest.mark.xfail(
          strict=True,
-         reason="the default eps grid ends at delta = 1e-6, so both limits read "
+         reason="the Kelvin image declares no flat radius, so exterior_norm takes "
+                "the default eps grid, which ends at delta = 1e-6, and reads "
                 "diverging where the deep grid converges (ROADMAP item 10)"))]
     + [f"log_power({a})" for a in (0.1, 0.2, 0.3, 0.36, 0.4, 0.45, 0.49, 0.5, 0.6, 0.7, 1.0)]
     + [f"oscillating({a})" for a in (0.05, 0.1, 0.2, 0.3, 0.36, 0.4, 0.45, 0.49, 0.5, 0.6, 0.7)])
@@ -153,14 +154,12 @@ def test_limits_classify_like_the_dirichlet_oracle(n, name):
             assert abs(res.limit - want.limit) <= 1e-9 * abs(want.limit)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the default eps grid ends at delta = 1e-6, where the ramp's trace "
-           "only just freezes, so the limit cannot be seen on it; the deep "
-           "grid gives 0.90958423555")
 def test_log_ramp_limit_on_default_grid(dim3):
-    # v = log(r)/log(delta) above delta: D(0, 1) = s_N / ln(1/delta)
+    # v = log(r)/log(delta) above delta: D(0, 1) = s_N / ln(1/delta); the
+    # ramp declares its flat radius, so eps_grid gives it the deep grid, on
+    # which the samples freeze below delta = 1e-6
     p = named_profile(dim3, "log_ramp(1e-6)")
+    assert hardy.eps_grid(p) == DEEP_EPS_SEQUENCE
     want = dim3.surface_factor / math.log(1e6)
     assert hardy.principal_value(p).classification == "converged"
     res = hardy.cutoff_norm(p)
@@ -246,13 +245,22 @@ def test_flat_start_matches_integral_from_the_origin(n, name):
         (hardy.weighted_dirichlet(p, 1e-9, 1e-4), hardy.weighted_dirichlet(q, 1e-9, 1e-4)),
         (hardy.annulus_functional(p, 1e-200, method="reduced"),
          hardy.annulus_functional(q, 1e-200, method="reduced")),
-        (approx.dim_reduction(p), approx.dim_reduction(q)),
+        (approx.dim_reduction(p, p.support[1]), approx.dim_reduction(q, q.support[1])),
         (approx.naive_cutoff_defect(p, 1e-2), approx.naive_cutoff_defect(q, 1e-2)),
         (approx.log_cutoff_defect(p, 1e-2), approx.log_cutoff_defect(q, 1e-2)),
         (approx.level_truncation_defect(p, 0.5), approx.level_truncation_defect(q, 0.5)),
     ]
     for got, want in pairs:
         assert abs(got - want) <= 1e-9 * abs(want) + 1e-14, (got, want)
+
+
+def test_weighted_dirichlet_is_zero_below_the_freeze(dim3):
+    # no profile has features below MOLLIFY_RADIUS, where the log family is
+    # frozen, so an outer radius there leaves nothing to integrate
+    for name in ("e1", "log_power(0.3)", "oscillating(0.3)", "log_power(0.7)"):
+        p = named_profile(dim3, name)
+        for R in (MOLLIFY_RADIUS, 1e-300):
+            assert hardy.weighted_dirichlet(p, 0.0, R) == 0.0
 
 
 def test_breakdown_row(dim3):

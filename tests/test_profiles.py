@@ -35,7 +35,7 @@ def test_dimension_validation():
 
 def test_e1_regular_part(dim3):
     p = make_e1(dim3)
-    assert abs(p.v_origin() - 1.0) < 1e-12
+    assert abs(p.v(0.0) - 1.0) < 1e-12
     assert abs(p.v(1.0)) < 1e-11  # boundary zero located by the zero finder
     # defining relation u * r^lam = v
     r = 0.5
@@ -144,7 +144,7 @@ def test_scaled(dim3):
 def test_mode_profiles(dim3):
     p = make_mode(dim3, 3)
     assert abs(p.v(1.0)) < 1e-11
-    assert abs(p.v_origin() - 1.0) < 1e-12
+    assert abs(p.v(0.0) - 1.0) < 1e-12
 
 
 def test_named_profile_parser(dim3):
@@ -293,14 +293,15 @@ def test_flat_below_must_lie_below_the_support_end(dim3):
             replace(bump, flat_below=bad)
 
 
-def test_v_origin_reads_a_deep_flat_head(dim3):
+def test_surface_term_reads_a_deep_flat_head(dim3):
     # v(1e-12) is still on the ramp of log_ramp(delta) for delta < 1e-12:
-    # 0.6 for delta = 1e-20, 0.923 for delta = 1e-13
+    # 0.6 for delta = 1e-20, 0.923 for delta = 1e-13; the surface term at
+    # the origin reads the head's v = 1 all the same
     for delta in (1e-13, 1e-20, 1e-100):
         p = make_named(dim3, "log_ramp", delta=delta)
-        assert p.v_origin() == 1.0
+        assert hardy.singularity_energy(p, 0.0) == dim3.hs_constant
         assert p.v(1e-12) < 0.93
     # where the head reaches above 1e-12 both readings give the same value
     for name in ("bump", "constant_plateau", "log_ramp(1e-6)", "annular_bump"):
         p = named_profile(dim3, name)
-        assert p.v_origin() == p.v(1e-12)
+        assert p.v(0.0) == p.v(1e-12)

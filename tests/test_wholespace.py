@@ -249,7 +249,7 @@ def test_j_norm_matches_ball_norm_inside_first_zero(dim3):
     z1 = bessel_zero(0.0, 1)
     ball_norm = hardy.weighted_dirichlet(p, 0.0, z1)
     assert abs(je.total() - ball_norm) < 1e-6
-    cn = hardy.cutoff_norm(p, z1)
+    cn = hardy.cutoff_norm(replace(p, support=(0.0, z1)))
     assert cn.classification == "converged"
     assert abs(je.total() - cn.limit) < 1e-6
 
