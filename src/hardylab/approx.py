@@ -46,14 +46,19 @@ def smoothstep_energy() -> float:
     return 9.0 / 5.0
 
 
+def _require_origin_limit(p: RadialProfile) -> None:
+    """The naive cutoff experiment needs v(0): refuse profiles without it."""
+    if p.origin_class not in ("finite_limit", "vanishing"):
+        raise ValueError("the cutoff obstruction experiment needs a bounded origin limit")
+
+
 def naive_cutoff_defect(p: RadialProfile, eps: float) -> float:
     """Weighted-Dirichlet distance^2 between v and rho(r/eps) v.
 
     The difference is supported on (0, 2 eps); its derivative is
     rho'(r/eps) v / eps + (rho - 1) v'.
     """
-    if p.origin_class not in ("finite_limit", "vanishing"):
-        raise ValueError("the cutoff obstruction experiment needs a bounded origin limit")
+    _require_origin_limit(p)
     if not 0.0 < 2.0 * eps < p.support[1]:
         raise ValueError(f"eps={eps} too large for support {p.support}")
 
@@ -69,6 +74,7 @@ def naive_cutoff_defect(p: RadialProfile, eps: float) -> float:
 
 def naive_cutoff_limit(p: RadialProfile) -> float:
     r"""The eps -> 0 value of the naive defect: N omega_N v(0)^2 \int t rho'^2."""
+    _require_origin_limit(p)
     return p.dim.surface_factor * p.v(0.0) ** 2 * smoothstep_energy()
 
 

@@ -9,6 +9,7 @@ byte-identical files.  Exit status 0 means every suite assertion passed,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -52,6 +53,20 @@ def _check_true(name: str, flag: bool, value: float | None = None) -> dict:
         else (1.0 if flag else 0.0)
     return {"name": name, "value": shown, "expected": shown,
             "tolerance": 0.0, "pass": bool(flag)}
+
+
+def energy_law_defect(rows) -> float:
+    """Worst relative defect |dE/dt - (-2D)| / |-2D| of the energy law over
+    trace rows.  A row where both sides are 0 (a state that decayed below
+    the float range) reads 0; one where only -2D is 0 reads inf."""
+    worst = 0.0
+    for row in rows:
+        gap = abs(row.dEdt_est - row.minus_twice_dirichlet)
+        if row.minus_twice_dirichlet != 0.0:
+            worst = max(worst, gap / abs(row.minus_twice_dirichlet))
+        elif gap != 0.0:
+            worst = math.inf
+    return worst
 
 
 def suite_spectrum(dim: Dimension, modes: int):
@@ -104,7 +119,10 @@ def suite_energy(dim: Dimension, profile_name: str, eps_min: float):
 
     if p.origin_class == "finite_limit":
         lim = hardy.singularity_energy(p, 0.0)
-        got = hardy.singularity_energy(p, eps_list[-1])
+        # a profile flat below the grid's smallest eps (a deep log ramp) has
+        # not reached its limit there; it holds v(0) from flat_below on
+        eps_read = p.flat_below if 0.0 < p.flat_below < eps_list[-1] else eps_list[-1]
+        got = hardy.singularity_energy(p, eps_read)
         checks.append(_check("singularity_energy_limit", got / lim, 1.0, 1e-5))
     pv = hardy.principal_value(p)
     expected_cls = {"finite_limit": "converged", "vanishing": "converged",
@@ -141,14 +159,10 @@ def suite_evolve(dim: Dimension, profile_name: str, t_final: float, grid_m: int)
     frun = evolution.FDRun(p, grid, t_final)
 
     times = [t_final * j / 8.0 for j in range(1, 8)]
-    rows = []
-    worst_law = 0.0
-    for row in evolution.energy_trace(frun, times):
-        rows.append((row.t, row.energy, row.dEdt_est,
-                     row.minus_twice_dirichlet, row.flux_diag))
-        worst_law = max(worst_law, abs(row.dEdt_est - row.minus_twice_dirichlet)
-                        / abs(row.minus_twice_dirichlet))
-    checks = [_check("energy_law", worst_law, 0.0, 1e-3)]
+    trace = evolution.energy_trace(frun, times)
+    rows = [(row.t, row.energy, row.dEdt_est, row.minus_twice_dirichlet, row.flux_diag)
+            for row in trace]
+    checks = [_check("energy_law", energy_law_defect(trace), 0.0, 1e-3)]
 
     # cross-solver agreement in the weighted L^2 metric at t_final
     r = grid.nodes
@@ -350,11 +364,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="hardylab_out")
     args = parser.parse_args(argv)
     try:
-        return run(args.command, args.dim, args.profile, args.eps_min,
+        code = run(args.command, args.dim, args.profile, args.eps_min,
                    args.modes, args.t_final, args.grid, args.out)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    # The reports are written, and the process that called main (the hardylab
+    # script, python -m hardylab.cli) ends next.  Its finalization runs full
+    # cyclic-GC passes over the ~42,000 objects that numpy, scipy and
+    # hardylab leave tracked, about 25 ms; frozen objects sit in the
+    # permanent generation, which no pass visits.
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from hardylab import approx, hardy
-from hardylab.profiles import MOLLIFY_RADIUS, Dimension, make_e1, make_named
+from hardylab.profiles import MOLLIFY_RADIUS, Dimension, make_e1, make_named, named_profile
 from hardylab.quadrature import integrate
 from hardylab.specfun import bessel_j
 
@@ -43,6 +43,15 @@ def test_naive_cutoff_limit_plateau(dim3):
     assert abs(lim - dim3.surface_factor * 1.8) < 1e-10
     got = approx.naive_cutoff_defect(p, 1e-4)
     assert abs(got / lim - 1.0) < 1e-2
+
+
+@pytest.mark.parametrize("name", ["log_power(0.3)", "oscillating(0.3)"])
+def test_naive_cutoff_refuses_profiles_without_origin_limit(dim3, name):
+    # v(0.0) of these is the value frozen at MOLLIFY_RADIUS, not a limit
+    p = named_profile(dim3, name)
+    for call in (approx.naive_cutoff_limit, lambda q: approx.naive_cutoff_defect(q, 1e-4)):
+        with pytest.raises(ValueError, match="bounded origin limit"):
+            call(p)
 
 
 def test_naive_cutoff_defect_eps_stable(dim3):

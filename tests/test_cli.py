@@ -1,11 +1,14 @@
+import gc
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hardylab import approx, hardy, spectrum, wholespace
-from hardylab.cli import main
+from hardylab.cli import energy_law_defect, main
+from hardylab.evolution import EnergySample
 
 #: integrand points of one ``hardylab all`` run at the CLI defaults; a change
 #: may lower these bounds, never raise them
@@ -49,6 +52,29 @@ def test_evolve_suite(tmp_path):
     assert main(["evolve", "--grid", "256", "--out", str(out)]) == 0
     rows = (out / "evolve.csv").read_text().splitlines()
     assert rows[0] == "t,energy,dEdt_est,minus2dirichlet,flux_diag"
+
+
+def _sample(dEdt, minus2d):
+    return EnergySample(t=1.0, energy=1.0, dEdt_est=dEdt,
+                        minus_twice_dirichlet=minus2d, flux_diag=0.0)
+
+
+def test_energy_law_defect_on_synthetic_rows():
+    rows = [_sample(-1.001, -1.0), _sample(-2.0, -2.0)]
+    assert energy_law_defect(rows) == abs(-1.001 - -1.0) / 1.0
+    assert energy_law_defect([]) == 0.0
+    # a state that decayed below the float range: both sides are 0
+    assert energy_law_defect(rows + [_sample(0.0, 0.0)]) == energy_law_defect(rows)
+    # -2D is 0 but the rate is not: the law cannot hold, the check fails
+    assert energy_law_defect([_sample(1e-300, 0.0)] + rows) == math.inf
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("delta", ["1e-12", "1e-20"])
+def test_energy_suite_deep_log_ramp(tmp_path, n, delta):
+    # the ramp is flat below delta, under the grid's smallest eps = 1e-6
+    argv = ["energy", "--dim", str(n), "--profile", f"log_ramp({delta})"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
 def test_kelvin_suite(tmp_path):
@@ -156,6 +182,17 @@ def test_unknown_command_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, code", [(["spectrum"], 0), (["spectrum", "--modes", "0"], 2)],
+                         ids=["exit 0", "exit 2"])
+def test_main_freezes_the_heap_before_it_returns(tmp_path, argv, code):
+    gc.unfreeze()
+    try:
+        assert main(argv + ["--out", str(tmp_path / "out")]) == code
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 def test_dimension_four(tmp_path):

@@ -74,6 +74,27 @@ def test_no_module_imports_private_names(path):
     assert private_imports(path.read_text()) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules that ``source`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_the_cli_touches_the_collector():
+    # the CLI owns its process and freezes the heap before it exits; a
+    # library module must leave its importer's GC state alone
+    assert imported_modules("import gc\nfrom gc import freeze\nfrom . import hardy\n") \
+        == {"gc"}
+    users = [path.name for path in sorted(SRC.glob("*.py"))
+             if "gc" in imported_modules(path.read_text())]
+    assert users == ["cli.py"]
+
+
 def public_functions(source: str) -> list[str]:
     """Names of the public functions defined at the top level of ``source``."""
     return [node.name for node in ast.parse(source).body
