@@ -1,10 +1,10 @@
 r"""Density and non-density experiments in the weighted Dirichlet norm, the
 ground-mode approximation obstruction, and the dimension-reduction isometry.
 
-Cutting a profile off near the origin with a plain rescaled smoothstep leaves
-a defect that does NOT vanish: it converges to  N omega_N v(0)^2 \int_1^2
-t rho'(t)^2 dt.  A logarithmic ramp between eps^2 and eps does the job, with
-defect O(1/log(1/eps)).  The same obstruction makes the ground mode
+Cutting a profile off near the origin with a rescaled ``profiles.cubic_step``
+leaves a defect that does NOT vanish: it converges to N omega_N v(0)^2
+\int_1^2 t rho'(t)^2 dt.  A logarithmic ramp between eps^2 and eps does the
+job, with defect O(1/log(1/eps)).  The same obstruction makes the ground mode
 unapproachable by profiles vanishing at the origin: the squared distance in
 the principal-value functional never drops below N(N-2)/2 omega_N v(0)^2.
 """
@@ -17,32 +17,17 @@ from dataclasses import replace
 import numpy as np
 
 from . import hardy
-from .profiles import MOLLIFY_RADIUS, RadialProfile, make_e1
+from .profiles import MOLLIFY_RADIUS, RadialProfile, cubic_step, make_e1
 from .quadrature import DEEP_EPS_SEQUENCE, integrate
 
-__all__ = ["smoothstep", "smoothstep_deriv", "smoothstep_energy",
-           "naive_cutoff_defect", "naive_cutoff_limit", "log_cutoff",
-           "log_cutoff_defect", "e1_obstruction", "dim_reduction",
+__all__ = ["smoothstep_energy", "naive_cutoff_defect", "naive_cutoff_limit",
+           "log_cutoff", "log_cutoff_defect", "e1_obstruction", "dim_reduction",
            "level_truncation_defect"]
-
-
-def smoothstep(t):
-    """The cubic ramp rho(t) = 3(t-1)^2 - 2(t-1)^3 on [1, 2], clamped outside:
-    rho(1) = 0, rho(2) = 1 and rho'(1) = rho'(2) = 0; the vanishing end slopes
-    are what the defect calculation integrates by parts against."""
-    s = np.clip(t - 1.0, 0.0, 1.0)
-    return s * s * (3.0 - 2.0 * s)
-
-
-def smoothstep_deriv(t):
-    """rho'(t) = 6(t-1)(2-t) on [1, 2], 0 outside."""
-    s = np.clip(t - 1.0, 0.0, 1.0)
-    return 6.0 * s * (1.0 - s)
 
 
 def smoothstep_energy() -> float:
     r"""\int_1^2 t rho'(t)^2 dt = \int_0^1 36 (1+s) s^2 (1-s)^2 ds = 9/5, in
-    closed form for the cubic ramp."""
+    closed form for the cutoff ramp rho(t) = ``cubic_step(t - 1)``."""
     return 9.0 / 5.0
 
 
@@ -53,7 +38,8 @@ def _require_origin_limit(p: RadialProfile) -> None:
 
 
 def naive_cutoff_defect(p: RadialProfile, eps: float) -> float:
-    """Weighted-Dirichlet distance^2 between v and rho(r/eps) v.
+    """Weighted-Dirichlet distance^2 between v and rho(r/eps) v, with
+    rho(t) = ``cubic_step(t - 1)``, whose end slopes vanish.
 
     The difference is supported on (0, 2 eps); its derivative is
     rho'(r/eps) v / eps + (rho - 1) v'.
@@ -63,8 +49,8 @@ def naive_cutoff_defect(p: RadialProfile, eps: float) -> float:
         raise ValueError(f"eps={eps} too large for support {p.support}")
 
     def f(r: float) -> float:
-        t = r / eps
-        d = smoothstep_deriv(t) * p.v(r) / eps + (smoothstep(t) - 1.0) * p.dv(r)
+        rho, drho = cubic_step(r / eps - 1.0)
+        d = drho * p.v(r) / eps + (rho - 1.0) * p.dv(r)
         return d * d * r
 
     # below eps the difference is -dv, so the defect there is D(0, eps)
@@ -135,10 +121,7 @@ def e1_obstruction(phi: RadialProfile) -> float:
                    name=f"e1-{phi.name}" if phi.name else "e1-phi", flat_below=0.0)
     # competitors may differ from the ground mode only at arbitrarily small
     # radii, so the cut radius must go all the way down the deep sequence
-    res = hardy.principal_value(diff, eps_sequence=DEEP_EPS_SEQUENCE)
-    if res.classification != "converged":
-        raise ValueError(f"principal value did not converge: {res.classification}")
-    return res.limit
+    return hardy.principal_value(diff, eps_sequence=DEEP_EPS_SEQUENCE).limit_or_raise()
 
 
 def dim_reduction(p: RadialProfile, R: float) -> float:

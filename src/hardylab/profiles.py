@@ -46,6 +46,7 @@ __all__ = [
     "make_subcritical",
     "make_named",
     "named_profile",
+    "cubic_step",
 ]
 
 ORIGIN_CLASSES = ("vanishing", "finite_limit", "oscillating", "log_divergent")
@@ -198,6 +199,14 @@ def _smooth_step_and_deriv(t):
     return a / (a + b), (da * (a + b) - a * (da + db)) / (a + b) ** 2
 
 
+def cubic_step(t):
+    """The cubic step rho(t) = t^2 (3 - 2t) on [0, 1], clamped outside, and
+    its derivative rho'(t) = 6t(1 - t), 0 outside: rho(0) = 0, rho(1) = 1
+    and rho'(0) = rho'(1) = 0."""
+    t = np.clip(t, 0.0, 1.0)
+    return t * t * (3.0 - 2.0 * t), 6.0 * t * (1.0 - t)
+
+
 def _hermite(x0: float, x1: float, p0: float, m0: float, p1: float, m1: float):
     """Cubic Hermite interpolant and its derivative on [x0, x1]."""
     w = x1 - x0
@@ -313,18 +322,16 @@ def _bump(dim: Dimension, fall: tuple[float, float],
 
 def _constant_plateau(dim: Dimension, plateau_end: float, support_end: float,
                       height: float) -> RadialProfile:
-    """v = height on [0, plateau_end], cubic smoothstep down to 0 at support_end."""
+    """v = height on [0, plateau_end], the cubic step down to 0 at support_end."""
     if not 0.0 < plateau_end < support_end:
         raise ValueError("need 0 < plateau_end < support_end")
     w = support_end - plateau_end
 
     def v(r):
-        t = np.clip((r - plateau_end) / w, 0.0, 1.0)
-        return height * (1.0 - t * t * (3.0 - 2.0 * t))
+        return height * (1.0 - cubic_step((r - plateau_end) / w)[0])
 
     def dv(r):
-        t = np.clip((r - plateau_end) / w, 0.0, 1.0)
-        return -height * 6.0 * t * (1.0 - t) / w
+        return -height * cubic_step((r - plateau_end) / w)[1] / w
 
     return RadialProfile(
         dim=dim,
@@ -341,8 +348,8 @@ def _log_ramp(dim: Dimension, delta: float) -> RadialProfile:
     """v = 1 below delta, log(r)/log(delta) up to r = 1: nearly minimizes the
     weighted Dirichlet energy at fixed unit trace, so the surface energy
     dominates the functional."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"need 0 < delta < 1, got {delta}")
+    if not MOLLIFY_RADIUS <= delta < 1.0:
+        raise ValueError(f"need MOLLIFY_RADIUS <= delta < 1, got delta={delta}")
     ln_d = math.log(delta)
 
     def v(r):
@@ -358,65 +365,63 @@ def _log_ramp(dim: Dimension, delta: float) -> RadialProfile:
 
 
 def make_named(dim: Dimension, kind: str, **params) -> RadialProfile:
-    """Construct a profile of a named kind.
+    """Construct a profile of a named kind: the one table of profile names
+    and of their default parameters.
 
-    kinds: ``log_power`` (param a), ``oscillating`` (param a), ``bump``
-    (params fall=(b0, b1), rise=None, height=1), ``constant_plateau``
-    (params plateau_end, support_end, height=1), ``log_ramp`` (param
-    delta=1e-6).
+    kinds: ``e1``, ``mode`` (param k=2), ``subcritical`` (param c=0),
+    ``log_power`` and ``oscillating`` (param a=0.3), ``log_ramp`` (param
+    delta=1e-6), ``bump`` (params fall=(0.4, 0.8), rise=None, height=1),
+    ``annular_bump`` (the bump with fall=(0.65, 0.8), rise=(0.2, 0.35)) and
+    ``constant_plateau`` (params plateau_end=0.4, support_end=0.9,
+    height=1).
     """
+    if kind == "e1":
+        return make_e1(dim)
+    if kind == "mode":
+        k = float(params.get("k", 2))
+        if not k.is_integer():
+            raise ValueError(f"mode index must be a whole number, got {k:g}")
+        return make_mode(dim, int(k))
+    if kind == "subcritical":
+        return make_subcritical(dim, float(params.get("c", 0.0)))
     if kind == "log_power":
         return _log_family(dim, float(params.get("a", 0.3)), oscillate=False)
     if kind == "oscillating":
         return _log_family(dim, float(params.get("a", 0.3)), oscillate=True)
-    if kind == "bump":
+    if kind == "log_ramp":
+        return _log_ramp(dim, float(params.get("delta", 1e-6)))
+    if kind in ("bump", "annular_bump"):
+        annular = kind == "annular_bump"
         return _bump(dim,
-                     fall=tuple(params.get("fall", (0.4, 0.8))),
-                     rise=params.get("rise"),
+                     fall=tuple(params.get("fall", (0.65, 0.8) if annular else (0.4, 0.8))),
+                     rise=params.get("rise", (0.2, 0.35) if annular else None),
                      height=float(params.get("height", 1.0)))
     if kind == "constant_plateau":
         return _constant_plateau(dim,
                                  plateau_end=float(params.get("plateau_end", 0.4)),
                                  support_end=float(params.get("support_end", 0.9)),
                                  height=float(params.get("height", 1.0)))
-    if kind == "log_ramp":
-        return _log_ramp(dim, float(params.get("delta", 1e-6)))
     raise ValueError(f"unknown profile kind {kind!r}")
 
 
 _NAME_RE = re.compile(r"^(?P<head>[a-z_0-9]+?)(?:\((?P<arg>[-+0-9.e]+)\))?$")
 
+#: the kinds whose name takes an argument, "(X)", and the parameter it sets
+_NAME_ARG = {"mode": "k", "subcritical": "c", "log_power": "a",
+             "oscillating": "a", "log_ramp": "delta"}
+
 
 def named_profile(dim: Dimension, text: str) -> RadialProfile:
-    """Profile addressed by a string name, e.g. from a command line.
-
-    Accepted: ``e1``, ``mode(K)``, ``bump``, ``annular_bump``,
-    ``constant_plateau``, ``log_power(A)``, ``oscillating(A)``,
-    ``subcritical(C)``, ``log_ramp(D)``.
-    """
+    """Profile addressed by a string name, e.g. from a command line: a
+    ``make_named`` kind, where "(X)" sets the one parameter of ``mode``,
+    ``subcritical``, ``log_power``, ``oscillating`` and ``log_ramp``."""
     m = _NAME_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse profile name {text!r}")
     head, arg = m.group("head"), m.group("arg")
-    if head == "e1":
-        return make_e1(dim)
-    if head == "mode":
-        k = float(arg or 2)
-        if not k.is_integer():
-            raise ValueError(f"mode index must be a whole number, got {arg}")
-        return make_mode(dim, int(k))
-    if head == "bump":
-        return make_named(dim, "bump")
-    if head == "annular_bump":
-        return make_named(dim, "bump", rise=(0.2, 0.35), fall=(0.65, 0.8))
-    if head == "constant_plateau":
-        return make_named(dim, "constant_plateau")
-    if head == "log_power":
-        return make_named(dim, "log_power", a=float(arg or 0.3))
-    if head == "oscillating":
-        return make_named(dim, "oscillating", a=float(arg or 0.3))
-    if head == "subcritical":
-        return make_subcritical(dim, float(arg or 0.0))
-    if head == "log_ramp":
-        return make_named(dim, "log_ramp", delta=float(arg or 1e-6))
-    raise ValueError(f"unknown profile name {text!r}")
+    if arg is None:
+        return make_named(dim, head)
+    if head not in _NAME_ARG:
+        raise ValueError(f"profile name {text!r}: only {', '.join(_NAME_ARG)} "
+                         "take an argument")
+    return make_named(dim, head, **{_NAME_ARG[head]: float(arg)})

@@ -100,12 +100,13 @@ DEFAULT_EPS_SEQUENCE = tuple(10.0**-j for j in range(1, 7))
 DEEP_EPS_SEQUENCE = tuple(10.0**-g for g in (1, 2, 4, 8, 16, 32, 64, 128, 250))
 
 
-class InsufficientSamplesError(RuntimeError):
-    """Fewer than four usable evaluations in a limit computation."""
-
-
 class NonConvergenceError(ArithmeticError):
-    """An integral was asked for its value but carries converged=False."""
+    """A number was asked for that could not be computed: an integral that
+    carries converged=False or a limit that did not converge."""
+
+
+class InsufficientSamplesError(NonConvergenceError):
+    """Fewer than four usable evaluations in a limit computation."""
 
 
 @dataclass
@@ -245,6 +246,13 @@ class LimitResult:
     classification: str  # converged | oscillating | diverging
     samples: list = field(default_factory=list)
     dropped: list = field(default_factory=list)  # (eps, reason) per unusable sample
+
+    def limit_or_raise(self) -> float:
+        """The limit, or NonConvergenceError naming the class when the
+        samples did not converge."""
+        if self.classification != "converged":
+            raise NonConvergenceError(f"limit did not converge: {self.classification}")
+        return self.limit
 
 
 def _aitken(values):

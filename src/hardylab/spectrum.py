@@ -86,10 +86,7 @@ class SpectralField:
 
 def rayleigh(p: RadialProfile) -> float:
     """Cutoff-norm Rayleigh quotient ||u||^2_H / ||u||^2_{L^2}."""
-    res = hardy.cutoff_norm(p)
-    if res.classification != "converged":
-        raise ValueError(f"cutoff norm did not converge: {res.classification}")
-    return res.limit / hardy.weighted_l2_sq(p)
+    return hardy.cutoff_norm(p).limit_or_raise() / hardy.weighted_l2_sq(p)
 
 
 def expand(p: RadialProfile, K: int) -> SpectralField:

@@ -139,21 +139,19 @@ def hardy_poincare_check(p: RadialProfile) -> HardyPoincareResult:
     """Both sides of the decomposition I = gradient + mass + L, each by its
     own quadrature, together with the strict-improvement margin.
 
-    Raises NonConvergenceError when the Bessel-weighted energies do not
-    converge, as on a profile whose Bessel factor has a pole at a zero of
-    J_0.
+    Raises NonConvergenceError when the principal value or the
+    Bessel-weighted energies do not converge, as on a profile whose Bessel
+    factor has a pole at a zero of J_0.
     """
-    pv = hardy.principal_value(p)
-    if pv.classification != "converged":
-        raise ValueError(f"principal value did not converge: {pv.classification}")
+    pv = hardy.principal_value(p).limit_or_raise()
     hs = hardy.singularity_energy(p, 0.0)
     je = j_functional(p).or_raise()
-    i_val = pv.limit - hs
+    i_val = pv - hs
     return HardyPoincareResult(
         i_value=i_val,
         energies=je,
         margin=i_val - je.mass,
-        defect=abs(pv.limit - (je.gradient + je.mass + hs)),
+        defect=abs(pv - (je.gradient + je.mass + hs)),
     )
 
 

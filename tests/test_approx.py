@@ -4,7 +4,8 @@ from dataclasses import replace
 import pytest
 
 from hardylab import approx, hardy
-from hardylab.profiles import MOLLIFY_RADIUS, Dimension, make_e1, make_named, named_profile
+from hardylab.profiles import (MOLLIFY_RADIUS, Dimension, cubic_step, make_e1, make_named,
+                               named_profile)
 from hardylab.quadrature import integrate
 from hardylab.specfun import bessel_j
 
@@ -15,7 +16,7 @@ def test_cubic_smoothstep_energy():
     # int_1^2 t rho'^2 dt = 9/5 for the cubic ramp: the closed form, checked
     # against the adaptive quadrature and against Simpson
     assert approx.smoothstep_energy() == 9.0 / 5.0
-    f = lambda t: t * approx.smoothstep_deriv(t) ** 2
+    f = lambda t: t * cubic_step(t - 1.0)[1] ** 2
     quad = integrate(f, 1.0, 2.0)
     assert quad.converged
     assert abs(quad.value - approx.smoothstep_energy()) <= 1e-14
@@ -27,13 +28,13 @@ def test_smoothstep_validation():
     # the end conditions the defect limit integrates by parts against:
     # rho(1) = 0, rho(2) = 1, rho'(1) = rho'(2) = 0, clamped outside [1, 2]
     for t, want in ((0.5, 0.0), (1.0, 0.0), (2.0, 1.0), (3.0, 1.0)):
-        assert approx.smoothstep(t) == want
-        assert approx.smoothstep_deriv(t) == 0.0
-    assert abs(approx.smoothstep_deriv(1.5) - 1.5) < 1e-15
+        assert cubic_step(t - 1.0)[0] == want
+        assert cubic_step(t - 1.0)[1] == 0.0
+    assert abs(cubic_step(1.5 - 1.0)[1] - 1.5) < 1e-15
     h = 1e-6
     for t in (1.2, 1.5, 1.9):
-        fd = (approx.smoothstep(t + h) - approx.smoothstep(t - h)) / (2.0 * h)
-        assert abs(fd - approx.smoothstep_deriv(t)) < 1e-8
+        fd = (cubic_step(t + h - 1.0)[0] - cubic_step(t - h - 1.0)[0]) / (2.0 * h)
+        assert abs(fd - cubic_step(t - 1.0)[1]) < 1e-8
 
 
 def test_naive_cutoff_limit_plateau(dim3):

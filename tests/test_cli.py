@@ -63,8 +63,9 @@ def test_energy_law_defect_on_synthetic_rows():
     rows = [_sample(-1.001, -1.0), _sample(-2.0, -2.0)]
     assert energy_law_defect(rows) == abs(-1.001 - -1.0) / 1.0
     assert energy_law_defect([]) == 0.0
-    # a state that decayed below the float range: both sides are 0
-    assert energy_law_defect(rows + [_sample(0.0, 0.0)]) == energy_law_defect(rows)
+    # a state that decayed below the float range: both sides are 0, and the
+    # row tests nothing, so the check cannot pass on it
+    assert energy_law_defect(rows + [_sample(0.0, 0.0)]) == math.inf
     # -2D is 0 but the rate is not: the law cannot hold, the check fails
     assert energy_law_defect([_sample(1e-300, 0.0)] + rows) == math.inf
 
@@ -117,6 +118,20 @@ def test_byte_identical_reruns(tmp_path):
 
 def test_bad_dimension_exits_2(tmp_path):
     assert main(["spectrum", "--dim", "2", "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("profile", ["e1(7)", "log_ramp(1e-300)"])
+def test_bad_profile_name_exits_2(tmp_path, profile):
+    assert main(["energy", "--profile", profile, "--out", str(tmp_path / "x")]) == 2
+
+
+def test_number_that_cannot_be_computed_exits_1(tmp_path, capsys):
+    # the spectral expansion of oscillating(50) does not converge: the CLI
+    # says so on stderr, without a traceback, and exits 1
+    argv = ["evolve", "--profile", "oscillating(50)", "--grid", "64"]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
 
 
 def test_bad_profile_exits_2(tmp_path):

@@ -167,6 +167,18 @@ def test_log_ramp_limit_on_default_grid(dim3):
     assert abs(res.limit - want) <= 1e-8 * want
 
 
+@pytest.mark.xfail(strict=True, reason="the deep grid leaves two samples below "
+                   "delta = 1e-100, and the classifier reads their run up to the "
+                   "frozen value as diverging (ROADMAP items 1 and 10)")
+def test_log_ramp_limit_below_the_deep_grid(dim3):
+    # D(0, 1) = s_N / ln(1/delta) for the ramp flat below delta = 1e-100
+    p = make_named(dim3, "log_ramp", delta=1e-100)
+    want = dim3.surface_factor / math.log(1e100)
+    res = hardy.cutoff_norm(p)
+    assert res.classification == "converged"
+    assert abs(res.limit - want) <= 1e-8 * want
+
+
 def test_oscillating_profile_limit_exists_while_functional_oscillates(dim3):
     p = named_profile(dim3, "oscillating(0.3)")
     bare = hardy.principal_value(p)

@@ -8,6 +8,7 @@ from hardylab import approx, hardy, kelvin, spectrum, wholespace
 from hardylab.profiles import (
     MOLLIFY_RADIUS,
     Dimension,
+    cubic_step,
     make_e1,
     make_mode,
     make_named,
@@ -155,6 +156,15 @@ def test_named_profile_parser(dim3):
         named_profile(dim3, "nonsense")
 
 
+@pytest.mark.parametrize("text", ["e1(7)", "bump(3)", "annular_bump(0.5)",
+                                  "constant_plateau(2)", "nonsense(1)", "mode(2.5)",
+                                  "log_ramp(1e-300)"])
+def test_named_profile_refuses_an_argument_it_cannot_set(dim3, text):
+    # only the kinds of one parameter take "(X)"; an argument is never dropped
+    with pytest.raises(ValueError):
+        named_profile(dim3, text)
+
+
 def test_annular_bump_support(dim3):
     p = named_profile(dim3, "annular_bump")
     assert p.support == (0.2, 0.8)
@@ -197,6 +207,56 @@ def test_named_profiles_are_array_functions(n, name):
     p = named_profile(Dimension(n), name)
     for fn in (p.v, p.dv, scaled(p, -1.5).v, scaled(p, -1.5).dv):
         assert_array_contract(fn, RADII)
+
+
+#: every make_named kind with the parameter its "(X)" sets, if any
+NAMED_KINDS = {"e1": None, "mode": "k", "subcritical": "c", "log_power": "a",
+               "oscillating": "a", "log_ramp": "delta", "bump": None,
+               "annular_bump": None, "constant_plateau": None}
+
+
+def assert_same_profile(p, q):
+    """p and q carry the same name, class and support, and bitwise-equal
+    v and dv on RADII."""
+    assert (p.name, p.origin_class, p.support, p.flat_below, p.member) == \
+        (q.name, q.origin_class, q.support, q.flat_below, q.member)
+    with np.errstate(all="ignore"):  # some derivatives are singular at 0
+        for f, g in ((p.v, q.v), (p.dv, q.dv)):
+            np.testing.assert_array_equal(f(RADII), g(RADII))
+
+
+@pytest.mark.parametrize("kind", sorted(NAMED_KINDS))
+def test_named_profile_is_make_named(dim3, kind):
+    # make_named is the one table of names and defaults; named_profile parses
+    assert_same_profile(named_profile(dim3, kind), make_named(dim3, kind))
+    param = NAMED_KINDS[kind]
+    if param is not None:
+        arg = {"mode": "3", "subcritical": "0.1", "log_ramp": "1e-12"}.get(kind, "0.45")
+        assert_same_profile(named_profile(dim3, f"{kind}({arg})"),
+                            make_named(dim3, kind, **{param: float(arg)}))
+
+
+def test_annular_bump_is_the_bump_with_both_windows(dim3):
+    assert_same_profile(make_named(dim3, "annular_bump"),
+                        make_named(dim3, "bump", rise=(0.2, 0.35), fall=(0.65, 0.8)))
+
+
+def test_cubic_step_values_and_derivative():
+    t = np.array([-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0])
+    rho, drho = cubic_step(t)
+    np.testing.assert_array_equal(rho, [0.0, 0.0, 0.15625, 0.5, 0.84375, 1.0, 1.0])
+    np.testing.assert_array_equal(drho, [0.0, 0.0, 1.125, 1.5, 1.125, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("height", [1.0, 2.0])
+def test_constant_plateau_keeps_its_expressions(dim3, height):
+    # the plateau's fall is the cubic step; bitwise the expressions it used
+    # to write out itself
+    p = make_named(dim3, "constant_plateau", height=height)
+    w = 0.9 - 0.4
+    t = np.clip((RADII - 0.4) / w, 0.0, 1.0)
+    np.testing.assert_array_equal(p.v(RADII), height * (1.0 - t * t * (3.0 - 2.0 * t)))
+    np.testing.assert_array_equal(p.dv(RADII), -height * 6.0 * t * (1.0 - t) / w)
 
 
 @pytest.mark.parametrize("name", ["e1", "bump", "log_power(0.3)", "oscillating(0.3)"])

@@ -9,6 +9,7 @@ from hardylab.quadrature import (
     DEEP_EPS_SEQUENCE,
     DEFAULT_EPS_SEQUENCE,
     InsufficientSamplesError,
+    LimitResult,
     NonConvergenceError,
     QuadResult,
     classify_sequence,
@@ -205,6 +206,15 @@ def test_value_or_raise():
         QuadResult(math.nan, math.inf, converged=False).value_or_raise()
     # an ArithmeticError, so integrate_to_limit drops such a sample
     assert issubclass(NonConvergenceError, ArithmeticError)
+
+
+def test_limit_or_raise():
+    assert LimitResult(2.5, "converged").limit_or_raise() == 2.5
+    for cls in ("diverging", "oscillating"):
+        with pytest.raises(NonConvergenceError, match=cls):
+            LimitResult(math.nan, cls).limit_or_raise()
+    # too few samples is one more number that could not be computed
+    assert issubclass(InsufficientSamplesError, NonConvergenceError)
 
 
 def test_limit_records_dropped_samples():

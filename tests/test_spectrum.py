@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hardylab import hardy, spectrum
-from hardylab.profiles import make_e1, make_mode, make_named, make_subcritical
+from hardylab.profiles import make_e1, make_mode, make_named, make_subcritical, named_profile
+from hardylab.quadrature import NonConvergenceError
 from hardylab.specfun import bessel_j, bessel_zero
 
 from oracles import Z01, Z02, Z11, subcritical_rayleigh_quadrature
@@ -58,6 +59,13 @@ def test_rayleigh_of_modes(dim3):
 
 def test_rayleigh_of_bump_exceeds_minimum(dim3):
     assert spectrum.rayleigh(make_named(dim3, "bump")) > MU1
+
+
+def test_rayleigh_without_a_limit_raises(dim3):
+    # log_power(0.6) lies outside the weighted Dirichlet space: its cutoff
+    # norm diverges, and the quotient has no value
+    with pytest.raises(NonConvergenceError, match="diverging"):
+        spectrum.rayleigh(named_profile(dim3, "log_power(0.6)"))
 
 
 def test_expand_ground_mode(dim3):
