@@ -75,10 +75,10 @@ def log_cutoff(p: RadialProfile, eps: float) -> RadialProfile:
     c = 1.0 / math.log(1.0 / eps)
 
     def ramp(r):
-        return np.where(r >= eps, 1.0, c * np.log(np.clip(r, e2, eps) / e2))
+        return np.where(r >= eps, 1.0, c * np.log(np.minimum(np.maximum(r, e2), eps) / e2))
 
     def dramp(r):
-        return np.where((e2 < r) & (r < eps), c / np.clip(r, e2, eps), 0.0)
+        return np.where((e2 < r) & (r < eps), c / np.minimum(np.maximum(r, e2), eps), 0.0)
 
     return RadialProfile(
         dim=p.dim,

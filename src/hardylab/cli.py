@@ -141,6 +141,10 @@ def suite_energy(dim: Dimension, profile_name: str, eps_min: float):
             gap_rhs = hardy.singularity_energy(p, 0.0)
             checks.append(_check("norm_gap_vs_singularity_energy",
                                  gap_lhs / gap_rhs, 1.0, 1e-5))
+        elif p.origin_class == "vanishing":
+            # a profile that vanishes at the origin carries no surface energy
+            checks.append(_check("norm_gap_vanishes", pv.limit - cn.limit, 0.0,
+                                 1e-9 * (1.0 + abs(cn.limit))))
     return ("eps,annulus,singularity,dirichlet,residual", rows, checks)
 
 
@@ -339,7 +343,7 @@ def run(command: str, dim_n: int, profile: str, eps_min: float, modes: int,
         for c in checks:
             status = "pass" if c["pass"] else "FAIL"
             print(f"[{name}] {c['name']}: {status} (value={_fmt(c['value'])})")
-            for key in ("value", "expected"):  # strict JSON: no NaN/inf tokens
+            for key in ("value", "expected", "tolerance"):  # strict JSON: no NaN/inf
                 if not math.isfinite(c[key]):
                     c[key] = None
         report = {"suite": name, "dimension": dim.n, "rows": checks}

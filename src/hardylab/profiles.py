@@ -181,7 +181,7 @@ def make_subcritical(dim: Dimension, c: float) -> RadialProfile:
 def _step_parts(t):
     """(t, exp(-1/t), exp(-1/(1-t))) with t clipped into (0, 1): at the clip
     ends one exponential is exactly 0, so the step is exactly 0 or 1 there."""
-    t = np.clip(t, 1e-150, np.nextafter(1.0, 0.0))
+    t = np.minimum(np.maximum(t, 1e-150), np.nextafter(1.0, 0.0))
     return t, np.exp(-1.0 / t), np.exp(-1.0 / (1.0 - t))
 
 
@@ -203,7 +203,7 @@ def cubic_step(t):
     """The cubic step rho(t) = t^2 (3 - 2t) on [0, 1], clamped outside, and
     its derivative rho'(t) = 6t(1 - t), 0 outside: rho(0) = 0, rho(1) = 1
     and rho'(0) = rho'(1) = 0."""
-    t = np.clip(t, 0.0, 1.0)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
     return t * t * (3.0 - 2.0 * t), 6.0 * t * (1.0 - t)
 
 
@@ -253,7 +253,7 @@ def _log_family(dim: Dimension, a: float, oscillate: bool) -> RadialProfile:
     def law(r):
         """(r, s = log(1/r)) with r clipped to the pure law's range; the
         clip at MOLLIFY_RADIUS is the freeze."""
-        r = np.clip(r, MOLLIFY_RADIUS, r_c)
+        r = np.minimum(np.maximum(r, MOLLIFY_RADIUS), r_c)
         return r, np.log(1.0 / r)
 
     def v(r):
@@ -353,75 +353,69 @@ def _log_ramp(dim: Dimension, delta: float) -> RadialProfile:
     ln_d = math.log(delta)
 
     def v(r):
-        return np.where(r <= delta, 1.0, np.log(np.clip(r, delta, 1.0)) / ln_d)[()]
+        return np.where(r <= delta, 1.0, np.log(np.minimum(np.maximum(r, delta), 1.0)) / ln_d)[()]
 
     def dv(r):
         inside = (r > delta) & (r < 1.0)
-        return np.where(inside, 1.0 / (np.clip(r, delta, 1.0) * ln_d), 0.0)[()]
+        return np.where(inside, 1.0 / (np.minimum(np.maximum(r, delta), 1.0) * ln_d), 0.0)[()]
 
     return RadialProfile(dim=dim, v=v, dv=dv, support=(0.0, 1.0),
                          origin_class="finite_limit", name=f"log_ramp({delta:g})",
                          flat_below=delta)
 
 
-def make_named(dim: Dimension, kind: str, **params) -> RadialProfile:
-    """Construct a profile of a named kind: the one table of profile names
-    and of their default parameters.
+def _mode_by_index(dim: Dimension, k) -> RadialProfile:
+    k = float(k)
+    if not k.is_integer():
+        raise ValueError(f"mode index must be a whole number, got {k:g}")
+    return make_mode(dim, int(k))
 
-    kinds: ``e1``, ``mode`` (param k=2), ``subcritical`` (param c=0),
-    ``log_power`` and ``oscillating`` (param a=0.3), ``log_ramp`` (param
-    delta=1e-6), ``bump`` (params fall=(0.4, 0.8), rise=None, height=1),
-    ``annular_bump`` (the bump with fall=(0.65, 0.8), rise=(0.2, 0.35)) and
-    ``constant_plateau`` (params plateau_end=0.4, support_end=0.9,
-    height=1).
-    """
-    if kind == "e1":
-        return make_e1(dim)
-    if kind == "mode":
-        k = float(params.get("k", 2))
-        if not k.is_integer():
-            raise ValueError(f"mode index must be a whole number, got {k:g}")
-        return make_mode(dim, int(k))
-    if kind == "subcritical":
-        return make_subcritical(dim, float(params.get("c", 0.0)))
-    if kind == "log_power":
-        return _log_family(dim, float(params.get("a", 0.3)), oscillate=False)
-    if kind == "oscillating":
-        return _log_family(dim, float(params.get("a", 0.3)), oscillate=True)
-    if kind == "log_ramp":
-        return _log_ramp(dim, float(params.get("delta", 1e-6)))
-    if kind in ("bump", "annular_bump"):
-        annular = kind == "annular_bump"
-        return _bump(dim,
-                     fall=tuple(params.get("fall", (0.65, 0.8) if annular else (0.4, 0.8))),
-                     rise=params.get("rise", (0.2, 0.35) if annular else None),
-                     height=float(params.get("height", 1.0)))
-    if kind == "constant_plateau":
-        return _constant_plateau(dim,
-                                 plateau_end=float(params.get("plateau_end", 0.4)),
-                                 support_end=float(params.get("support_end", 0.9)),
-                                 height=float(params.get("height", 1.0)))
-    raise ValueError(f"unknown profile kind {kind!r}")
+
+#: kind -> (constructor, its parameters with their defaults): the one table
+#: of profile names; the annular bump is the bump with a rise window
+_KINDS = {
+    "e1": (make_e1, {}),
+    "mode": (_mode_by_index, {"k": 2}),
+    "subcritical": (make_subcritical, {"c": 0.0}),
+    "log_power": (lambda dim, a: _log_family(dim, a, oscillate=False), {"a": 0.3}),
+    "oscillating": (lambda dim, a: _log_family(dim, a, oscillate=True), {"a": 0.3}),
+    "log_ramp": (_log_ramp, {"delta": 1e-6}),
+    "bump": (_bump, {"fall": (0.4, 0.8), "rise": None, "height": 1.0}),
+    "annular_bump": (_bump, {"fall": (0.65, 0.8), "rise": (0.2, 0.35), "height": 1.0}),
+    "constant_plateau": (_constant_plateau,
+                         {"plateau_end": 0.4, "support_end": 0.9, "height": 1.0}),
+}
+
+
+def make_named(dim: Dimension, kind: str, **params) -> RadialProfile:
+    """Construct a profile of a named kind of ``_KINDS``, its parameters
+    defaulted from there; a parameter the kind does not take is refused."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown profile kind {kind!r}")
+    build, defaults = _KINDS[kind]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        takes = ", ".join(defaults) or "no parameters"
+        raise ValueError(f"profile kind {kind!r} takes {takes}, not {', '.join(unknown)}")
+    return build(dim, **{**defaults, **params})
 
 
 _NAME_RE = re.compile(r"^(?P<head>[a-z_0-9]+?)(?:\((?P<arg>[-+0-9.e]+)\))?$")
 
-#: the kinds whose name takes an argument, "(X)", and the parameter it sets
-_NAME_ARG = {"mode": "k", "subcritical": "c", "log_power": "a",
-             "oscillating": "a", "log_ramp": "delta"}
-
 
 def named_profile(dim: Dimension, text: str) -> RadialProfile:
     """Profile addressed by a string name, e.g. from a command line: a
-    ``make_named`` kind, where "(X)" sets the one parameter of ``mode``,
-    ``subcritical``, ``log_power``, ``oscillating`` and ``log_ramp``."""
+    ``make_named`` kind, where "(X)" sets the parameter of a kind that takes
+    exactly one (``mode``, ``subcritical``, ``log_power``, ``oscillating``
+    and ``log_ramp``)."""
     m = _NAME_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse profile name {text!r}")
     head, arg = m.group("head"), m.group("arg")
     if arg is None:
         return make_named(dim, head)
-    if head not in _NAME_ARG:
-        raise ValueError(f"profile name {text!r}: only {', '.join(_NAME_ARG)} "
-                         "take an argument")
-    return make_named(dim, head, **{_NAME_ARG[head]: float(arg)})
+    params = list(_KINDS[head][1]) if head in _KINDS else []
+    if len(params) != 1:
+        one = [kind for kind, (_, defaults) in _KINDS.items() if len(defaults) == 1]
+        raise ValueError(f"profile name {text!r}: only {', '.join(one)} take an argument")
+    return make_named(dim, head, **{params[0]: float(arg)})

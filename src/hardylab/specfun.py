@@ -44,7 +44,7 @@ def bessel_j(nu: float, x):
             raise BesselError(f"argument must be nonnegative, got x={x}")
         return float(_jv(nu, x))
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise BesselError(f"argument must be nonnegative, got min x={arr.min()}")
     out = _jv(nu, arr)
     return float(out) if arr.ndim == 0 else out
@@ -60,7 +60,7 @@ def bessel_j_deriv(nu: float, x):
         return -bessel_j(1.0, x)
     arr = np.asarray(x, dtype=float)
     origin = arr == 0.0
-    if np.any(arr < 0.0) or (nu != 1.0 and np.any(origin)):
+    if (arr < 0.0).any() or (nu != 1.0 and origin.any()):
         raise BesselError(f"derivative needs x > 0 for fractional order, got min x={arr.min()}")
     # J_1'(0) = 1/2; elsewhere the recurrence at x > 0
     safe = np.where(origin, 1.0, arr)

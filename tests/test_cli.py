@@ -78,6 +78,31 @@ def test_energy_suite_deep_log_ramp(tmp_path, n, delta):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
+def _energy_rows(tmp_path, n, profile):
+    """(exit code, {name: row}) of the energy suite on one profile."""
+    out = tmp_path / "out"
+    code = main(["energy", "--dim", str(n), "--profile", profile, "--out", str(out)])
+    return code, {r["name"]: r for r in json.loads((out / "energy.json").read_text())["rows"]}
+
+
+@pytest.mark.parametrize("n, profile", [(3, "annular_bump"), (3, "subcritical(0.2)"),
+                                        (4, "subcritical(0.5)"), (5, "annular_bump")])
+def test_energy_suite_vanishing_profile_carries_no_norm_gap(tmp_path, n, profile):
+    code, rows = _energy_rows(tmp_path, n, profile)
+    assert code == 0
+    assert rows["norm_gap_vanishes"]["pass"] is True
+    assert "norm_gap_vs_singularity_energy" not in rows
+
+
+def test_energy_suite_norm_gap_without_limits_fails_in_strict_json(tmp_path):
+    # m = sqrt(c* - c) = 0.01: neither limit converges, so the gap and its
+    # tolerance are nan; the row fails and the report holds no NaN token
+    code, rows = _energy_rows(tmp_path, 3, "subcritical(0.2499)")
+    assert code == 1
+    assert rows["norm_gap_vanishes"] == {"name": "norm_gap_vanishes", "value": None,
+                                         "expected": 0.0, "tolerance": None, "pass": False}
+
+
 def test_kelvin_suite(tmp_path):
     out = tmp_path / "out"
     assert main(["kelvin", "--out", str(out)]) == 0

@@ -165,6 +165,17 @@ def test_named_profile_refuses_an_argument_it_cannot_set(dim3, text):
         named_profile(dim3, text)
 
 
+@pytest.mark.parametrize("kind, params, takes", [
+    ("e1", {"k": 3}, "takes no parameters"),
+    ("bump", {"hieght": 2.0}, "takes fall, rise, height"),
+    ("log_power", {"delta": 0.1}, "takes a,"),
+])
+def test_make_named_refuses_a_parameter_its_kind_does_not_take(dim3, kind, params, takes):
+    # a misspelt or misplaced parameter is never dropped for the default
+    with pytest.raises(ValueError, match=f"{kind!r} {takes}"):
+        make_named(dim3, kind, **params)
+
+
 def test_annular_bump_support(dim3):
     p = named_profile(dim3, "annular_bump")
     assert p.support == (0.2, 0.8)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardylab import approx, hardy, quadrature
 from hardylab.profiles import MOLLIFY_RADIUS, make_e1, named_profile
@@ -270,8 +272,10 @@ def _cases(dim3):
                                   "log_power_reduced_slice", "log_j0_right",
                                   "e1_dirichlet_deep"])
 def test_batched_panels_match_scalar_oracle(dim3, case):
-    # the same panels refined in the same order as the one-node-at-a-time
-    # loop: equal point counts, values equal up to the summation order
+    # on these cases every round of refinement splits one panel, the worst,
+    # so the rounds coincide with the one-split-per-call heap loop of the
+    # one-node-at-a-time oracle: equal point counts, values equal up to the
+    # summation order
     f, a, b, end = _cases(dim3)[case]
     sizes = []
 
@@ -289,3 +293,43 @@ def test_batched_panels_match_scalar_oracle(dim3, case):
     batches = -(-panels // 128)
     assert sizes[:batches] == [21 * min(128, panels - 128 * k) for k in range(batches)]
     assert all(n == 42 for n in sizes[batches:])
+
+
+def _lorentzians(peaks):
+    """(f, closed form of its integral over (0, 1)) for a sum of peaks
+    w / ((x - c)^2 + w^2), (c, w) in peaks."""
+    def f(x):
+        return sum(w / ((x - c) ** 2 + w * w) for c, w in peaks)
+
+    return f, sum(math.atan((1.0 - c) / w) + math.atan(c / w) for c, w in peaks)
+
+
+PEAKS = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-4, 1e-1)),
+                 min_size=1, max_size=4)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(PEAKS)
+def test_lorentzian_peaks_match_the_arctan_closed_form(peaks):
+    f, exact = _lorentzians(peaks)
+    res = integrate(f, 0.0, 1.0)
+    assert res.converged
+    assert abs(res.value - exact) <= max(1e-10, 1e-10 * abs(res.value))
+
+
+def test_rounds_split_several_panels_per_call():
+    # two sharp peaks: each round bisects every panel it needs at once, so
+    # f is called fewer times than the heap loop splits, on the same points
+    f, _ = _lorentzians([(0.3, 1e-3), (0.7, 1e-3)])
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return f(x)
+
+    res = integrate(counted, 0.0, 1.0)
+    want, points, panels = scalar_gk21(f, 0.0, 1.0)
+    splits = (points - 21 * panels) // 42
+    assert len(sizes) < splits
+    assert sum(sizes) == points
+    assert abs(res.value - want) <= 1e-14 * abs(want)
