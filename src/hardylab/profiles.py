@@ -57,13 +57,15 @@ MOLLIFY_RADIUS = 1e-290
 
 @dataclass(frozen=True)
 class Dimension:
-    """Ambient dimension N >= 3 with the constants attached to it."""
+    """Ambient dimension 3 <= N <= 341 with the constants attached to it."""
 
     n: int
 
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError(f"dimension must be >= 3, got {self.n}")
+        if self.n > 341:  # Gamma(N/2 + 1) in ball_volume overflows from 342 on
+            raise ValueError(f"dimension must be <= 341, got {self.n}")
 
     @property
     def critical_coefficient(self) -> float:
@@ -207,29 +209,6 @@ def cubic_step(t):
     return t * t * (3.0 - 2.0 * t), 6.0 * t * (1.0 - t)
 
 
-def _hermite(x0: float, x1: float, p0: float, m0: float, p1: float, m1: float):
-    """Cubic Hermite interpolant and its derivative on [x0, x1]."""
-    w = x1 - x0
-
-    def h(x: float) -> float:
-        t = (x - x0) / w
-        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-        h10 = t * (1.0 - t) ** 2
-        h01 = t * t * (3.0 - 2.0 * t)
-        h11 = t * t * (t - 1.0)
-        return h00 * p0 + h10 * w * m0 + h01 * p1 + h11 * w * m1
-
-    def dh(x: float) -> float:
-        t = (x - x0) / w
-        d00 = 6.0 * t * (t - 1.0)
-        d10 = (1.0 - t) * (1.0 - 3.0 * t)
-        d01 = 6.0 * t * (1.0 - t)
-        d11 = t * (3.0 * t - 2.0)
-        return (d00 * p0 + d01 * p1) / w + d10 * m0 + d11 * m1
-
-    return h, dh
-
-
 def _log_family(dim: Dimension, a: float, oscillate: bool) -> RadialProfile:
     """Profiles driven by s = log(1/r): v = s^a or v = sin(s^a) near the origin.
 
@@ -248,7 +227,14 @@ def _log_family(dim: Dimension, a: float, oscillate: bool) -> RadialProfile:
     else:
         p_c = 1.0
         m_c = -a / r_c
-    bridge, dbridge = _hermite(r_c, 1.0, p_c, m_c, 0.0, 0.0)
+    w = 1.0 - r_c
+
+    def bridge(r):
+        """(value, slope) of the cubic Hermite bridge from (p_c, m_c) at r_c to (0, 0) at 1."""
+        t = (r - r_c) / w
+        rho, drho = cubic_step(t)
+        return (p_c * (1.0 - rho) + w * m_c * t * (1.0 - t) ** 2,
+                -p_c * drho / w + m_c * (1.0 - t) * (1.0 - 3.0 * t))
 
     def law(r):
         """(r, s = log(1/r)) with r clipped to the pure law's range; the
@@ -259,7 +245,7 @@ def _log_family(dim: Dimension, a: float, oscillate: bool) -> RadialProfile:
     def v(r):
         _, s = law(r)
         pure = np.sin(s**a) if oscillate else s**a
-        return np.where(r >= 1.0, 0.0, np.where(r > r_c, bridge(r), pure))[()]
+        return np.where(r >= 1.0, 0.0, np.where(r > r_c, bridge(r)[0], pure))[()]
 
     def dv(r):
         rl, s = law(r)
@@ -267,7 +253,7 @@ def _log_family(dim: Dimension, a: float, oscillate: bool) -> RadialProfile:
             pure = -a * np.cos(s**a) * s ** (a - 1.0) / rl
         else:
             pure = -a * s ** (a - 1.0) / rl
-        out = np.where(r > r_c, dbridge(r), pure)
+        out = np.where(r > r_c, bridge(r)[1], pure)
         return np.where((r >= 1.0) | (r <= MOLLIFY_RADIUS), 0.0, out)[()]
 
     kind = "oscillating" if oscillate else "log_power"

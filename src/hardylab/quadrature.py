@@ -14,13 +14,13 @@ the rounds spent 0.14 % more points in total than that loop, at most 7.4 %
 more on one sum and more on 20 of them, in less than half the calls of f;
 the values agreed to 2.4e-15 relative.
 
-When an endpoint e is flagged singular, the initial panels are graded
-geometrically toward it with ratio 1/2, which resolves integrands such as
-1/r, log(1/r) and powers of log that concentrate over many decades.  The
-number of levels comes from the interval alone: log2(max(width/|e|, 4)) + 10
-(one per octave between e and the far end, plus ten) when e is nonzero, 52
-when e is exactly 0, and never so many that the innermost nodes would round
-onto e.
+When the left endpoint e is flagged singular (the right one cannot be), the
+initial panels are graded geometrically toward it with ratio 1/2, which
+resolves integrands such as 1/r, log(1/r) and powers of log that concentrate
+over many decades.  The number of levels comes from the interval alone:
+log2(max(width/|e|, 4)) + 10 (one per octave between e and the far end, plus
+ten) when e is nonzero, 52 when e is exactly 0, and never so many that the
+innermost nodes would round onto e.
 
 Two rules stop the refinement short of the tolerance, and the result then
 reports converged=False: a round that would split a panel at most 2^8
@@ -160,14 +160,10 @@ def _grading_levels(width: float, endpoint: float) -> int:
 def _initial_edges(a: float, b: float, singular_end: str):
     if singular_end == "none":
         return [a, b]
-    if singular_end not in ("left", "right"):
-        raise ValueError(f"singular_end must be none/left/right, got {singular_end!r}")
+    if singular_end != "left":
+        raise ValueError(f"singular_end must be 'none' or 'left', got {singular_end!r}")
     width = b - a
-    levels = _grading_levels(width, a if singular_end == "left" else b)
-    offsets = [width * 0.5**j for j in range(1, levels + 1)]
-    if singular_end == "left":
-        return [a] + [a + w for w in reversed(offsets)] + [b]
-    return [a] + [b - w for w in offsets] + [b]
+    return [a] + [a + width * 0.5**j for j in range(_grading_levels(width, a), 0, -1)] + [b]
 
 
 def integrate(f, a: float, b: float, singular_end: str = "none") -> QuadResult:
@@ -175,8 +171,8 @@ def integrate(f, a: float, b: float, singular_end: str = "none") -> QuadResult:
     the endpoints, and numpy floating-point warnings are silenced inside it.
 
     Each panel costs 21 evaluations of f (the qk21 Kronrod nodes), each
-    split 42.  f is called on the initial panels (graded toward
-    ``singular_end`` when it is "left" or "right") in batches of at most
+    split 42.  f is called on the initial panels (graded toward a when
+    ``singular_end`` is "left"; "none" grades nothing) in batches of at most
     128; when their summed |K21 - G10| estimates already meet the tolerance
     the result is returned at once.  Otherwise f is called once per round,
     on the children of every panel the round splits (again at most 128

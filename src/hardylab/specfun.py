@@ -91,7 +91,12 @@ def bessel_zero(nu: float, k: int) -> float:
     if k < 1:
         raise BesselError(f"zero index must be >= 1, got k={k}")
 
-    guess = _mcmahon_guess(nu, k)
+    try:
+        guess = _mcmahon_guess(nu, k)
+    except OverflowError:
+        guess = math.inf
+    if not math.isfinite(guess):
+        raise BesselError(f"zero index too large: the estimate of zero k of J_{nu} is not finite")
     # establish a sign-change bracket around the guess
     width = 0.25 * math.pi
     lo, hi = guess - width, guess + width

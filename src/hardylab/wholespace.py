@@ -8,6 +8,10 @@ singular circles at the zeros z_m of J_0: membership requires u to vanish
 there fast enough, since the factor has a pole otherwise, and each circle
 carries a pair of one-sided surface energies of opposite sign.
 ``bessel_weighted`` builds the profile with a given factor.
+
+``j_functional`` and ``norm_decomposition`` integrate piece by piece between
+the zeros, and a piece that misses its tolerance raises NonConvergenceError
+naming it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from . import hardy
 from .profiles import RadialProfile
-from .quadrature import NonConvergenceError, QuadResult, integrate
+from .quadrature import NonConvergenceError, integrate
 from .specfun import bessel_j, bessel_zero
 
 __all__ = ["bessel_weighted", "JEnergy", "HardyPoincareResult", "j_functional",
@@ -61,56 +65,48 @@ def bessel_weighted(p: RadialProfile) -> RadialProfile:
 class JEnergy:
     gradient: float
     mass: float
-    converged: bool
 
     def total(self) -> float:
         return self.gradient + self.mass
 
-    def or_raise(self) -> JEnergy:
-        """Itself, or NonConvergenceError when either integral missed its
-        tolerance."""
-        if not self.converged:
+
+def _integrate_between_zeros(f, lo: float, hi: float, eps: float) -> tuple[float, list[float]]:
+    """(integral, cut zeros): f integrated over (lo, hi) less the eps-balls
+    around the origin and around each zero of J_0 inside (lo + eps, hi - eps),
+    which are the zeros returned.
+
+    Each piece between two cuts is one ``integrate`` call; only the first is
+    graded, toward its origin-side end.  Raises NonConvergenceError naming
+    the first piece that misses its tolerance.
+    """
+    zeros = [z for z in bessel_zeros_upto(hi) if lo + eps < z < hi - eps]
+    ends = [max(lo, eps)] + [c for z in zeros for c in (z - eps, z + eps)] + [hi]
+    total = 0.0
+    for k, (a, b) in enumerate(zip(ends[::2], ends[1::2])):
+        res = integrate(f, a, b, singular_end="none" if k else "left")
+        if not res.converged:
             raise NonConvergenceError(
-                f"Bessel-weighted energies did not converge: gradient {self.gradient}, "
-                f"mass {self.mass}")
-        return self
-
-
-def _split_points(lo: float, hi: float) -> list[float]:
-    pts = [lo] + [z for z in bessel_zeros_upto(hi) if lo < z < hi] + [hi]
-    return pts
-
-
-def _integrate_split(f, lo: float, hi: float) -> QuadResult:
-    """Integrate with panels split exactly at the Bessel zeros; each
-    subinterval is graded toward both zero endpoints (the weight may have
-    poles there)."""
-    value, err, ok = 0.0, 0.0, True
-    pts = _split_points(lo, hi)
-    for a, b in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (a + b)
-        for seg_lo, seg_hi, end in ((a, mid, "left"), (mid, b, "right")):
-            res = integrate(f, seg_lo, seg_hi, singular_end=end)
-            value += res.value
-            err += res.err_est
-            ok = ok and res.converged
-    return QuadResult(value, err, ok)
+                f"integral did not converge on ({a:g}, {b:g}): value {res.value}, "
+                f"error {res.err_est}")
+        total += res.value
+    return total, zeros
 
 
 def j_functional(p: RadialProfile) -> JEnergy:
     r"""Both Bessel-weighted energies of p, whose Bessel factor is
-    w = v/J_0, split at the zeros in the support:
+    w = v/J_0, integrated piece by piece between the zeros in the support:
 
         gradient = s_N \int J_0^2 w'^2 r dr = s_N \int (v' + (J_1/J_0) v)^2 r dr
         mass     = s_N \int J_0^2 w^2  r dr = s_N \int v^2 r dr
                                               (= ||u||^2_{L^2} exactly)
 
-    by the identity J_0 (v/J_0)' = v' + (J_1/J_0) v.  ``converged`` is False
-    when either integral misses its tolerance.  On a profile that is
-    inadmissible at a zero (u does not vanish there, so w has a pole) the
-    gradient term is not integrable: refinement toward the zero stops at the
-    float resolution with an error estimate far above the tolerance, and the
-    flag says so.
+    by the identity J_0 (v/J_0)' = v' + (J_1/J_0) v.  On an admissible
+    profile the gradient integrand is (J_0 w')^2 r, smooth at the zeros, so
+    no piece is graded toward one.  On a profile that is inadmissible at a
+    zero (u does not vanish there, so w has a pole) the gradient term is not
+    integrable: refinement toward the zero stops at the float resolution
+    with an error estimate far above the tolerance, and NonConvergenceError
+    names the piece that ends there.
     """
     lo, hi = p.support
     sfac = p.dim.surface_factor
@@ -121,16 +117,14 @@ def j_functional(p: RadialProfile) -> JEnergy:
     def m(r: float) -> float:
         return p.v(r) ** 2 * r
 
-    grad = _integrate_split(g, lo, hi)
-    mass = _integrate_split(m, lo, hi)
-    return JEnergy(sfac * grad.value, sfac * mass.value,
-                   grad.converged and mass.converged)
+    grad, mass = (_integrate_between_zeros(f, lo, hi, 0.0)[0] for f in (g, m))
+    return JEnergy(sfac * grad, sfac * mass)
 
 
 @dataclass
 class HardyPoincareResult:
     i_value: float       # cutoff-limit value: principal value - singularity energy
-    energies: JEnergy    # weighted gradient and mass (= ||u||^2_{L^2}), converged
+    energies: JEnergy    # weighted gradient and mass (= ||u||^2_{L^2})
     margin: float        # i_value - mass  (> 0 is the inequality)
     defect: float        # |principal value - (gradient + mass + singularity energy)|
 
@@ -145,7 +139,7 @@ def hardy_poincare_check(p: RadialProfile) -> HardyPoincareResult:
     """
     pv = hardy.principal_value(p).limit_or_raise()
     hs = hardy.singularity_energy(p, 0.0)
-    je = j_functional(p).or_raise()
+    je = j_functional(p)
     i_val = pv - hs
     return HardyPoincareResult(
         i_value=i_val,
@@ -220,25 +214,18 @@ def norm_decomposition(p: RadialProfile, energies: JEnergy,
     reassembled side removes eps-balls around the origin and every zero,
     evaluates the Hardy functional there in the u-form, subtracts the origin
     surface energy and adds the zero-circle pairs.  Raises
-    NonConvergenceError when the Bessel-weighted energies do not converge.
+    NonConvergenceError naming the first piece of the u-form integral that
+    misses its tolerance.
     """
-    dim = p.dim
     lo, hi = p.support
-    zeros = [z for z in bessel_zeros_upto(hi) if lo + eps < z < hi - eps]
-    f = hardy.energy_density(dim, p.u, p.du)
-    bounds = [max(lo, eps)]
-    for z in zeros:
-        bounds.extend((z - eps, z + eps))
-    bounds.append(hi)
-    i_total = 0.0
-    for a, b in zip(bounds[::2], bounds[1::2]):
-        i_total += integrate(f, a, b, singular_end="left").value_or_raise()
-    i_total *= dim.surface_factor
+    f = hardy.energy_density(p.dim, p.u, p.du)
+    i_total, zeros = _integrate_between_zeros(f, lo, hi, eps)
+    i_total *= p.dim.surface_factor
 
     rhs = i_total - hardy.singularity_energy(p, max(lo, eps))
     for m in range(1, len(zeros) + 1):
         lp, lm = zero_singularity_energies(p, m, eps)
         rhs += lp - lm
 
-    lhs = energies.or_raise().total()
+    lhs = energies.total()
     return lhs, rhs, abs(lhs - rhs)

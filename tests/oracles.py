@@ -125,11 +125,12 @@ def scalar_gk21(f, a: float, b: float, singular_end: str = "none",
     quadrature with scalar calls of f.
 
     The same algorithm as the library's: initial panels graded by halving
-    toward a singular end e, log2(max(width/|e|, 4)) + 10 levels for e != 0
-    and 52 for e = 0, capped at the float resolution at e; |K21 - G10| as
-    the error estimate, no refinement when the initial panels already meet
-    the tolerance, the worst panel bisected first, no split of a panel at
-    most 2^8 float spacings of its larger end wide, and at most 6,000 panels.
+    toward the left end a when ``singular_end`` is "left",
+    log2(max(width/|a|, 4)) + 10 levels for a != 0 and 52 for a = 0, capped
+    at the float resolution at a; |K21 - G10| as the error estimate, no
+    refinement when the initial panels already meet the tolerance, the worst
+    panel bisected first, no split of a panel at most 2^8 float spacings of
+    its larger end wide, and at most 6,000 panels.
     """
     points = 0
 
@@ -142,18 +143,11 @@ def scalar_gk21(f, a: float, b: float, singular_end: str = "none",
     if singular_end == "none":
         edges = [a, b]
     else:
-        endpoint = a if singular_end == "left" else b
-        ulp = max(abs(endpoint) * 2.3e-16, 5e-324)
+        ulp = max(abs(a) * 2.3e-16, 5e-324)
         cap = int(math.log2(width) - math.log2(ulp)) - 8 if width > ulp else 1
-        if endpoint == 0.0:
-            levels = 52
-        else:
-            levels = int(math.log2(max(width / abs(endpoint), 4.0))) + 10
+        levels = 52 if a == 0.0 else int(math.log2(max(width / abs(a), 4.0))) + 10
         offsets = [width * 0.5**j for j in range(1, max(min(levels, cap), 1) + 1)]
-        if singular_end == "left":
-            edges = [a] + [a + w for w in reversed(offsets)] + [b]
-        else:
-            edges = [a] + [b - w for w in offsets] + [b]
+        edges = [a] + [a + w for w in reversed(offsets)] + [b]
     heap, counter, total = [], 0, 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         val, err = _panel(g, lo, hi)
@@ -256,9 +250,9 @@ def factor_energies(b) -> tuple[float, float]:
     r"""(gradient, mass) of the function r^-lam J_0 b.v in the Bessel
     factor form, s_N \int (J_0 b')^2 r dr and s_N \int (J_0 b)^2 r dr.
 
-    Each interval between the support ends and the zeros of J_0 is halved,
-    and each half is integrated graded toward its zero or end, the same
-    panels as ``wholespace.j_functional``.  The mass integrand is the same
+    The support is cut at the zeros of J_0 inside it, and each piece is
+    integrated in one call, the first graded toward its left end: the same
+    pieces as ``wholespace.j_functional``.  The mass integrand is the same
     product, so the mass is that of ``j_functional(bessel_weighted(b))`` to
     the last bit; the gradient integrand differs by the identity
     J_0 (v/J_0)' = v' + (J_1/J_0) v.
@@ -275,10 +269,8 @@ def factor_energies(b) -> tuple[float, float]:
     out = []
     for f in (grad, mass):
         total = 0.0
-        for a, c in zip(pts[:-1], pts[1:]):
-            mid = 0.5 * (a + c)
-            total += integrate(f, a, mid, singular_end="left").value_or_raise()
-            total += integrate(f, mid, c, singular_end="right").value_or_raise()
+        for k, (a, c) in enumerate(zip(pts[:-1], pts[1:])):
+            total += integrate(f, a, c, singular_end="none" if k else "left").value_or_raise()
         out.append(b.dim.surface_factor * total)
     return out[0], out[1]
 

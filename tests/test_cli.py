@@ -12,7 +12,7 @@ from hardylab.evolution import EnergySample
 
 #: integrand points of one ``hardylab all`` run at the CLI defaults; a change
 #: may lower these bounds, never raise them
-ALL_POINT_BOUNDS = {3: 113_715, 4: 111_321}
+ALL_POINT_BOUNDS = {3: 106_659, 4: 104_223}
 
 #: points of the largest single integrand call of that run: 128 initial
 #: panels of 21 nodes
@@ -145,7 +145,13 @@ def test_bad_dimension_exits_2(tmp_path):
     assert main(["spectrum", "--dim", "2", "--out", str(tmp_path / "x")]) == 2
 
 
-@pytest.mark.parametrize("profile", ["e1(7)", "log_ramp(1e-300)"])
+def test_dimension_beyond_the_float_range_exits_2(tmp_path):
+    # the ball volume of N = 400 overflows a float
+    assert main(["spectrum", "--dim", "400", "--out", str(tmp_path / "x")]) == 2
+
+
+# the estimate of the 1e300-th zero of J_0 that mode(1e300) needs overflows
+@pytest.mark.parametrize("profile", ["e1(7)", "log_ramp(1e-300)", "mode(1e300)"])
 def test_bad_profile_name_exits_2(tmp_path, profile):
     assert main(["energy", "--profile", profile, "--out", str(tmp_path / "x")]) == 2
 

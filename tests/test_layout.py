@@ -31,8 +31,8 @@ UNREACHED_MEMBERS = {
 
 #: member names that more than one public class defines; a read of such a
 #: name reaches every class that defines it, so the set is pinned
-SHARED = {"converged", "defect", "dim", "dirichlet", "dv", "energy", "eps",
-          "flux_diag", "profile", "v"}
+SHARED = {"defect", "dim", "dirichlet", "dv", "energy", "eps", "flux_diag", "profile",
+          "v"}
 
 
 def _private(name: str) -> bool:

@@ -32,6 +32,10 @@ def test_dimension_constants(dim3, dim4):
 def test_dimension_validation():
     with pytest.raises(ValueError):
         Dimension(2)
+    # Gamma(N/2 + 1) of the ball volume is a float up to N = 341
+    assert math.isfinite(Dimension(341).surface_factor)
+    with pytest.raises(ValueError, match="341"):
+        Dimension(342)
 
 
 def test_e1_regular_part(dim3):

@@ -49,18 +49,9 @@ def test_log_singularity_left():
     assert res.converged
 
 
-def test_inverse_sqrt_right_endpoint():
-    # the untruncatable tail below one float spacing of the endpoint carries
-    # mass ~ sqrt(ulp), which floors the achievable accuracy near 1.5e-8
-    res = integrate(lambda r: 1.0 / np.sqrt(1.0 - r), 0.0, 1.0, singular_end="right")
-    assert abs(res.value - 2.0) < 5e-8
-
-
-def test_inverse_sqrt_right_endpoint_is_honest():
-    # the split guard stops short of the endpoint: the result either admits
-    # that it did not converge or its error estimate covers the true error
-    res = integrate(lambda r: 1.0 / np.sqrt(1.0 - r), 0.0, 1.0, singular_end="right")
-    assert not res.converged or abs(res.value - 2.0) <= res.err_est
+def test_only_the_left_end_is_graded():
+    with pytest.raises(ValueError, match="'none' or 'left'"):
+        integrate(lambda r: 1.0 / np.sqrt(1.0 - r), 0.0, 1.0, singular_end="right")
 
 
 def test_error_estimate_covers_kinks_inside_a_panel(dim3):
@@ -246,7 +237,6 @@ def _cases(dim3):
     e1 = make_e1(dim3)
     lp = named_profile(dim3, "log_power(0.3)")
     return {
-        "inverse_sqrt_right": (lambda r: 1.0 / np.sqrt(1.0 - r), 0.0, 1.0, "right"),
         "log_left": (lambda r: np.log(1.0 / r), 0.0, 1.0, "left"),
         # no grading: the peak at the left end is resolved by 16 splits
         "near_pole_ungraded": (lambda r: np.sin(3.0 * r) + 1.0 / np.sqrt(r + 1e-6),
@@ -258,8 +248,6 @@ def _cases(dim3):
         # a slice with a nonzero left end: levels from the width over that end
         "log_power_reduced_slice": (hardy.reduced_density(dim3, lp.v, lp.dv),
                                     1e-32, 1e-16, "left"),
-        # graded toward a Bessel zero from the left, as in the zero splits
-        "log_j0_right": (lambda r: np.log(np.abs(bessel_j(0.0, r))), 1.5, Z01, "right"),
         # 961 panels graded down to MOLLIFY_RADIUS, as in naive_cutoff_defect:
         # more than one batch of initial panels
         "e1_dirichlet_deep": (lambda r: (e1.dv(r) * np.sqrt(r)) ** 2,
@@ -267,9 +255,8 @@ def _cases(dim3):
     }
 
 
-@pytest.mark.parametrize("case", ["inverse_sqrt_right", "log_left", "near_pole_ungraded",
-                                  "e1_direct_1e-6", "log_power_reduced_1e-32",
-                                  "log_power_reduced_slice", "log_j0_right",
+@pytest.mark.parametrize("case", ["log_left", "near_pole_ungraded", "e1_direct_1e-6",
+                                  "log_power_reduced_1e-32", "log_power_reduced_slice",
                                   "e1_dirichlet_deep"])
 def test_batched_panels_match_scalar_oracle(dim3, case):
     # on these cases every round of refinement splits one panel, the worst,

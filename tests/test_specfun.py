@@ -144,6 +144,8 @@ def test_array_input():
 def test_domain_errors():
     with pytest.raises(BesselError):
         bessel_j(-0.5, 1.0)
+    with pytest.raises(BesselError, match="not finite"):
+        bessel_zero(0.0, 10**300)
     with pytest.raises(BesselError):
         bessel_j(0.0, -1.0)
     with pytest.raises(BesselError):

@@ -20,7 +20,7 @@ def planar_margin(b: RadialProfile) -> float:
     r"""The planar margin 2 pi \int J_0^2 b'^2 r dr of u = J_0 b, from the
     gradient term s_N \int J_0^2 b'^2 r dr of the N = 3 energies."""
     je = wholespace.j_functional(wholespace.bessel_weighted(b))
-    return je.or_raise().gradient * 2.0 * math.pi / b.dim.surface_factor
+    return je.gradient * 2.0 * math.pi / b.dim.surface_factor
 
 
 def test_mass_term_is_plain_l2(dim3):
@@ -36,7 +36,6 @@ def test_mass_term_is_plain_l2(dim3):
 def test_compact_inside_first_zero_is_finite(dim3):
     p = wholespace.bessel_weighted(smooth_cap(0.5, 2.0))  # support inside (0, z_1)
     je = wholespace.j_functional(p)
-    assert je.converged
     assert math.isfinite(je.gradient) and je.gradient > 0.0
 
 
@@ -53,29 +52,30 @@ def test_zero_profile(dim3):
 def test_nonvanishing_trace_across_zero_diverges(n, m):
     # u equal to 1 at z_m: the factor r^lam u / J_0 has a pole there and
     # the gradient term grows without bound under refinement; one pass of
-    # j_functional reports it
+    # j_functional raises, naming the piece that ends at z_m.  Past z_1 the
+    # support starts halfway from z_{m-1}, so that z_m is the only zero u
+    # does not vanish at
     z = bessel_zero(0.0, m)
+    lo = 0.0 if m == 1 else 0.5 * (bessel_zero(0.0, m - 1) + z)
     cap = smooth_cap(z, z + 1.5, Dimension(n))
-    p = profile_from_u(Dimension(n), cap.v, cap.dv, (0.0, z + 1.5))
-    je = wholespace.j_functional(p)
-    assert not je.converged
+    p = profile_from_u(Dimension(n), cap.v, cap.dv, (lo, z + 1.5))
+    with pytest.raises(NonConvergenceError, match=rf"on \({lo:g}, {z:g}\)"):
+        wholespace.j_functional(p)
 
 
 def test_nonconverged_energies_raise(dim3):
     # u = 1 across z_1: the gradient term reads about 2e18 with no verdict,
-    # so neither check may return it as a number
+    # so the check may not return it as a number
     z = bessel_zero(0.0, 1)
     cap = smooth_cap(z, z + 1.5)
     p = profile_from_u(dim3, cap.v, cap.dv, (0.0, z + 1.5))
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError, match=rf"on \(0, {z:g}\)"):
         wholespace.hardy_poincare_check(p)
-    with pytest.raises(NonConvergenceError):
-        wholespace.norm_decomposition(p, wholespace.j_functional(p), 1e-4)
 
 
-@pytest.mark.xfail(strict=True, reason="_integrate_split integrates from exactly 0, and "
+@pytest.mark.xfail(strict=True, reason="j_functional integrates from exactly 0, and "
                    "the 52 levels graded toward it stop at about 2e-16, far above the "
-                   "mass: j_functional returns a clean converged 0.0")
+                   "mass: it returns a clean 0.0")
 def test_j_functional_sees_mass_next_to_the_origin(dim3):
     # e1 minus its log cutoff at 1e-25 lives on (0, 1e-25), where J_0 = 1 to
     # the last bit, so its weighted gradient is the plain weighted Dirichlet
@@ -91,8 +91,11 @@ def test_j_functional_sees_mass_next_to_the_origin(dim3):
 
     diff = replace(e1, v=v, dv=dv)
     want = hardy.weighted_dirichlet(diff, 0.0)
-    je = wholespace.j_functional(wholespace.bessel_weighted(diff))
-    assert not je.converged or je.gradient == pytest.approx(want, rel=1e-6)
+    try:
+        je = wholespace.j_functional(wholespace.bessel_weighted(diff))
+    except NonConvergenceError:
+        return  # no number is an honest answer too
+    assert je.gradient == pytest.approx(want, rel=1e-6)
 
 
 def test_hardy_poincare_margin_and_decomposition(dim3):
@@ -258,9 +261,10 @@ def test_j_norm_matches_ball_norm_inside_first_zero(dim3):
 @pytest.mark.parametrize("plateau, hi", [(0.5, 3.0), (1.0, 5.0), (2.0, 9.0)])
 def test_j_functional_matches_factor_form(n, plateau, hi):
     # j_functional reads J_0 (v/J_0)' as v' + (J_1/J_0) v; the factor form
-    # J_0 b' on the same panels is the second route
+    # J_0 b' on the same pieces is the second route, and both integrands
+    # round to the same values there
     cap = smooth_cap(plateau, hi, Dimension(n))
     je = wholespace.j_functional(wholespace.bessel_weighted(cap))
     grad, mass = factor_energies(cap)
     assert je.mass == mass
-    assert je.gradient == pytest.approx(grad, rel=1e-13, abs=0.0)
+    assert je.gradient == grad
