@@ -103,7 +103,7 @@ def log_cutoff_defect(p: RadialProfile, eps: float) -> float:
         d = q.dv(r) - p.dv(r)
         return d * (d * r)
 
-    mid = integrate(f, e2, eps, singular_end="left").value_or_raise()
+    mid = integrate(f, e2, eps).value_or_raise()
     # below eps^2 the cut profile is 0, so the defect there is v's own energy
     return p.dim.surface_factor * mid + hardy.weighted_dirichlet(p, 0.0, e2)
 
@@ -143,12 +143,11 @@ def dim_reduction(p: RadialProfile, R: float) -> float:
 
     # w' vanishes where r(t) <= flat_below, that is for t <= t_lo
     t_lo = math.log(R / p.flat_below) ** (-1.0 / nm2) if p.flat_below > 0.0 else 0.0
-    near = integrate(w_integrand, t_lo, 1.0, singular_end="left").value_or_raise() \
-        if t_lo < 1.0 else 0.0
+    near = integrate(w_integrand, t_lo, 1.0).value_or_raise() if t_lo < 1.0 else 0.0
     # map t in [1, inf) to tau = 1/t in (0, 1]; the transformed integrand is
     # bounded (~ tau^{N-3}) at tau = 0
     far = integrate(lambda tau: w_integrand(1.0 / tau) / (tau * tau),
-                    0.0, 1.0 / max(t_lo, 1.0), singular_end="left").value_or_raise()
+                    0.0, 1.0 / max(t_lo, 1.0)).value_or_raise()
     rhs = dim.surface_factor * (near + far)
     return lhs / rhs
 
@@ -165,5 +164,5 @@ def level_truncation_defect(p: RadialProfile, level: float) -> float:
     def f(r):
         return np.where(np.abs(p.v(r)) <= level, 0.0, (p.dv(r) * np.sqrt(r)) ** 2)
 
-    res = integrate(f, max(MOLLIFY_RADIUS, p.flat_below), p.support[1], singular_end="left")
+    res = integrate(f, max(MOLLIFY_RADIUS, p.flat_below), p.support[1])
     return p.dim.surface_factor * res.value_or_raise()

@@ -118,7 +118,7 @@ def weighted_l2_sq(p: RadialProfile) -> float:
     features.
     """
     f = lambda r: (p.v(r) * np.sqrt(r)) ** 2
-    res = integrate(f, MOLLIFY_RADIUS, p.support[1], singular_end="left")
+    res = integrate(f, MOLLIFY_RADIUS, p.support[1])
     return p.dim.surface_factor * res.value_or_raise()
 
 
@@ -134,7 +134,7 @@ def weighted_dirichlet(p: RadialProfile, eps: float, R: float | None = None) -> 
     if R <= max(p.flat_below, MOLLIFY_RADIUS):
         return 0.0
     f = lambda r: (p.dv(r) * np.sqrt(r)) ** 2
-    res = integrate(f, max(eps, p.flat_below, MOLLIFY_RADIUS), R, singular_end="left")
+    res = integrate(f, max(eps, p.flat_below, MOLLIFY_RADIUS), R)
     return p.dim.surface_factor * res.value_or_raise()
 
 
@@ -154,7 +154,8 @@ def annulus_functional(p: RadialProfile, eps: float, R: float | None = None,
     pointwise (no integration by parts) into  v'^2 r - 2 lam v v'  and stays
     representable down to eps ~ 1e-250; every eps -> 0 limit takes its
     samples in this form.  That integrand vanishes with v', so it starts no
-    lower than p.flat_below.
+    lower than p.flat_below.  The direct form is split at p.flat_below,
+    where its density jumps with v' when v' does (as a log ramp's does).
 
     Only the part of the annulus inside p.support is integrated, so a narrow
     compactly supported profile cannot slip between quadrature nodes; the
@@ -174,8 +175,9 @@ def annulus_functional(p: RadialProfile, eps: float, R: float | None = None,
 
     if not lo < hi:
         return 0.0
-    res = integrate(f, lo, hi, singular_end="left")
-    return p.dim.surface_factor * res.value_or_raise()
+    ends = [lo, p.flat_below, hi] if lo < p.flat_below < hi else [lo, hi]
+    total = sum(integrate(f, a, b).value_or_raise() for a, b in zip(ends, ends[1:]))
+    return p.dim.surface_factor * total
 
 
 def breakdown(p: RadialProfile, eps: float) -> HardyBreakdown:

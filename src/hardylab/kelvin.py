@@ -59,9 +59,9 @@ def exterior_functional(q: RadialProfile, S: float) -> float:
     behaviour at infinity.  This is the annulus functional of q on (1, S) in
     its u-form; the reduced form, which stays representable for truncations
     beyond ~1e100 where w' underflows, is ``hardy.annulus_functional`` with
-    method="reduced", the form ``exterior_norm`` takes.  Grading toward the
-    inner edge gives roughly one panel per octave of s, which covers energy
-    spread over dozens of decades.
+    method="reduced", the form ``exterior_norm`` takes.  For S >= 16 the
+    grading toward the inner edge gives roughly one panel per octave of s,
+    which covers energy spread over dozens of decades.
     """
     if not S > 1.0:
         raise ValueError(f"need S > 1, got {S}")

@@ -9,18 +9,18 @@ max(1e-10, 1e-10 * |value|): each round bisects the fewest worst panels
 whose estimates together cover the excess over the tolerance.  Where one
 panel covers it, a round is one step of the classic loop that bisects the
 worst panel; where several do, the round takes them at once.  On 600 random
-sums of 1-4 Lorentzian peaks on (0, 1) (widths log-uniform in [1e-4, 1e-1])
-the rounds spent 0.14 % more points in total than that loop, at most 7.4 %
-more on one sum and more on 20 of them, in less than half the calls of f;
-the values agreed to 2.4e-15 relative.
+sums of 1-4 Lorentzian peaks on an ungraded unit interval (widths
+log-uniform in [1e-4, 1e-1]) the rounds spent 0.14 % more points in total
+than that loop, at most 7.4 % more on one sum and more on 20 of them, in
+less than half the calls of f; the values agreed to 2.4e-15 relative.
 
-When the left endpoint e is flagged singular (the right one cannot be), the
-initial panels are graded geometrically toward it with ratio 1/2, which
-resolves integrands such as 1/r, log(1/r) and powers of log that concentrate
-over many decades.  The number of levels comes from the interval alone:
-log2(max(width/|e|, 4)) + 10 (one per octave between e and the far end, plus
-ten) when e is nonzero, 52 when e is exactly 0, and never so many that the
-innermost nodes would round onto e.
+The grading is decided from the interval (a, b) alone.  When a is 0, or
+0 < a and b >= 16 a, the initial panels are graded geometrically toward a
+with ratio 1/2, which resolves integrands such as 1/r, log(1/r) and powers
+of log that concentrate over many decades; otherwise the refinement starts
+from one panel.  The number of levels is 52 when a is 0 and
+log2(max(width/a, 4)) + 10 (one per octave between a and b, plus ten)
+otherwise, and never so many that the innermost nodes would round onto a.
 
 Two rules stop the refinement short of the tolerance, and the result then
 reports converged=False: a round that would split a panel at most 2^8
@@ -83,8 +83,10 @@ _G_WEIGHTS = np.array(_G_HALF + [0.0] + list(reversed(_G_HALF)))
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-10
 
-#: grading levels toward a singular endpoint at exactly 0
+#: (a, b) is graded toward a when a is 0, with this many levels, or when
+#: b >= _GRADED_RATIO * a > 0
 _ZERO_END_LEVELS = 52
+_GRADED_RATIO = 16.0
 
 #: the refinement makes at most this many panels
 _MAX_PANELS = 6_000
@@ -157,24 +159,22 @@ def _grading_levels(width: float, endpoint: float) -> int:
     return max(min(levels, cap), 1)
 
 
-def _initial_edges(a: float, b: float, singular_end: str):
-    if singular_end == "none":
+def _initial_edges(a: float, b: float):
+    if not (a == 0.0 or (0.0 < a and b >= _GRADED_RATIO * a)):
         return [a, b]
-    if singular_end != "left":
-        raise ValueError(f"singular_end must be 'none' or 'left', got {singular_end!r}")
     width = b - a
     return [a] + [a + width * 0.5**j for j in range(_grading_levels(width, a), 0, -1)] + [b]
 
 
-def integrate(f, a: float, b: float, singular_end: str = "none") -> QuadResult:
+def integrate(f, a: float, b: float) -> QuadResult:
     """Integrate the array function f over (a, b); f is never evaluated at
     the endpoints, and numpy floating-point warnings are silenced inside it.
 
     Each panel costs 21 evaluations of f (the qk21 Kronrod nodes), each
-    split 42.  f is called on the initial panels (graded toward a when
-    ``singular_end`` is "left"; "none" grades nothing) in batches of at most
-    128; when their summed |K21 - G10| estimates already meet the tolerance
-    the result is returned at once.  Otherwise f is called once per round,
+    split 42.  f is called on the initial panels (graded toward a when a is
+    0 or b >= 16 a > 0, one panel otherwise) in batches of at most 128;
+    when their summed |K21 - G10| estimates already meet the tolerance the
+    result is returned at once.  Otherwise f is called once per round,
     on the children of every panel the round splits (again at most 128
     panels to a call): the fewest worst panels whose estimates cover the
     excess over the tolerance.
@@ -189,17 +189,17 @@ def integrate(f, a: float, b: float, singular_end: str = "none") -> QuadResult:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     try:
         with np.errstate(all="ignore"):
-            total, err_total, short = _refine(f, a, b, singular_end)
+            total, err_total, short = _refine(f, a, b)
     except ArithmeticError:
         return QuadResult(math.nan, math.inf, converged=False)
     finite = math.isfinite(total) and math.isfinite(err_total)
     return QuadResult(total, err_total, converged=finite and not short)
 
 
-def _refine(f, a: float, b: float, singular_end: str):
+def _refine(f, a: float, b: float):
     """(value, error estimate, stopped short of the tolerance) of the
     adaptive bisection, in rounds of one call of f each."""
-    edges = np.array(_initial_edges(a, b, singular_end))
+    edges = np.array(_initial_edges(a, b))
     # the panels [lo, hi]; the first val.size of them are evaluated, the
     # rest are pending
     lo, hi = edges[:-1], edges[1:]

@@ -102,7 +102,7 @@ def expand(p: RadialProfile, K: int) -> SpectralField:
     coeffs = []
     for mode in modes:
         f = lambda r, z=mode.zero: p.v(r) * bessel_j(0.0, z * r) * r
-        val = integrate(f, 0.0, R, singular_end="left").value_or_raise()
+        val = integrate(f, 0.0, R).value_or_raise()
         coeffs.append(dim.surface_factor * val / mode.norm2)
     return SpectralField(modes, np.array(coeffs), time=0.0)
 

@@ -70,26 +70,26 @@ class JEnergy:
         return self.gradient + self.mass
 
 
-def _integrate_between_zeros(f, lo: float, hi: float, eps: float) -> tuple[float, list[float]]:
+def _integrate_between_zeros(f, lo: float, hi: float, eps: float) -> tuple[float, list[int]]:
     """(integral, cut zeros): f integrated over (lo, hi) less the eps-balls
-    around the origin and around each zero of J_0 inside (lo + eps, hi - eps),
-    which are the zeros returned.
+    around the origin and around each zero z_m of J_0 inside
+    (lo + eps, hi - eps), whose indices m are returned.
 
-    Each piece between two cuts is one ``integrate`` call; only the first is
-    graded, toward its origin-side end.  Raises NonConvergenceError naming
-    the first piece that misses its tolerance.
+    Each piece between two cuts is one ``integrate`` call, which grades it
+    from its ends alone.  Raises NonConvergenceError naming the first piece
+    that misses its tolerance.
     """
-    zeros = [z for z in bessel_zeros_upto(hi) if lo + eps < z < hi - eps]
-    ends = [max(lo, eps)] + [c for z in zeros for c in (z - eps, z + eps)] + [hi]
+    cut = [(m, z) for m, z in enumerate(bessel_zeros_upto(hi), 1) if lo + eps < z < hi - eps]
+    ends = [max(lo, eps)] + [c for _, z in cut for c in (z - eps, z + eps)] + [hi]
     total = 0.0
-    for k, (a, b) in enumerate(zip(ends[::2], ends[1::2])):
-        res = integrate(f, a, b, singular_end="none" if k else "left")
+    for a, b in zip(ends[::2], ends[1::2]):
+        res = integrate(f, a, b)
         if not res.converged:
             raise NonConvergenceError(
                 f"integral did not converge on ({a:g}, {b:g}): value {res.value}, "
                 f"error {res.err_est}")
         total += res.value
-    return total, zeros
+    return total, [m for m, _ in cut]
 
 
 def j_functional(p: RadialProfile) -> JEnergy:
@@ -213,17 +213,17 @@ def norm_decomposition(p: RadialProfile, energies: JEnergy,
     ``hardy_poincare_check`` does) does not pay for them twice.  The
     reassembled side removes eps-balls around the origin and every zero,
     evaluates the Hardy functional there in the u-form, subtracts the origin
-    surface energy and adds the zero-circle pairs.  Raises
+    surface energy and adds the zero-circle pair of each zero it cut.  Raises
     NonConvergenceError naming the first piece of the u-form integral that
     misses its tolerance.
     """
     lo, hi = p.support
     f = hardy.energy_density(p.dim, p.u, p.du)
-    i_total, zeros = _integrate_between_zeros(f, lo, hi, eps)
+    i_total, cut = _integrate_between_zeros(f, lo, hi, eps)
     i_total *= p.dim.surface_factor
 
     rhs = i_total - hardy.singularity_energy(p, max(lo, eps))
-    for m in range(1, len(zeros) + 1):
+    for m in cut:
         lp, lm = zero_singularity_energies(p, m, eps)
         rhs += lp - lm
 

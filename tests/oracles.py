@@ -119,18 +119,18 @@ def _panel(f, a: float, b: float):
     return kronrod, abs(kronrod - half * gauss)
 
 
-def scalar_gk21(f, a: float, b: float, singular_end: str = "none",
-                abs_tol: float = 1e-10, rel_tol: float = 1e-10):
+def scalar_gk21(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float = 1e-10):
     """(value, points, initial panels) of the adaptive Gauss-Kronrod
     quadrature with scalar calls of f.
 
     The same algorithm as the library's: initial panels graded by halving
-    toward the left end a when ``singular_end`` is "left",
-    log2(max(width/|a|, 4)) + 10 levels for a != 0 and 52 for a = 0, capped
-    at the float resolution at a; |K21 - G10| as the error estimate, no
-    refinement when the initial panels already meet the tolerance, the worst
-    panel bisected first, no split of a panel at most 2^8 float spacings of
-    its larger end wide, and at most 6,000 panels.
+    toward the left end a when a = 0 or b >= 16 a > 0, with 52 levels for
+    a = 0 and log2(max(width/a, 4)) + 10 otherwise, capped at the float
+    resolution at a, and one initial panel on any other interval;
+    |K21 - G10| as the error estimate, no refinement when the initial panels
+    already meet the tolerance, the worst panel bisected first, no split of
+    a panel at most 2^8 float spacings of its larger end wide, and at most
+    6,000 panels.
     """
     points = 0
 
@@ -140,12 +140,12 @@ def scalar_gk21(f, a: float, b: float, singular_end: str = "none",
         return float(f(x))
 
     width = b - a
-    if singular_end == "none":
+    if not (a == 0.0 or (0.0 < a and b >= 16.0 * a)):
         edges = [a, b]
     else:
-        ulp = max(abs(a) * 2.3e-16, 5e-324)
+        ulp = max(a * 2.3e-16, 5e-324)
         cap = int(math.log2(width) - math.log2(ulp)) - 8 if width > ulp else 1
-        levels = 52 if a == 0.0 else int(math.log2(max(width / abs(a), 4.0))) + 10
+        levels = 52 if a == 0.0 else int(math.log2(max(width / a, 4.0))) + 10
         offsets = [width * 0.5**j for j in range(1, max(min(levels, cap), 1) + 1)]
         edges = [a] + [a + w for w in reversed(offsets)] + [b]
     heap, counter, total = [], 0, 0.0
@@ -196,9 +196,8 @@ def subcritical_rayleigh_quadrature(p, m: float, floor: float = 1e-14) -> float:
         over = p.v(r) / math.sqrt(r)
         return (p.dv(r) * math.sqrt(r)) ** 2 + m * m * over * over
 
-    num = scalar_gk21(num_f, floor, 1.0, singular_end="left")[0]
-    den = scalar_gk21(lambda r: (p.v(r) * math.sqrt(r)) ** 2, floor, 1.0,
-                      singular_end="left")[0]
+    num = scalar_gk21(num_f, floor, 1.0)[0]
+    den = scalar_gk21(lambda r: (p.v(r) * math.sqrt(r)) ** 2, floor, 1.0)[0]
     return num / den
 
 
@@ -251,11 +250,10 @@ def factor_energies(b) -> tuple[float, float]:
     factor form, s_N \int (J_0 b')^2 r dr and s_N \int (J_0 b)^2 r dr.
 
     The support is cut at the zeros of J_0 inside it, and each piece is
-    integrated in one call, the first graded toward its left end: the same
-    pieces as ``wholespace.j_functional``.  The mass integrand is the same
-    product, so the mass is that of ``j_functional(bessel_weighted(b))`` to
-    the last bit; the gradient integrand differs by the identity
-    J_0 (v/J_0)' = v' + (J_1/J_0) v.
+    integrated in one call: the same pieces as ``wholespace.j_functional``.
+    The mass integrand is the same product, so the mass is that of
+    ``j_functional(bessel_weighted(b))`` to the last bit; the gradient
+    integrand differs by the identity J_0 (v/J_0)' = v' + (J_1/J_0) v.
     """
     lo, hi = b.support
     pts = [lo] + [z for z in bessel_zeros_upto(hi) if lo < z < hi] + [hi]
@@ -269,8 +267,8 @@ def factor_energies(b) -> tuple[float, float]:
     out = []
     for f in (grad, mass):
         total = 0.0
-        for k, (a, c) in enumerate(zip(pts[:-1], pts[1:])):
-            total += integrate(f, a, c, singular_end="none" if k else "left").value_or_raise()
+        for a, c in zip(pts[:-1], pts[1:]):
+            total += integrate(f, a, c).value_or_raise()
         out.append(b.dim.surface_factor * total)
     return out[0], out[1]
 

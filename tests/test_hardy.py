@@ -22,7 +22,9 @@ LIBRARY = ["e1", "bump", "annular_bump", "constant_plateau",
 
 #: integrand points one cutoff_norm call may spend in N = 3; a change may
 #: lower these bounds, never raise them
-CUTOFF_NORM_EVAL_BOUNDS = {"e1": 1_764, "bump": 357, "log_power(0.3)": 19_908}
+CUTOFF_NORM_EVAL_BOUNDS = {"e1": 126, "bump": 273, "log_power(0.3)": 19_530,
+                           "constant_plateau": 21, "annular_bump": 567,
+                           "log_ramp(1e-6)": 924}
 
 
 @pytest.mark.parametrize("name", LIBRARY)
@@ -33,6 +35,17 @@ def test_decomposition_identity(dim3, name):
     for eps in DEFAULT_EPS_SEQUENCE:
         b = hardy.breakdown(p, eps)
         assert abs(b.residual) <= 1e-7 * (1.0 + abs(b.annulus))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("delta", [0.5, 0.05, 1e-3, 1e-6])
+def test_decomposition_identity_across_a_log_ramps_kink(n, delta):
+    # v' jumps at the ramp's inner end delta; the u-form quadrature splits
+    # there, so the identity holds to rounding wherever delta lies
+    p = named_profile(Dimension(n), f"log_ramp({delta:g})")
+    for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8):
+        b = hardy.breakdown(p, eps)
+        assert abs(b.residual) <= 1e-14 * (1.0 + abs(b.annulus))
 
 
 @pytest.mark.parametrize("name", LIBRARY)

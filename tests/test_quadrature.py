@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hardylab import approx, hardy, quadrature
@@ -44,14 +44,9 @@ def j0sq(r):
 
 
 def test_log_singularity_left():
-    res = integrate(lambda r: np.log(1.0 / r), 0.0, 1.0, singular_end="left")
+    res = integrate(lambda r: np.log(1.0 / r), 0.0, 1.0)
     assert abs(res.value - 1.0) < 1e-10
     assert res.converged
-
-
-def test_only_the_left_end_is_graded():
-    with pytest.raises(ValueError, match="'none' or 'left'"):
-        integrate(lambda r: 1.0 / np.sqrt(1.0 - r), 0.0, 1.0, singular_end="right")
 
 
 def test_error_estimate_covers_kinks_inside_a_panel(dim3):
@@ -64,7 +59,7 @@ def test_error_estimate_covers_kinks_inside_a_panel(dim3):
     e1 = make_e1(dim3)
     cut = approx.log_cutoff(e1, 1e-25)
     res = integrate(lambda r: ((e1.dv(r) - cut.dv(r)) * np.sqrt(r)) ** 2,
-                    MOLLIFY_RADIUS, 1.0, singular_end="left")
+                    MOLLIFY_RADIUS, 1.0)
     want = approx.log_cutoff_defect(e1, 1e-25) / dim3.surface_factor
     assert res.converged
     assert abs(res.value - want) <= res.err_est
@@ -88,8 +83,8 @@ def test_gauss_kronrod_table():
 
 def test_additivity():
     f = lambda r: np.sin(3.0 * r) + 1.0 / np.sqrt(r + 1e-6)
-    whole = integrate(f, 0.0, 1.0, singular_end="left").value
-    left = integrate(f, 0.0, 0.37, singular_end="left").value
+    whole = integrate(f, 0.0, 1.0).value
+    left = integrate(f, 0.0, 0.37).value
     right = integrate(f, 0.37, 1.0).value
     assert abs(whole - (left + right)) < 2e-10
 
@@ -158,7 +153,7 @@ def test_fast_growth_with_small_early_steps_diverges():
 
 
 def test_non_integrable_pole_flagged():
-    res = integrate(lambda r: 1.0 / r ** 1.5, 0.0, 1.0, singular_end="left")
+    res = integrate(lambda r: 1.0 / r ** 1.5, 0.0, 1.0)
     assert not res.converged
 
 
@@ -233,25 +228,23 @@ def test_insufficient_samples_quotes_first_reason():
 
 
 def _cases(dim3):
-    """name -> (f, a, b, singular_end)"""
+    """name -> (f, a, b)"""
     e1 = make_e1(dim3)
     lp = named_profile(dim3, "log_power(0.3)")
     return {
-        "log_left": (lambda r: np.log(1.0 / r), 0.0, 1.0, "left"),
-        # no grading: the peak at the left end is resolved by 16 splits
-        "near_pole_ungraded": (lambda r: np.sin(3.0 * r) + 1.0 / np.sqrt(r + 1e-6),
-                               0.0, 1.0, "none"),
+        "log_left": (lambda r: np.log(1.0 / r), 0.0, 1.0),
+        # b < 16 a, so no grading: the peak at the left end is resolved by
+        # splits alone
+        "near_pole_ungraded": (
+            lambda r: np.sin(3.0 * (r - 1.0)) + 1.0 / np.sqrt(r - 1.0 + 1e-6), 1.0, 2.0),
         # cutoff_norm integrands: a first slice and a deep one
-        "e1_direct_1e-6": (hardy.energy_density(dim3, e1.u, e1.du), 1e-6, 1.0, "left"),
-        "log_power_reduced_1e-32": (hardy.reduced_density(dim3, lp.v, lp.dv),
-                                    1e-32, 1.0, "left"),
+        "e1_direct_1e-6": (hardy.energy_density(dim3, e1.u, e1.du), 1e-6, 1.0),
+        "log_power_reduced_1e-32": (hardy.reduced_density(dim3, lp.v, lp.dv), 1e-32, 1.0),
         # a slice with a nonzero left end: levels from the width over that end
-        "log_power_reduced_slice": (hardy.reduced_density(dim3, lp.v, lp.dv),
-                                    1e-32, 1e-16, "left"),
+        "log_power_reduced_slice": (hardy.reduced_density(dim3, lp.v, lp.dv), 1e-32, 1e-16),
         # 961 panels graded down to MOLLIFY_RADIUS, as in naive_cutoff_defect:
         # more than one batch of initial panels
-        "e1_dirichlet_deep": (lambda r: (e1.dv(r) * np.sqrt(r)) ** 2,
-                              MOLLIFY_RADIUS, 1e-4, "left"),
+        "e1_dirichlet_deep": (lambda r: (e1.dv(r) * np.sqrt(r)) ** 2, MOLLIFY_RADIUS, 1e-4),
     }
 
 
@@ -263,15 +256,15 @@ def test_batched_panels_match_scalar_oracle(dim3, case):
     # so the rounds coincide with the one-split-per-call heap loop of the
     # one-node-at-a-time oracle: equal point counts, values equal up to the
     # summation order
-    f, a, b, end = _cases(dim3)[case]
+    f, a, b = _cases(dim3)[case]
     sizes = []
 
     def counted(x):
         sizes.append(np.size(x))
         return f(x)
 
-    res = integrate(counted, a, b, singular_end=end)
-    want, points, panels = scalar_gk21(f, a, b, end)
+    res = integrate(counted, a, b)
+    want, points, panels = scalar_gk21(f, a, b)
     assert sum(sizes) == points
     assert abs(res.value - want) <= 1e-14 * abs(want)
     # the initial panels in consecutive batches of at most 128, one call on
@@ -283,10 +276,11 @@ def test_batched_panels_match_scalar_oracle(dim3, case):
 
 
 def _lorentzians(peaks):
-    """(f, closed form of its integral over (0, 1)) for a sum of peaks
-    w / ((x - c)^2 + w^2), (c, w) in peaks."""
+    """(f, closed form of its integral over (1, 2)) for a sum of peaks
+    w / ((x - 1 - c)^2 + w^2), (c, w) in peaks: an interval that b < 16 a
+    leaves ungraded."""
     def f(x):
-        return sum(w / ((x - c) ** 2 + w * w) for c, w in peaks)
+        return sum(w / ((x - 1.0 - c) ** 2 + w * w) for c, w in peaks)
 
     return f, sum(math.atan((1.0 - c) / w) + math.atan(c / w) for c, w in peaks)
 
@@ -299,7 +293,7 @@ PEAKS = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-4, 1e-1)),
 @given(PEAKS)
 def test_lorentzian_peaks_match_the_arctan_closed_form(peaks):
     f, exact = _lorentzians(peaks)
-    res = integrate(f, 0.0, 1.0)
+    res = integrate(f, 1.0, 2.0)
     assert res.converged
     assert abs(res.value - exact) <= max(1e-10, 1e-10 * abs(res.value))
 
@@ -314,9 +308,55 @@ def test_rounds_split_several_panels_per_call():
         sizes.append(np.size(x))
         return f(x)
 
-    res = integrate(counted, 0.0, 1.0)
-    want, points, panels = scalar_gk21(f, 0.0, 1.0)
+    res = integrate(counted, 1.0, 2.0)
+    want, points, panels = scalar_gk21(f, 1.0, 2.0)
     splits = (points - 21 * panels) // 42
     assert len(sizes) < splits
     assert sum(sizes) == points
     assert abs(res.value - want) <= 1e-14 * abs(want)
+
+
+def _power_log_integral(alpha: float, k: int, a: float, b: float) -> float:
+    r"""\int_a^b x^alpha ln(1/x)^k dx from the antiderivative
+    x^beta sum_j k!/(k-j)! ln(1/x)^(k-j) / beta^(j+1), beta = alpha + 1
+    (-ln(1/x)^(k+1)/(k+1) when beta = 0), in 40 digits: the difference of
+    its two ends cancels on a narrow interval."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        beta = mpmath.mpf(alpha) + 1
+
+        def antiderivative(x):
+            if x == 0:  # beta >= 1/2 here
+                return mpmath.mpf(0)
+            log_inv = -mpmath.log(mpmath.mpf(x))
+            if beta == 0:
+                return -log_inv ** (k + 1) / (k + 1)
+            return mpmath.mpf(x) ** beta * sum(
+                math.factorial(k) // math.factorial(k - j) * log_inv ** (k - j) / beta ** (j + 1)
+                for j in range(k + 1))
+
+        return float(antiderivative(b) - antiderivative(a))
+
+
+#: (a, b) on each side of the grading rule: a = 0; 0 < a with b < 16 a,
+#: one initial panel; and b = 16 a 10^e, e >= 0, with a down to 6e-303
+INTERVALS = st.one_of(
+    st.floats(1e-3, 4.0).map(lambda b: (0.0, b)),
+    st.tuples(st.floats(0.0, 300.0), st.floats(1.01, 15.99)).map(
+        lambda t: (10.0**-t[0], 10.0**-t[0] * t[1])),
+    st.tuples(st.floats(1e-2, 4.0), st.floats(0.0, 298.0)).map(
+        lambda t: (t[0] / 16.0 * 10.0**-t[1], t[0])),
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(INTERVALS, st.floats(-0.5, 2.0) | st.just(-1.0), st.sampled_from([0, 1, 2]))
+def test_power_log_integrands_match_the_closed_form(ab, alpha, k):
+    # x^alpha ln(1/x)^k concentrates toward 0 over as many decades as the
+    # interval spans; alpha = -1 is integrable only away from 0
+    a, b = ab
+    assume(alpha > -1.0 or a > 0.0)
+    res = integrate(lambda x: x**alpha * np.log(1.0 / x) ** k, a, b)
+    exact = _power_log_integral(alpha, k, a, b)
+    assert res.converged
+    assert abs(res.value - exact) <= max(1e-10, 1e-10 * abs(exact))

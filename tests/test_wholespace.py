@@ -29,7 +29,7 @@ def test_mass_term_is_plain_l2(dim3):
     je = wholespace.j_functional(p)
     from hardylab.quadrature import integrate
     direct = dim3.surface_factor * integrate(
-        lambda r: p.u(r) ** 2 * r ** 2, 1e-12, 5.0, singular_end="left").value
+        lambda r: p.u(r) ** 2 * r ** 2, 1e-12, 5.0).value
     assert abs(je.mass - direct) < 1e-7
 
 
@@ -200,7 +200,7 @@ def test_r2_direct_gradient_identity():
         uu = j0 * v(r)
         return (du * du - uu * uu) * r
 
-    got = 2.0 * math.pi * integrate(direct, 0.0, 3.0, singular_end="left").value
+    got = 2.0 * math.pi * integrate(direct, 0.0, 3.0).value
     assert abs(margin - got) < 1e-8
 
 
@@ -242,6 +242,16 @@ def test_norm_decomposition_identity(dim3):
     p = wholespace.bessel_weighted(smooth_cap(1.0, 5.0))
     lhs, rhs, defect = wholespace.norm_decomposition(p, wholespace.j_functional(p), 1e-4)
     assert defect <= 1e-5 * (1.0 + abs(lhs))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_norm_decomposition_off_the_origin(n):
+    # a support that starts past z_1 cuts z_2 and z_3 only: the pairs added
+    # are those of the zeros cut, not of z_1 ... z_k
+    p = wholespace.bessel_weighted(
+        make_named(Dimension(n), "annular_bump", rise=(3.0, 3.5), fall=(7.0, 9.0)))
+    defect = wholespace.norm_decomposition(p, wholespace.j_functional(p), 1e-4)[2]
+    assert defect <= 1e-10
 
 
 def test_j_norm_matches_ball_norm_inside_first_zero(dim3):
