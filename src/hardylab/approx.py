@@ -21,8 +21,7 @@ from .profiles import MOLLIFY_RADIUS, RadialProfile, cubic_step, make_e1
 from .quadrature import DEEP_EPS_SEQUENCE, integrate
 
 __all__ = ["smoothstep_energy", "naive_cutoff_defect", "naive_cutoff_limit",
-           "log_cutoff", "log_cutoff_defect", "e1_obstruction", "dim_reduction",
-           "level_truncation_defect"]
+           "log_cutoff", "log_cutoff_defect", "e1_obstruction", "dim_reduction"]
 
 
 def smoothstep_energy() -> float:
@@ -150,19 +149,3 @@ def dim_reduction(p: RadialProfile, R: float) -> float:
                     0.0, 1.0 / max(t_lo, 1.0)).value_or_raise()
     rhs = dim.surface_factor * (near + far)
     return lhs / rhs
-
-
-def level_truncation_defect(p: RadialProfile, level: float) -> float:
-    r"""Energy of v above the cut level n: s_N \int_{|v| > n} v'^2 r dr.
-
-    Nonincreasing in the level and vanishing as it grows, for any profile of
-    finite weighted Dirichlet energy.
-    """
-    if level <= 0.0:
-        raise ValueError("level must be positive")
-
-    def f(r):
-        return np.where(np.abs(p.v(r)) <= level, 0.0, (p.dv(r) * np.sqrt(r)) ** 2)
-
-    res = integrate(f, max(MOLLIFY_RADIUS, p.flat_below), p.support[1])
-    return p.dim.surface_factor * res.value_or_raise()

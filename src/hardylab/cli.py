@@ -21,7 +21,6 @@ import numpy as np
 
 from . import approx, evolution, hardy, kelvin, spectrum, wholespace
 from .profiles import Dimension, make_e1, make_named, named_profile
-from .quadrature import NonConvergenceError
 from .specfun import bessel_zero
 
 COMMANDS = ("spectrum", "energy", "evolve", "kelvin", "poincare", "density", "all")
@@ -372,7 +371,7 @@ def main(argv=None) -> int:
     try:
         code = run(args.command, args.dim, args.profile, args.eps_min,
                    args.modes, args.t_final, args.grid, args.out)
-    except NonConvergenceError as exc:
+    except ArithmeticError as exc:  # NonConvergenceError among them
         print(f"numerical failure: {exc}", file=sys.stderr)
         code = 1
     except (ValueError, OSError) as exc:

@@ -19,7 +19,7 @@ The grading is decided from the interval (a, b) alone.  When a is 0, or
 with ratio 1/2, which resolves integrands such as 1/r, log(1/r) and powers
 of log that concentrate over many decades; otherwise the refinement starts
 from one panel.  The number of levels is 52 when a is 0 and
-log2(max(width/a, 4)) + 10 (one per octave between a and b, plus ten)
+log2(width/a) + 10 (one per octave between a and b, plus ten)
 otherwise, and never so many that the innermost nodes would round onto a.
 
 Two rules stop the refinement short of the tolerance, and the result then
@@ -155,7 +155,7 @@ def _grading_levels(width: float, endpoint: float) -> int:
         levels = _ZERO_END_LEVELS
     else:
         ratio = width / abs(endpoint)
-        levels = int(math.log2(max(ratio, 4.0))) + 10 if ratio < math.inf else cap
+        levels = int(math.log2(ratio)) + 10 if ratio < math.inf else cap
     return max(min(levels, cap), 1)
 
 

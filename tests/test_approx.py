@@ -202,13 +202,3 @@ def test_dim_reduction_radius_independent(dim4):
 
 def test_dim_reduction_on_ground_mode(dim3):
     assert abs(approx.dim_reduction(make_e1(dim3), 1.0) - 1.0) < 1e-7
-
-
-def test_level_truncation_defect_decreases(dim3):
-    # the energy above level n scales like n^{(2a-2)/a} for the log profile
-    p = make_named(dim3, "log_power", a=0.3)
-    vals = [approx.level_truncation_defect(p, n) for n in (1.0, 2.0, 4.0, 8.0)]
-    assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-    assert vals[-1] < 0.05 * vals[0]
-    full = hardy.weighted_dirichlet(p, 0.0)
-    assert vals[0] < full

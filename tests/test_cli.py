@@ -165,6 +165,14 @@ def test_number_that_cannot_be_computed_exits_1(tmp_path, capsys):
     assert err.startswith("numerical failure: ") and "Traceback" not in err
 
 
+def test_float_overflow_exits_1(tmp_path, capsys):
+    # the exterior singularity energy needs S^(N-2) at S = 1e3, which
+    # overflows a float from N = 105 on
+    assert main(["kelvin", "--dim", "120", "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+
+
 def test_bad_profile_exits_2(tmp_path):
     assert main(["energy", "--profile", "wat", "--out", str(tmp_path / "x")]) == 2
 

@@ -273,7 +273,6 @@ def test_flat_start_matches_integral_from_the_origin(n, name):
         (approx.dim_reduction(p, p.support[1]), approx.dim_reduction(q, q.support[1])),
         (approx.naive_cutoff_defect(p, 1e-2), approx.naive_cutoff_defect(q, 1e-2)),
         (approx.log_cutoff_defect(p, 1e-2), approx.log_cutoff_defect(q, 1e-2)),
-        (approx.level_truncation_defect(p, 0.5), approx.level_truncation_defect(q, 0.5)),
     ]
     for got, want in pairs:
         assert abs(got - want) <= 1e-9 * abs(want) + 1e-14, (got, want)

@@ -11,8 +11,6 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 #: public functions that no report or demo reaches yet, each with the
 #: ROADMAP item that wires it in; the list may only shrink
 UNREACHED = {
-    "approx.level_truncation_defect":
-        "ROADMAP item 8: the truncation density experiment for the density suite",
     "evolution.evolve_exterior":
         "ROADMAP item 2: the exterior heat flow and its hidden energy",
 }

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hardylab.specfun import BesselError, bessel_j, bessel_j_deriv, bessel_zero
+from hardylab.specfun import BesselError, bessel_j, bessel_zero
 
-from oracles import Z01, Z02, Z11, bisect, central_diff, j0_series
+from oracles import Z01, Z02, Z11, bisect, j0_series
 
 
 def test_j0_at_origin():
@@ -23,45 +23,23 @@ def test_j0_vanishes_at_first_zero():
     assert abs(bessel_j(0.0, z)) < 1e-12
 
 
-def test_deriv_is_minus_j1():
-    for x in (0.3, 1.7, 4.2, 11.0, 27.5):
-        assert bessel_j_deriv(0.0, x) == -bessel_j(1.0, x)
+@pytest.mark.parametrize("nu", [0.0, 1.0, 0.5, math.sqrt(0.5), 2.3])
+def test_scalar_forms_match_the_array(nu):
+    # one path for every form of x: a Python float, a numpy scalar and a 0-d
+    # array each give the bits of the matching element of the 1-d result
+    x = np.concatenate([[0.0, 1e-300, 1e-8], np.linspace(0.3, 40.0, 37)])
+    whole = bessel_j(nu, x)
+    for xi, want in zip(x, whole):
+        for form in (float(xi), np.float64(xi), np.array(xi)):
+            got = bessel_j(nu, form)
+            assert type(got) is float
+            assert got == want and np.signbit(got) == np.signbit(want)
 
 
-def test_deriv_vanishes_at_origin():
-    assert bessel_j_deriv(0.0, 0.0) == 0.0
-
-
-def test_deriv_at_first_zero_against_finite_difference():
-    fd = central_diff(lambda x: bessel_j(0.0, x), Z01, 1e-6)
-    exact = bessel_j_deriv(0.0, Z01)
-    assert exact < 0.0  # sign: J_0 crosses downward at its first zero
-    assert abs(exact - fd) < 1e-8
-    assert abs(exact - (-0.5191474972894666)) < 1e-11  # frozen from the fd oracle
-
-
-@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.7])
-def test_deriv_matches_finite_difference(nu):
-    for x in (0.4, 1.3, 3.6, 8.2, 15.0):
-        fd = central_diff(lambda t: bessel_j(nu, t), x, 1e-6)
-        assert abs(bessel_j_deriv(nu, x) - fd) < 1e-8
-
-
-@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.7, math.sqrt(0.5)])
-def test_deriv_array_matches_pointwise(nu):
-    x = np.linspace(0.0 if nu in (0.0, 1.0) else 0.05, 30.0, 97)
-    whole = bessel_j_deriv(nu, x)
-    assert whole.shape == x.shape
-    np.testing.assert_array_equal(whole, [bessel_j_deriv(nu, float(xi)) for xi in x])
-    if nu == 1.0:
-        assert whole[0] == 0.5  # J_1'(0)
-
-
-def test_deriv_array_domain():
-    with pytest.raises(BesselError):
-        bessel_j_deriv(0.7, np.array([1.0, 0.0]))
-    with pytest.raises(BesselError):
-        bessel_j_deriv(1.0, np.array([1.0, -1e-3]))
+@pytest.mark.parametrize("nu", [0.0, 1.0, math.sqrt(0.5), 0.05])
+def test_zeros_are_python_floats(nu):
+    for k in (1, 2, 7):
+        assert type(bessel_zero(nu, k)) is float
 
 
 def test_first_zero_value():
@@ -152,8 +130,6 @@ def test_domain_errors():
         bessel_j(0.0, np.array([1.0, -1.0]))
     with pytest.raises(BesselError):
         bessel_zero(0.0, 0)
-    with pytest.raises(BesselError):
-        bessel_j_deriv(0.7, 0.0)
 
 
 def test_against_mpmath_reference():
