@@ -49,9 +49,9 @@ def _check(name: str, value: float, expected: float, tolerance: float) -> dict:
 
 def _check_true(name: str, flag: bool, value: float | None = None) -> dict:
     # predicate check: the pass flag carries the verdict, the value column is
-    # informational (1/0 when no measurement accompanies the predicate)
-    shown = float(value) if value is not None and math.isfinite(value) \
-        else (1.0 if flag else 0.0)
+    # informational (1/0 when no measurement accompanies the predicate; a
+    # measurement that is not finite is kept, and written as null)
+    shown = (1.0 if flag else 0.0) if value is None else float(value)
     return {"name": name, "value": shown, "expected": shown,
             "tolerance": 0.0, "pass": bool(flag)}
 

@@ -59,9 +59,8 @@ def exterior_functional(q: RadialProfile, S: float) -> float:
     behaviour at infinity.  This is the annulus functional of q on (1, S) in
     its u-form; the reduced form, which stays representable for truncations
     beyond ~1e100 where w' underflows, is ``hardy.annulus_functional`` with
-    method="reduced", the form ``exterior_norm`` takes.  For S >= 16 the
-    grading toward the inner edge gives roughly one panel per octave of s,
-    which covers energy spread over dozens of decades.
+    method="reduced", the form ``exterior_norm`` takes.  For S >= 16 it is
+    integrated in ln s, where energy spread over dozens of decades is smooth.
     """
     if not S > 1.0:
         raise ValueError(f"need S > 1, got {S}")
@@ -70,9 +69,14 @@ def exterior_functional(q: RadialProfile, S: float) -> float:
 
 def exterior_singularity_energy(q: RadialProfile, S: float) -> float:
     """Surface term at radius S (the image of the interior one at 1/S):
-    N(N-2)/2 omega_N S^{N-2} w(S)^2, evaluated from the public u."""
+    N(N-2)/2 omega_N S^{N-2} w(S)^2, evaluated from the public u; an
+    OverflowError names S and N where S^{N-2} leaves the float range."""
     dim = q.dim
-    return dim.hs_constant * S ** (dim.n - 2) * q.u(S) ** 2
+    try:
+        return dim.hs_constant * S ** (dim.n - 2) * q.u(S) ** 2
+    except OverflowError:
+        raise OverflowError(f"exterior singularity energy: S^(N-2) overflows "
+                            f"at S={S:g}, N={dim.n}") from None
 
 
 @dataclass

@@ -18,7 +18,7 @@ experiments sample down to r ~ 1e-250.
 
 A profile may declare ``flat_below``, a radius below which dv is exactly 0
 (bump, plateau, log ramp and the logarithmic cutoff do).  Integrals from the
-origin whose integrand vanishes with dv start there instead of grading down
+origin whose integrand vanishes with dv start there instead of reaching down
 to MOLLIFY_RADIUS.  The default 0.0 declares nothing.
 
 ``v`` and ``dv`` are array functions without branches on their argument: an

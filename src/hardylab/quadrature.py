@@ -14,26 +14,28 @@ log-uniform in [1e-4, 1e-1]) the rounds spent 0.14 % more points in total
 than that loop, at most 7.4 % more on one sum and more on 20 of them, in
 less than half the calls of f; the values agreed to 2.4e-15 relative.
 
-The grading is decided from the interval (a, b) alone.  When a is 0, or
-0 < a and b >= 16 a, the initial panels are graded geometrically toward a
-with ratio 1/2, which resolves integrands such as 1/r, log(1/r) and powers
-of log that concentrate over many decades; otherwise the refinement starts
-from one panel.  The number of levels is 52 when a is 0 and
-log2(width/a) + 10 (one per octave between a and b, plus ten)
-otherwise, and never so many that the innermost nodes would round onto a.
+The change of variable is decided from the interval (a, b) alone.  When a
+is 0, or 0 < a and b >= 16 a, the panels live in a log variable v on
+(0, span): x = a + (b - a) expm1(v) / expm1(span), with weight
+dx/dv = (b - a) e^v / expm1(span).  For a > 0 this is x = a e^v with
+span = ln(b/a), the Emden-Fowler variable in which 1/r, log(1/r), powers
+of log and analytic origins are smooth however many decades they spread
+over; for a = 0, span = 52 ln 2 reaches down to about 2^-52 b.  The initial
+pieces in v are 1, 2, 4, ... wide from the far end b while the rest keeps
+at least half the next width, then the rest down to v = 0: ten pieces from
+1 down to 1e-290.  The span must stay below 709.78 (b/a below 1.8e308), or
+the result is nan and not converged.  On any other interval the
+refinement starts from one panel in x.
 
 Two rules stop the refinement short of the tolerance, and the result then
-reports converged=False: a round that would split a panel at most 2^8
-float spacings of its larger end wide ends the refinement (the outer nodes
-of the children would round onto their ends), and no more than 6,000
-panels are made.  There is no depth limit.  A nan or inf total is returned
-as it is, never refined away.
+reports converged=False: a round that would split a panel at most about
+1,842 float spacings of its larger end wide, in v or mapped to x, ends it
+(wider, the outer nodes of the children lie two spacings inside them), and
+no more than 6,000 panels are made.  There is no depth limit.  A nan or
+inf total is returned as it is, never refined away.
 
 Integrands are array functions: ``f`` maps a 1-d array of nodes to an array
-of values of the same shape.  ``integrate`` calls it once per round, on the
-21 nodes of at most 128 pending panels (2,688 nodes a call): the initial
-panels, then the children of the panels a round splits.  The size of a call
-does not grow with the grading depth or with the number of splits.
+of values of the same shape.
 """
 
 from __future__ import annotations
@@ -83,21 +85,18 @@ _G_WEIGHTS = np.array(_G_HALF + [0.0] + list(reversed(_G_HALF)))
 _ABS_TOL = 1e-10
 _REL_TOL = 1e-10
 
-#: (a, b) is graded toward a when a is 0, with this many levels, or when
-#: b >= _GRADED_RATIO * a > 0
-_ZERO_END_LEVELS = 52
+#: (a, b) is integrated in the log variable when a is 0, on
+#: (0, _ZERO_END_SPAN), or when b >= _GRADED_RATIO * a > 0
+_ZERO_END_SPAN = 52.0 * math.log(2.0)
 _GRADED_RATIO = 16.0
 
 #: the refinement makes at most this many panels
 _MAX_PANELS = 6_000
 
-#: pending panels are evaluated at most this many to a call of f, which
-#: bounds the temporary arrays of a deeply graded interval
-_BATCH_PANELS = 128
-
 #: a panel at most this many float spacings of its larger end wide is not
-#: split: the outer Kronrod nodes of its children would round onto their ends
-_SPLIT_SPACINGS = 2.0**8
+#: split; wider, the outer Kronrod node of each child, (1 - _XGK[0]) / 4 of
+#: the panel's width from the child's end, lies two spacings inside
+_SPLIT_SPACINGS = 8.0 / (1.0 - _XGK[0])
 
 #: eps sequence for limits of well-decomposed quantities (contraction is at
 #: least geometric for every profile class used here)
@@ -145,25 +144,24 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray):
     return kronrod, np.abs(kronrod - half * (fx @ _G_WEIGHTS))
 
 
-def _grading_levels(width: float, endpoint: float) -> int:
-    """Levels of halving toward a singular endpoint, from the interval alone."""
-    # never grade below the float resolution at the endpoint, or the
-    # quadrature nodes of the innermost panel would round onto it
-    ulp = max(abs(endpoint) * 2.3e-16, 5e-324)
-    cap = int(math.log2(width) - math.log2(ulp)) - 8 if width > ulp else 1
-    if endpoint == 0.0:
-        levels = _ZERO_END_LEVELS
-    else:
-        ratio = width / abs(endpoint)
-        levels = int(math.log2(ratio)) + 10 if ratio < math.inf else cap
-    return max(min(levels, cap), 1)
+def _log_variable(f, a: float, b: float):
+    """(integrand in v, map v -> x, initial edges in v) of the change of
+    variable x = a + (b - a) expm1(v) / expm1(span) on (0, span)."""
+    span = _ZERO_END_SPAN if a == 0.0 else math.log(b) - math.log(a)
+    scale = (b - a) / math.expm1(span)
 
+    def to_x(v):
+        return a + scale * np.expm1(v)
 
-def _initial_edges(a: float, b: float):
-    if not (a == 0.0 or (0.0 < a and b >= _GRADED_RATIO * a)):
-        return [a, b]
-    width = b - a
-    return [a] + [a + width * 0.5**j for j in range(_grading_levels(width, a), 0, -1)] + [b]
+    def g(v):
+        return f(to_x(v)) * (scale * np.exp(v))
+
+    # 1, 2, 4, ... wide from the far end, then the rest (module docstring)
+    edges, width = [span], 1.0
+    while edges[-1] >= 1.5 * width:
+        edges.append(edges[-1] - width)
+        width *= 2.0
+    return g, to_x, [0.0] + edges[::-1]
 
 
 def integrate(f, a: float, b: float) -> QuadResult:
@@ -171,19 +169,18 @@ def integrate(f, a: float, b: float) -> QuadResult:
     the endpoints, and numpy floating-point warnings are silenced inside it.
 
     Each panel costs 21 evaluations of f (the qk21 Kronrod nodes), each
-    split 42.  f is called on the initial panels (graded toward a when a is
-    0 or b >= 16 a > 0, one panel otherwise) in batches of at most 128;
-    when their summed |K21 - G10| estimates already meet the tolerance the
-    result is returned at once.  Otherwise f is called once per round,
-    on the children of every panel the round splits (again at most 128
-    panels to a call): the fewest worst panels whose estimates cover the
-    excess over the tolerance.
+    split 42.  f is called first on the initial pieces in the log variable
+    of the module docstring when a is 0 or b >= 16 a > 0 (at most ten), on
+    one panel in x otherwise, and the result is returned at once when their
+    summed |K21 - G10| estimates meet the tolerance.  Otherwise f is called
+    once per round, on the children of every panel the round splits: the
+    fewest worst panels whose estimates cover the excess over the tolerance.
 
     Returns a QuadResult; ``converged`` is False when the tolerance was not
-    met before the panel budget or a panel too narrow to split (2^8 float
-    spacings) stopped the refinement (the best value is still returned),
-    when the value or its error estimate is not finite, and when f raised an
-    ArithmeticError (value nan).  Any other exception from f propagates.
+    met before the panel budget or a panel too narrow to split stopped the
+    refinement (the best value is still returned), when the value or its
+    error estimate is not finite, and when f raised an ArithmeticError
+    (value nan).  Any other exception from f propagates.
     """
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
@@ -199,18 +196,14 @@ def integrate(f, a: float, b: float) -> QuadResult:
 def _refine(f, a: float, b: float):
     """(value, error estimate, stopped short of the tolerance) of the
     adaptive bisection, in rounds of one call of f each."""
-    edges = np.array(_initial_edges(a, b))
-    # the panels [lo, hi]; the first val.size of them are evaluated, the
-    # rest are pending
-    lo, hi = edges[:-1], edges[1:]
-    val = err = np.empty(0)
+    if a == 0.0 or (0.0 < a and b >= _GRADED_RATIO * a):
+        f, to_x, edges = _log_variable(f, a, b)
+    else:
+        to_x, edges = (lambda x: x), [a, b]
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    val, err = _panels(f, lo, hi)
     made = lo.size
     while True:
-        n = val.size
-        v, e = _panels(f, lo[n:n + _BATCH_PANELS], hi[n:n + _BATCH_PANELS])
-        val, err = np.concatenate([val, v]), np.concatenate([err, e])
-        if val.size < lo.size:
-            continue
         total, err_total = float(np.sum(val)), float(np.sum(err))
         excess = err_total - max(_ABS_TOL, _REL_TOL * abs(total))
         # a nan or inf never refines away
@@ -221,18 +214,20 @@ def _refine(f, a: float, b: float):
         worst = np.argsort(err)[::-1]
         count = int(np.searchsorted(np.cumsum(err[worst]), excess)) + 1
         split = worst[:min(count, (_MAX_PANELS - made) // 2)]
-        # a panel within 2^8 float spacings with significant error is the
-        # signature of a non-integrable singularity
+        # a panel too narrow to split, in v or in x, with significant error
+        # is the signature of a non-integrable singularity
         left, right = lo[split], hi[split]
-        if not split.size or (right - left <= _SPLIT_SPACINGS * np.spacing(
-                np.maximum(np.abs(left), np.abs(right)))).any():
+        ends = np.concatenate([left, to_x(left)]), np.concatenate([right, to_x(right)])
+        if not split.size or (ends[1] - ends[0] <= _SPLIT_SPACINGS * np.spacing(
+                np.maximum(np.abs(ends[0]), np.abs(ends[1])))).any():
             return total, err_total, True
         mid = 0.5 * (left + right)
         keep = np.ones(lo.size, dtype=bool)
         keep[split] = False
-        lo = np.concatenate([lo[keep], np.stack([left, mid], axis=1).ravel()])
-        hi = np.concatenate([hi[keep], np.stack([mid, right], axis=1).ravel()])
-        val, err = val[keep], err[keep]
+        left, right = np.stack([left, mid], 1).ravel(), np.stack([mid, right], 1).ravel()
+        v, e = _panels(f, left, right)
+        lo, hi = np.concatenate([lo[keep], left]), np.concatenate([hi[keep], right])
+        val, err = np.concatenate([val[keep], v]), np.concatenate([err[keep], e])
         made += 2 * split.size
 
 

@@ -123,14 +123,17 @@ def scalar_gk21(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float = 
     """(value, points, initial panels) of the adaptive Gauss-Kronrod
     quadrature with scalar calls of f.
 
-    The same algorithm as the library's: initial panels graded by halving
-    toward the left end a when a = 0 or b >= 16 a > 0, with 52 levels for
-    a = 0 and log2(max(width/a, 4)) + 10 otherwise, capped at the float
-    resolution at a, and one initial panel on any other interval;
-    |K21 - G10| as the error estimate, no refinement when the initial panels
-    already meet the tolerance, the worst panel bisected first, no split of
-    a panel at most 2^8 float spacings of its larger end wide, and at most
-    6,000 panels.
+    The same algorithm as the library's.  When a = 0 or b >= 16 a > 0 the
+    panels live in the log variable v on (0, span), with
+    x = a + (b - a) expm1(v) / expm1(span), span = 52 ln 2 for a = 0 and
+    ln(b / a) otherwise, and the initial pieces in v are 1, 2, 4, ... wide
+    from span while the rest keeps at least half the next width, then the
+    rest down to 0; on any other interval there is one initial panel in x.
+    |K21 - G10| is the error estimate, there is no refinement when the
+    initial panels already meet the tolerance, the worst panel is bisected
+    first, a panel at most 8 / (1 - x_1) float spacings of its larger end
+    wide (x_1 the outer Kronrod abscissa), in v or once mapped to x, is not
+    split, and at most 6,000 panels are made.
     """
     points = 0
 
@@ -139,18 +142,30 @@ def scalar_gk21(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float = 
         points += 1
         return float(f(x))
 
-    width = b - a
-    if not (a == 0.0 or (0.0 < a and b >= 16.0 * a)):
-        edges = [a, b]
+    if a == 0.0 or (0.0 < a and b >= 16.0 * a):
+        span = 52.0 * math.log(2.0) if a == 0.0 else math.log(b) - math.log(a)
+        scale = (b - a) / math.expm1(span)
+
+        def to_x(v):
+            return a + scale * math.expm1(v)
+
+        def h(v):
+            return g(to_x(v)) * (scale * math.exp(v))
+
+        edges, width = [span], 1.0
+        while edges[-1] >= 1.5 * width:
+            edges.append(edges[-1] - width)
+            width *= 2.0
+        edges = [0.0] + edges[::-1]
     else:
-        ulp = max(a * 2.3e-16, 5e-324)
-        cap = int(math.log2(width) - math.log2(ulp)) - 8 if width > ulp else 1
-        levels = 52 if a == 0.0 else int(math.log2(max(width / a, 4.0))) + 10
-        offsets = [width * 0.5**j for j in range(1, max(min(levels, cap), 1) + 1)]
-        edges = [a] + [a + w for w in reversed(offsets)] + [b]
+        to_x, h, edges = (lambda x: x), g, [a, b]
+
+    def narrow(lo, hi):
+        return hi - lo <= 8.0 / (1.0 - _XGK[0]) * math.ulp(max(abs(lo), abs(hi)))
+
     heap, counter, total = [], 0, 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel(g, lo, hi)
+        val, err = _panel(h, lo, hi)
         total += val
         heapq.heappush(heap, (-err, counter, lo, hi, val))
         counter += 1
@@ -164,11 +179,10 @@ def scalar_gk21(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float = 
             break
         neg_err, _, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        narrow = hi - lo <= 2.0**8 * math.ulp(max(abs(lo), abs(hi)))
-        if counter >= 6_000 or narrow:
+        if counter >= 6_000 or narrow(lo, hi) or narrow(to_x(lo), to_x(hi)):
             break
-        v1, e1 = _panel(g, lo, mid)
-        v2, e2 = _panel(g, mid, hi)
+        v1, e1 = _panel(h, lo, mid)
+        v2, e2 = _panel(h, mid, hi)
         total += v1 + v2 - val
         err_total += e1 + e2 + neg_err
         heapq.heappush(heap, (-e1, counter, lo, mid, v1))

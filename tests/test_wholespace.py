@@ -74,8 +74,8 @@ def test_nonconverged_energies_raise(dim3):
 
 
 @pytest.mark.xfail(strict=True, reason="j_functional integrates from exactly 0, and "
-                   "the 52 levels graded toward it stop at about 2e-16, far above the "
-                   "mass: it returns a clean 0.0")
+                   "the initial nodes of the log variable toward it stop near 1e-17, "
+                   "far above the mass: it returns a clean 0.0")
 def test_j_functional_sees_mass_next_to_the_origin(dim3):
     # e1 minus its log cutoff at 1e-25 lives on (0, 1e-25), where J_0 = 1 to
     # the last bit, so its weighted gradient is the plain weighted Dirichlet
