@@ -16,7 +16,6 @@ Three desk experiments:
 """
 
 import math
-from dataclasses import replace
 
 from hardylab import Dimension, approx, wholespace
 from hardylab.profiles import make_named
@@ -53,8 +52,7 @@ print("3. dimension reduction: weighted ball energy vs flat whole-space energy")
 for n in (3, 4, 5):
     d = Dimension(n)
     for radius in (1.0, 7.0):
-        p = replace(make_named(d, "bump", fall=(0.4 * radius, 0.8 * radius)),
-                    support=(0.0, radius))
+        p = make_named(d, "bump", fall=(0.4 * radius, 0.8 * radius))
         ratio = approx.dim_reduction(p, radius)
         print(f"  N={n} R={radius:g}: ratio = {ratio:.12f}"
               f"   (exact 1/(N-2) = {1.0/(n-2):.12f})")

@@ -12,7 +12,6 @@ the principal-value functional never drops below N(N-2)/2 omega_N v(0)^2.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -115,9 +114,10 @@ def e1_obstruction(phi: RadialProfile) -> float:
     if phi.support[1] > 1.0 + 1e-12:
         raise ValueError("competitor must live on the unit ball")
     e1 = make_e1(phi.dim)
-    diff = replace(e1, v=lambda r: e1.v(r) - phi.v(r),
-                   dv=lambda r: e1.dv(r) - phi.dv(r),
-                   name=f"e1-{phi.name}" if phi.name else "e1-phi", flat_below=0.0)
+    diff = RadialProfile(dim=e1.dim, v=lambda r: e1.v(r) - phi.v(r),
+                         dv=lambda r: e1.dv(r) - phi.dv(r), support=e1.support,
+                         origin_class=e1.origin_class,
+                         name=f"e1-{phi.name}" if phi.name else "e1-phi", member=e1.member)
     # competitors may differ from the ground mode only at arbitrarily small
     # radii, so the cut radius must go all the way down the deep sequence
     return hardy.principal_value(diff, eps_sequence=DEEP_EPS_SEQUENCE).limit_or_raise()

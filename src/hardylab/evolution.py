@@ -59,7 +59,7 @@ def evolve_spectral(f: SpectralField, t: float) -> SpectralField:
     if t < 0.0:
         raise ValueError("time must be nonnegative")
     factors = np.array([math.exp(-m.eigenvalue * t) for m in f.modes])
-    return SpectralField(f.modes, f.coeffs * factors, time=f.time + t)
+    return SpectralField(f.modes, f.coeffs * factors)
 
 
 def time_index(t: float, dt: float) -> int:

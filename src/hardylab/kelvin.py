@@ -13,7 +13,7 @@ exterior Hardy functional alone is negative, oscillating, or divergent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +47,9 @@ def kelvin_map(p: RadialProfile) -> RadialProfile:
 
     inv_lo = math.inf if lo == 0.0 else 1.0 / lo  # and 1/inf = 0
     # p flat below a radius makes the image flat above its inverse, not below
-    return replace(p, v=v, dv=dv, support=(1.0 / hi, inv_lo),
-                   name=f"kelvin[{p.name}]" if p.name else "kelvin", flat_below=0.0)
+    return RadialProfile(dim=p.dim, v=v, dv=dv, support=(1.0 / hi, inv_lo),
+                         origin_class=p.origin_class,
+                         name=f"kelvin[{p.name}]" if p.name else "kelvin", member=p.member)
 
 
 def exterior_functional(q: RadialProfile, S: float) -> float:

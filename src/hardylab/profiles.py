@@ -57,7 +57,10 @@ MOLLIFY_RADIUS = 1e-290
 
 @dataclass(frozen=True)
 class Dimension:
-    """Ambient dimension 3 <= N <= 341 with the constants attached to it."""
+    """Ambient dimension 3 <= N <= 341 with the constants attached to it.
+    ``all`` and ``energy`` pass up to N = 102, ``kelvin`` up to 104 and
+    ``poincare`` up to 153, above which a u-form or S^(N-2) overflows;
+    ``spectrum``, ``evolve`` and ``density`` pass up to 341."""
 
     n: int
 
@@ -98,10 +101,6 @@ class RadialProfile:
     """Radial function stored via its regular part v, with u = r^-lam * v.
 
     ``flat_below`` is a fact about dv: dv(r) == 0.0 for every r below it.
-    ``dataclasses.replace`` copies it, which is right for a copy that keeps
-    dv's values (a counted copy), so every ``replace`` that swaps
-    dv for another function states ``flat_below=0.0`` unless it can prove a
-    radius of its own.
     """
 
     dim: Dimension

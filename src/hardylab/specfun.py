@@ -5,7 +5,8 @@ Values come from ``scipy.special``: ``j0`` and ``j1`` for the orders 0 and
 accurate, and ``jv`` for every other order.  This module adds the domain the
 rest of the library relies on (nu >= 0 and x >= 0, enforced with
 BesselError) and a cached zero finder for the real orders nu = sqrt(c* - c)
-of the subcritical family.
+of the subcritical family, up to 169.5: it brackets zero k around McMahon's
+estimate where k >= nu and by counting sign changes upward from nu below.
 """
 
 from __future__ import annotations
@@ -43,22 +44,16 @@ def bessel_j(nu: float, x):
     return float(out) if arr.ndim == 0 else out
 
 
-def _mcmahon_guess(nu: float, k: int) -> float:
-    """McMahon asymptotic estimate of the k-th positive zero of J_nu."""
-    beta = (k + 0.5 * nu - 0.25) * math.pi
-    mu = 4.0 * nu * nu
-    z = beta - (mu - 1.0) / (8.0 * beta)
-    z -= 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3)
-    return z
-
-
 @lru_cache(maxsize=4096)
 def bessel_zero(nu: float, k: int) -> float:
     """k-th positive zero of J_nu (k >= 1), to about 1e-12 absolute.
 
-    A McMahon estimate seeds a Newton iteration that is clipped to a sign
-    bracket; bisection steps take over whenever Newton leaves the bracket,
-    and the iteration stops once a step is at most 1e-13.
+    Where k >= nu the zero lies within pi/4 of McMahon's estimate.  Where
+    k < nu the estimate can lie several zeros too high, so the bracket is
+    the k-th unit step upward from nu on which J_nu changes sign: no zero
+    lies below nu, and consecutive zeros lie more than 3 apart.  Newton
+    steps clipped to the bracket follow, bisection steps take over whenever
+    Newton leaves it, and the iteration stops once a step is at most 1e-13.
     Cached: zeros are reused constantly by spectra and panel splitting.
     """
     if nu < 0.0:
@@ -66,28 +61,36 @@ def bessel_zero(nu: float, k: int) -> float:
     if k < 1:
         raise BesselError(f"zero index must be >= 1, got k={k}")
 
-    try:
-        guess = _mcmahon_guess(nu, k)
-    except OverflowError:
-        guess = math.inf
-    if not math.isfinite(guess):
-        raise BesselError(f"zero index too large: the estimate of zero k of J_{nu} is not finite")
-    # establish a sign-change bracket around the guess; every point the
-    # search evaluates is positive, so it calls scipy's kernel directly
-    width = 0.25 * math.pi
-    lo, hi = guess - width, guess + width
-    lo = max(lo, 1e-8 if k == 1 else _mcmahon_guess(nu, k - 1) + 1e-8)
-    flo, fhi = _jv(nu, lo), _jv(nu, hi)
-    tries = 0
-    while flo * fhi > 0.0:
-        lo = max(lo - 0.5 * width, 1e-10)
-        hi = hi + 0.5 * width
+    # every point the search evaluates is positive, so it calls scipy's
+    # kernel directly
+    if k >= nu:
+        try:  # McMahon's asymptotic estimate, the first Newton point
+            beta, mu = (k + 0.5 * nu - 0.25) * math.pi, 4.0 * nu * nu
+            x = beta - (mu - 1.0) / (8.0 * beta)
+            x -= 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3)
+        except OverflowError:
+            x = math.inf
+        if not math.isfinite(x):
+            raise BesselError(f"zero index too large: the estimate of zero k of J_{nu} "
+                              "is not finite")
+        lo, hi = x - 0.25 * math.pi, x + 0.25 * math.pi
         flo, fhi = _jv(nu, lo), _jv(nu, hi)
-        tries += 1
-        if tries > 40:
+        if not flo * fhi <= 0.0:
             raise BesselError(f"could not bracket zero {k} of J_{nu}")
+    else:
+        hi, fhi, seen = nu, _jv(nu, nu), 0
+        for _ in range(4096):  # the zeros k < nu of orders up to about 1,000
+            lo, flo = hi, fhi
+            hi, fhi = lo + 1.0, _jv(nu, lo + 1.0)
+            # a zero that a step hits exactly is counted on the step ending
+            # there, and the search below starts and ends on it
+            seen += flo != 0.0 and flo * fhi <= 0.0
+            if seen == k:
+                break
+        else:
+            raise BesselError(f"could not bracket zero {k} of J_{nu}")
+        x = hi if fhi == 0.0 else lo + 0.5
 
-    x = guess if lo < guess < hi else 0.5 * (lo + hi)
     for _ in range(100):
         f = _jv(nu, x)
         if f == 0.0:

@@ -46,11 +46,10 @@ def eigenmode(dim: Dimension, k: int) -> EigenMode:
 
 @dataclass
 class SpectralField:
-    """Finite expansion over radial modes at a fixed time."""
+    """Finite expansion over radial modes."""
 
     modes: list[EigenMode]
     coeffs: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self) -> None:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
@@ -58,16 +57,11 @@ class SpectralField:
             raise ValueError("one coefficient per mode required")
 
     def v(self, r):
-        out = 0.0
-        for mode, c in zip(self.modes, self.coeffs):
-            out = out + c * bessel_j(0.0, mode.zero * r)
-        return out
+        return sum(c * bessel_j(0.0, m.zero * r) for m, c in zip(self.modes, self.coeffs))
 
     def dv(self, r):
-        out = 0.0
-        for mode, c in zip(self.modes, self.coeffs):
-            out = out - c * mode.zero * bessel_j(1.0, mode.zero * r)
-        return out
+        return sum(-c * m.zero * bessel_j(1.0, m.zero * r)
+                   for m, c in zip(self.modes, self.coeffs))
 
     def norm_sq(self) -> float:
         """Weighted L^2 norm^2 by Parseval: sum c_k^2 norm2_k."""
@@ -104,7 +98,7 @@ def expand(p: RadialProfile, K: int) -> SpectralField:
         f = lambda r, z=mode.zero: p.v(r) * bessel_j(0.0, z * r) * r
         val = integrate(f, 0.0, R).value_or_raise()
         coeffs.append(dim.surface_factor * val / mode.norm2)
-    return SpectralField(modes, np.array(coeffs), time=0.0)
+    return SpectralField(modes, np.array(coeffs))
 
 
 def subcritical_limit(dim: Dimension, c_sequence) -> list[tuple[float, float]]:

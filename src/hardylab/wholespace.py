@@ -17,7 +17,7 @@ naming it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import hardy
 from .profiles import RadialProfile
@@ -56,9 +56,10 @@ def bessel_weighted(p: RadialProfile) -> RadialProfile:
     def dv_j(r: float) -> float:
         return -bessel_j(1.0, r) * v(r) + bessel_j(0.0, r) * dv(r)
 
-    return replace(p, v=v_j, dv=dv_j,
-                   name=f"bessel_weighted({p.name})" if p.name else "bessel_weighted",
-                   flat_below=0.0)
+    return RadialProfile(dim=p.dim, v=v_j, dv=dv_j, support=p.support,
+                         origin_class=p.origin_class,
+                         name=f"bessel_weighted({p.name})" if p.name else "bessel_weighted",
+                         member=p.member)
 
 
 @dataclass

@@ -39,6 +39,17 @@ def test_spectrum_suite(tmp_path):
         assert row["pass"] is True
 
 
+def test_spectrum_suite_subcritical_zero_of_a_large_order(tmp_path):
+    # N = 250 gives the order m = sqrt(c* - c) = 39.21 for the first c; the
+    # first zero of J_m squared is 2099.53785188 by mpmath, where a bracket
+    # around McMahon's estimate catches a later zero (2617.459)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--dim", "250", "--out", str(out)]) == 0
+    rows = [row.split(",") for row in (out / "spectrum.csv").read_text().splitlines()[1:]]
+    first = next(row for row in rows if row[0] == "0")
+    assert f"{float(first[2]):.8f}" == "2099.53785188"
+
+
 def test_energy_suite_profile_flag(tmp_path):
     out = tmp_path / "out"
     assert main(["energy", "--profile", "bump", "--out", str(out)]) == 0

@@ -93,6 +93,41 @@ def test_only_the_cli_touches_the_collector():
     assert users == ["cli.py"]
 
 
+def dataclass_replaces(source: str) -> list[str]:
+    """Uses of ``dataclasses.replace`` in ``source``, imported by name or
+    read as an attribute of the imported module."""
+    tree = ast.parse(source)
+    aliases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name for a in node.names if a.name == "dataclasses")
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            found += [f"line {node.lineno}: from dataclasses import replace"
+                      for a in node.names if a.name == "replace"]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "replace"
+                and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            found.append(f"line {node.lineno}: {node.value.id}.replace")
+    return found
+
+
+def test_replace_checker_sees_both_forms():
+    source = ("from dataclasses import dataclass, replace as swap\n"
+              "import dataclasses as dc\n"
+              "x = dc.replace(p, v=v)\n"
+              "y = name.replace('a', 'b')\n")
+    assert dataclass_replaces(source) == ["line 1: from dataclasses import replace",
+                                          "line 3: dc.replace"]
+
+
+def test_derived_profiles_come_from_the_constructor():
+    # replace() would carry every fact about dv over to a profile whose dv
+    # is another function; a derived profile states its fields instead
+    found = {path.name: dataclass_replaces(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
 def public_functions(source: str) -> list[str]:
     """Names of the public functions defined at the top level of ``source``."""
     return [node.name for node in ast.parse(source).body

@@ -340,12 +340,24 @@ def test_log_ramp_declaration_at_every_depth(dim3, delta):
     assert_flat_below(make_named(dim3, "log_ramp", delta=delta))
 
 
+def fields(p):
+    """Every field of a profile but its two functions."""
+    return p.dim, p.support, p.origin_class, p.name, p.member, p.flat_below
+
+
 def test_profiles_with_new_dv_declare_nothing(dim3, monkeypatch):
+    # derived profiles state each field at the constructor; flat_below keeps
+    # its default, and the Kelvin image of a profile flat near the origin is
+    # flat near infinity
     bump = make_named(dim3, "bump")
-    assert wholespace.bessel_weighted(bump).flat_below == 0.0
-    # the Kelvin image of a profile flat near the origin is flat near infinity
-    assert kelvin.kelvin_map(bump).flat_below == 0.0
-    assert kelvin.kelvin_map(kelvin.kelvin_map(bump)).flat_below == 0.0
+    assert fields(wholespace.bessel_weighted(bump)) == (
+        dim3, (0.0, 0.8), "finite_limit", "bessel_weighted(bump)", True, 0.0)
+    assert fields(kelvin.kelvin_map(bump)) == (
+        dim3, (1.25, math.inf), "finite_limit", "kelvin[bump]", True, 0.0)
+    assert fields(kelvin.kelvin_map(kelvin.kelvin_map(bump))) == (
+        dim3, (0.0, 0.8), "finite_limit", "kelvin[kelvin[bump]]", True, 0.0)
+    assert fields(kelvin.kelvin_map(named_profile(dim3, "log_power(0.7)"))) == (
+        dim3, (1.0, math.inf), "log_divergent", "kelvin[log_power(0.7)]", False, 0.0)
     modes = [spectrum.eigenmode(dim3, k) for k in (1, 2)]
     assert spectrum.SpectralField(modes, np.array([1.0, 0.5])).profile().flat_below == 0.0
     # e1_obstruction integrates e1 - phi, whose dv is e1's below phi's radius
@@ -358,7 +370,8 @@ def test_profiles_with_new_dv_declare_nothing(dim3, monkeypatch):
 
     monkeypatch.setattr(hardy, "principal_value", spy)
     approx.e1_obstruction(approx.log_cutoff(make_e1(dim3), 1e-6))
-    assert [p.flat_below for p in seen] == [0.0]
+    assert [fields(p) for p in seen] == [
+        (dim3, (0.0, 1.0), "finite_limit", "e1-log_cutoff(1e-06)[mode1]", True, 0.0)]
 
 
 def test_flat_below_must_lie_below_the_support_end(dim3):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hardylab import specfun
 from hardylab.specfun import BesselError, bessel_j, bessel_zero
 
 from oracles import Z01, Z02, Z11, bisect, j0_series
@@ -83,11 +84,28 @@ def test_zeros_are_zeros(nu):
         assert abs(bessel_j(nu, z)) < 1e-11
 
 
-@pytest.mark.parametrize("nu", IRRATIONAL_ORDERS)
+#: orders whose first zeros lie far below McMahon's estimate, from 33.39 on:
+#: their zero indices k < nu are bracketed by counting sign changes
+LARGE_ORDERS = [33.5, 50.0, 100.0, 169.5]
+
+
+@pytest.mark.parametrize("nu", IRRATIONAL_ORDERS + LARGE_ORDERS)
 def test_irrational_order_zeros_against_mpmath(nu):
     mpmath = pytest.importorskip("mpmath")
     for k in range(1, 6):
         assert abs(bessel_zero(nu, k) - float(mpmath.besseljzero(nu, k))) < 1e-12
+
+
+def test_counting_bracket_takes_a_zero_on_a_step_once(monkeypatch):
+    # a kernel whose zeros lie exactly on the steps nu + 2, nu + 5 and
+    # nu + 8: each is counted once and returned exactly, and a fourth zero
+    # is not found
+    monkeypatch.setattr(specfun, "_jv",
+                        lambda nu, x: (x - nu - 2.0) * (x - nu - 5.0) * (x - nu - 8.0))
+    uncached = bessel_zero.__wrapped__
+    assert [uncached(10.0, k) for k in (1, 2, 3)] == [12.0, 15.0, 18.0]
+    with pytest.raises(BesselError, match="could not bracket zero 4"):
+        uncached(10.0, 4)
 
 
 def test_first_zero_increasing_in_order():
