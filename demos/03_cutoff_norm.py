@@ -4,7 +4,9 @@ The bare Hardy functional (principal value) and the cutoff limit
 (functional minus surface term) agree on profiles vanishing at the origin
 but differ by exactly the surface energy on profiles with a finite origin
 value -- and for oscillating or log-growing regular parts the bare
-functional has no limit at all while the cutoff limit still converges.
+functional has no limit at all.  The cutoff limit of log_power(0.3)
+converges; that of oscillating(0.3) exists too, but sin(s^0.3) does not
+finish one period on the eps grid, so it prints [diverging] there.
 Consequence: the minimizer of the cutoff-norm quotient exists (the ground
 mode), while cutting it off near the origin always costs a fixed amount of
 energy, so the bare quotient over vanishing profiles never reaches its

@@ -215,8 +215,11 @@ def cutoff_norm(p: RadialProfile) -> LimitResult:
     This is the correct squared norm for every origin class.  In the reduced
     form each sample is the weighted Dirichlet energy D(eps, R) with
     R = p.support[1], since s_N lam = hs, so the limit is classified on
-    those samples: ``converged`` to D(0, R) for members, ``diverging`` where
-    D grows without bound.
+    those samples: ``converged`` to D(0, R) where the samples settle,
+    ``diverging`` where D grows without bound.  The members sin(s^a) of the
+    oscillating family read ``diverging`` too: their D(eps, R) rises by
+    increments that cos^2(s^a) modulates, which the extrapolants cannot
+    follow on this grid.
     """
     annulus = _running_annulus(p)
     return integrate_to_limit(lambda eps: annulus(eps) - singularity_energy(p, eps),

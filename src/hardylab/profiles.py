@@ -215,10 +215,11 @@ def _log_family(dim: Dimension, a: float, oscillate: bool) -> RadialProfile:
     bridge takes v to 0 at r = 1 with zero slope there.  Membership in the
     weighted Dirichlet space requires 0 < a < 1/2; a >= 1/2 is allowed for
     stress tests and flagged as non-member.  a <= 0 is refused: s^a no
-    longer grows, so neither origin class of the family would be right.
+    longer grows, so neither origin class of the family would be right; so
+    is a = inf, whose profile is nan.
     """
-    if not a > 0.0:
-        raise ValueError(f"the log family needs a > 0, got a={a}")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"the log family needs a finite a > 0, got a={a}")
     r_c = math.exp(-1.0)
     if oscillate:
         p_c = math.sin(1.0)

@@ -246,67 +246,42 @@ class LimitResult:
         return self.limit
 
 
-def _aitken(values):
-    """Two stages of Aitken's delta-squared process; the last extrapolant."""
-    seq = list(values)
-    for _ in range(2):
-        if len(seq) < 3:
-            break
-        nxt = []
-        for j in range(len(seq) - 2):
-            d1 = seq[j + 1] - seq[j]
-            d2 = seq[j + 2] - seq[j + 1]
-            den = d2 - d1
-            if den == 0.0:
-                nxt.append(seq[j + 2])
-            else:
-                nxt.append(seq[j + 2] - d2 * d2 / den)
-        seq = nxt
-    return seq[-1]
+def _aitken(seq):
+    """One stage of Aitken's delta-squared process: the extrapolant of each
+    three consecutive values (the last of them where the second difference
+    vanishes)."""
+    out = []
+    for x0, x1, x2 in zip(seq, seq[1:], seq[2:]):
+        d1, d2 = x1 - x0, x2 - x1
+        out.append(x2 if d2 == d1 else x2 - d2 * d2 / (d2 - d1))
+    return out
 
 
 def classify_sequence(values, abs_tol: float = 1e-10, rel_tol: float = 1e-9):
     """(classification, limit) for a sequence sampled along eps -> 0.
 
-    converged:  tail differences vanish or contract; limit is the (iterated
-                Aitken) extrapolation.
-    diverging:  monotone with differences that refuse to contract.
-    oscillating: sign-changing differences without contraction.
+    With tol = max(abs_tol, rel_tol * max|v|), a difference within tol is
+    rounding noise and counts as 0.
+    converged:   the last three samples agree within tol (the limit is the
+                 last sample), or the last three differences shrink in size
+                 and the last two two-stage Aitken extrapolants agree within
+                 10 tol (the limit is the last extrapolant);
+    diverging:   otherwise, when every nonzero difference has one sign;
+    oscillating: otherwise.
     """
     v = [float(x) for x in values]
     if len(v) < 4:
         raise InsufficientSamplesError(f"need >= 4 samples, got {len(v)}")
-    scale = max(max(abs(x) for x in v), 1e-300)
-    tol = max(abs_tol, rel_tol * scale)
-    # a difference within tol is rounding noise: it has no sign, so it can
-    # neither reverse a monotone run nor make a ratio of -1
-    d = [x if abs(x) > tol else 0.0
-         for x in (v[j + 1] - v[j] for j in range(len(v) - 1))]
-
-    if all(abs(x) <= tol for x in d[-3:]):
+    tol = max(abs_tol, rel_tol * max(max(abs(x) for x in v), 1e-300))
+    d = [x if abs(x) > tol else 0.0 for x in (b - a for a, b in zip(v, v[1:]))]
+    if d[-2] == d[-1] == 0.0:
         return "converged", v[-1]
-
-    signed = [x for x in d if x != 0.0]
-    monotone = all(x > 0 for x in signed) or all(x < 0 for x in signed)
-    ratios = [d[j + 1] / d[j] for j in range(len(d) - 1) if d[j] != 0.0]
-    tail_ratios = ratios[-3:] if len(ratios) >= 3 else ratios
-    rho = float(np.median(tail_ratios)) if tail_ratios else 0.0
-    peak = max(abs(x) for x in d)
-    tail = 0.5 * (abs(d[-1]) + abs(d[-2]))
-    decay = tail / max(peak, 1e-300)
-
-    if monotone:
-        # differences that refuse to decay relative to their peak mean growth
-        # without end; the median ratio tolerates isolated modulation spikes,
-        # and a ratio pinned near 1 counts only if the tail is still material
-        if decay >= 0.5 or (rho >= 0.92 and decay >= 0.2):
-            return "diverging", float("nan")
-        return "converged", _aitken(v)
-    # sign-changing differences: only a consistently contracting tail counts
-    # as (damped, alternating) convergence
-    if tail_ratios and all(abs(x) <= 0.9 for x in tail_ratios):
-        return "converged", _aitken(v)
-    return "oscillating", float("nan")
+    ext = _aitken(_aitken(v))
+    if (abs(d[-1]) <= abs(d[-2]) <= abs(d[-3]) and len(ext) >= 2
+            and abs(ext[-1] - ext[-2]) <= 10.0 * tol):
+        return "converged", ext[-1]
+    signs = {x > 0.0 for x in d if x != 0.0}
+    return ("diverging" if len(signs) == 1 else "oscillating"), float("nan")
 
 
 def integrate_to_limit(F, eps_sequence) -> LimitResult:

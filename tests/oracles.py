@@ -21,6 +21,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.linalg import solve_banded, solveh_banded
 
 from hardylab.hardy import weighted_dirichlet
@@ -242,6 +243,32 @@ def dirichlet_limit(p: RadialProfile) -> LimitResult:
         return total
 
     return integrate_to_limit(F, [e for e in DEEP_EPS_SEQUENCE if e < R])
+
+
+def oscillating_tail(a: float) -> float:
+    """int_1^inf a^2 s^(2a-2) cos^2(s^a) ds, the pure law's share of D(0, 1)
+    below r = 1/e for sin(s^a), 0 < a < 1/2.  With x = s^a it is
+    (a/2) [1/(1/a - 2) + int_1^inf x^(1-1/a) cos 2x dx], whose oscillatory
+    integral is QUADPACK's Fourier integral QAWF."""
+    cos_part = quad(lambda x: x ** (1.0 - 1.0 / a), 1.0, np.inf, weight="cos", wvar=2.0)[0]
+    return 0.5 * a * (1.0 / (1.0 / a - 2.0) + cos_part)
+
+
+def log_family_law(p: RadialProfile, a: float) -> float:
+    """D(0, 1) of the unfrozen law of the log-family profile p with parameter
+    a: s_N times the cubic bridge's int_{1/e}^1 dv^2 r dr plus the pure law's
+    share below 1/e, a^2 / (1 - 2a) for s^a and ``oscillating_tail`` for
+    sin(s^a); inf for a >= 1/2, where the family leaves the space.
+
+    A second route to ``cutoff_norm`` and ``exterior_norm`` of the family that
+    takes no eps-limit, so it does not share the sequence classifier.
+    """
+    if a >= 0.5:
+        return math.inf
+    bridge = quad(lambda r: p.dv(r) ** 2 * r, math.exp(-1.0), 1.0,
+                  epsabs=1e-14, epsrel=1e-13)[0]
+    tail = oscillating_tail(a) if p.origin_class == "oscillating" else a * a / (1.0 - 2.0 * a)
+    return p.dim.surface_factor * (bridge + tail)
 
 
 def profile_from_u(dim, u, du, support) -> RadialProfile:

@@ -90,24 +90,40 @@ def test_criterion_04_norm_gap_and_rayleigh():
     assert ok
 
 
+def _criterion_05_checks(name, want):
+    """[bare functional's class is want, annulus - surface = D along the grid]"""
+    p = named_profile(DIM3, name)
+    worst = 0.0
+    for eps in DEFAULT_EPS_SEQUENCE:
+        lhs = hardy.annulus_functional(p, eps) - hardy.singularity_energy(p, eps)
+        rhs = hardy.weighted_dirichlet(p, eps)
+        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
+    return [hardy.principal_value(p).classification == want, worst <= 1e-4]
+
+
 def test_criterion_05_oscillating_and_divergent_classes():
-    results = []
-    for name, want in (("oscillating(0.3)", "oscillating"),
-                       ("log_power(0.3)", "diverging")):
-        p = named_profile(DIM3, name)
-        bare = hardy.principal_value(p)
-        results.append(bare.classification == want)
-        reg = hardy.cutoff_norm(p)
-        results.append(reg.classification == "converged")
-        worst = 0.0
-        for eps in DEFAULT_EPS_SEQUENCE:
-            lhs = hardy.annulus_functional(p, eps) - hardy.singularity_energy(p, eps)
-            rhs = hardy.weighted_dirichlet(p, eps)
-            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-        results.append(worst <= 1e-4)
+    # every check on log_power(0.3); on oscillating(0.3) all but the
+    # regularized limit, which is test_criterion_05_oscillating_regularized_limit
+    reg = hardy.cutoff_norm(named_profile(DIM3, "log_power(0.3)"))
+    results = (_criterion_05_checks("log_power(0.3)", "diverging")
+               + [reg.classification == "converged"]
+               + _criterion_05_checks("oscillating(0.3)", "oscillating"))
     ok = all(results)
     _report(5, "bare functional oscillates/diverges, regularized converges", ok,
             f"checks={results}")
+    assert ok
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="between eps = 1e-1 and 1e-250, s^0.3 (s = ln(1/eps)) runs from 1.28 "
+           "to 6.73, less than one period of sin, so no converged verdict on "
+           "these samples would be true; the limit needs the law route "
+           "(ROADMAP item 18)")
+def test_criterion_05_oscillating_regularized_limit():
+    ok = hardy.cutoff_norm(named_profile(DIM3, "oscillating(0.3)")).classification \
+        == "converged"
+    _report(5, "regularized limit of oscillating(0.3) converges", ok)
     assert ok
 
 

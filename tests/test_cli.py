@@ -115,14 +115,24 @@ def test_energy_suite_norm_gap_without_limits_fails_in_strict_json(tmp_path):
 
 
 def test_failed_limit_predicate_keeps_its_missing_measurement(tmp_path, capsys):
-    # log_power(0.45) reads diverging (ROADMAP item 1): the predicate fails
-    # with the limit's nan, written as null, not as a clean value 0 = 0
-    code, rows = _energy_rows(tmp_path, 3, "log_power(0.45)")
+    # the cutoff limit of oscillating(0.3) is not converged on the deep grid
+    # (ROADMAP item 18): the predicate fails with the limit's nan, written as
+    # null, not as a clean value 0 = 0
+    code, rows = _energy_rows(tmp_path, 3, "oscillating(0.3)")
     assert code == 1
     assert rows["cutoff_norm_converged"] == {"name": "cutoff_norm_converged", "value": None,
                                              "expected": None, "tolerance": 0.0,
                                              "pass": False}
     assert "cutoff_norm_converged: FAIL (value=nan)" in capsys.readouterr().out
+
+
+def test_member_next_to_the_critical_exponent_converges(tmp_path):
+    # the differences of log_power(0.45) contract by 2^(2a-1) = 0.933 per
+    # deep-grid step; the limit is the law's bridge plus closed tail
+    code, rows = _energy_rows(tmp_path, 3, "log_power(0.45)")
+    assert code == 0
+    assert rows["cutoff_norm_converged"]["pass"] is True
+    assert abs(rows["cutoff_norm_converged"]["value"] - 39.5218590882) <= 1e-9
 
 
 def test_predicate_without_measurement_writes_one(tmp_path):
@@ -213,6 +223,8 @@ def test_bad_profile_exits_2(tmp_path):
     "log_power(-0.2)",    # v = s^a -> 0 at the origin, but tagged log_divergent
     "log_power(0)",       # v = 1 near the origin, tagged log_divergent
     "oscillating(-0.2)",  # sin(s^a) -> 0, tagged oscillating
+    "log_power(1e400)",   # a = inf, whose integrals are nan
+    "oscillating(1e400)",
 ])
 def test_profile_outside_its_family_exits_2(tmp_path, profile):
     assert main(["energy", "--profile", profile, "--out", str(tmp_path / "x")]) == 2

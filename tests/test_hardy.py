@@ -15,10 +15,18 @@ from hardylab.quadrature import (
 )
 from hardylab.specfun import bessel_j
 
-from oracles import Z01, dirichlet_limit, simpson
+from oracles import Z01, dirichlet_limit, log_family_law, oscillating_tail, simpson
 
 LIBRARY = ["e1", "bump", "annular_bump", "constant_plateau",
            "log_power(0.3)", "oscillating(0.3)", "subcritical(0.1)"]
+
+#: the eps-route to the limit of oscillating(0.3) cannot be read on the deep grid
+OSCILLATION_BEYOND_THE_GRID = pytest.mark.xfail(
+    strict=True,
+    reason="between eps = 1e-1 and 1e-250, s^0.3 (s = ln(1/eps)) runs from 1.28 "
+           "to 6.73, less than one period of sin, so no converged verdict on "
+           "these samples would be true; the limit needs the law route "
+           "(ROADMAP item 18)")
 
 #: integrand points one cutoff_norm call may spend in N = 3; a change may
 #: lower these bounds, never raise them
@@ -121,10 +129,11 @@ def test_cutoff_norm_is_rayleigh_eigenvalue(dim3):
 def test_cutoff_norm_equals_dirichlet(dim3, name):
     # the regularized limit recovers the weighted Dirichlet energy; for the
     # slowly-converging log classes compare pointwise along the sequence
+    # (whether their limits converge is test_cutoff_norm_converges_on_log_members)
     p = named_profile(dim3, name)
-    res = hardy.cutoff_norm(p)
-    assert res.classification == "converged"
     if p.origin_class in ("finite_limit", "vanishing"):
+        res = hardy.cutoff_norm(p)
+        assert res.classification == "converged"
         full = hardy.weighted_dirichlet(p, 0.0)
         assert abs(res.limit - full) <= 1e-6 * (1.0 + abs(full))
     else:
@@ -134,14 +143,21 @@ def test_cutoff_norm_equals_dirichlet(dim3, name):
             assert abs(lhs - rhs) <= 1e-4 * (1.0 + abs(rhs))
 
 
+@pytest.mark.parametrize("name", [
+    "log_power(0.3)", pytest.param("oscillating(0.3)", marks=OSCILLATION_BEYOND_THE_GRID)])
+def test_cutoff_norm_converges_on_log_members(dim3, name):
+    assert hardy.cutoff_norm(named_profile(dim3, name)).classification == "converged"
+
+
 def test_cutoff_norm_diverges_outside_regime(dim3):
     p = make_named(dim3, "log_power", a=0.5)
     res = hardy.cutoff_norm(p)
     assert res.classification == "diverging"
 
 
-#: every origin class, members and non-members of both log families, and the
-#: members on which a fixed ratio rule reads ``diverging``
+#: every origin class, and members and non-members of both log families, up
+#: to the log_power members next to a = 1/2, whose differences contract by
+#: only 2^(2a-1) per deep-grid step
 LIMIT_SWEEP = (
     ["e1", "mode(2)", "bump", "annular_bump", "constant_plateau", "subcritical(0.1)",
      "log_ramp(1e-3)",
@@ -165,6 +181,38 @@ def test_limits_classify_like_the_dirichlet_oracle(n, name):
         assert res.classification == want.classification
         if res.classification == "converged":
             assert abs(res.limit - want.limit) <= 1e-9 * abs(want.limit)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", ["log_power", "oscillating"])
+@pytest.mark.parametrize("a", [0.05, 0.1, 0.2, 0.3, 0.36, 0.4, 0.45, 0.49, 0.5, 0.6, 0.7])
+def test_log_family_limits_agree_with_the_law(n, kind, a):
+    # the law takes no eps-limit, so unlike dirichlet_limit it does not share
+    # the sequence classifier: members of s^a converge to it, non-members
+    # diverge, and sin(s^a) is never a clean wrong number
+    p = make_named(Dimension(n), kind, a=a)
+    law = log_family_law(p, a)
+    for res in (hardy.cutoff_norm(p), kelvin.exterior_norm(kelvin.kelvin_map(p))):
+        if kind == "oscillating":
+            assert res.classification != "converged" or abs(res.limit - law) <= 1e-4 * law
+        elif a < 0.5:
+            assert res.classification == "converged"
+            assert abs(res.limit - law) <= 1e-9 * law
+        else:
+            assert res.classification == "diverging"
+
+
+def test_oscillating_tail_against_quadosc():
+    # the QAWF integral of the law's tail against mpmath's oscillatory
+    # quadrature, which sums the pieces between the zeros of cos 2x
+    mpmath = pytest.importorskip("mpmath")
+    a = 0.4
+    with mpmath.workdps(15):
+        power = 1 - 1 / mpmath.mpf(a)
+        cos_part = mpmath.quadosc(lambda x: x**power * mpmath.cos(2 * x), [1, mpmath.inf],
+                                  omega=2)
+        want = float(a / 2 * (1 / (1 / mpmath.mpf(a) - 2) + cos_part))
+    assert abs(oscillating_tail(a) - want) <= 1e-9 * want
 
 
 def test_log_ramp_limit_on_default_grid(dim3):
@@ -193,11 +241,16 @@ def test_log_ramp_limit_below_the_deep_grid(dim3):
 
 
 def test_oscillating_profile_limit_exists_while_functional_oscillates(dim3):
+    # D(eps, 1) only grows as eps falls, and the law bounds it: the limit
+    # exists; the eps-route's verdict on it is
+    # test_cutoff_norm_converges_on_log_members
     p = named_profile(dim3, "oscillating(0.3)")
     bare = hardy.principal_value(p)
     assert bare.classification == "oscillating"
-    reg = hardy.cutoff_norm(p)
-    assert reg.classification == "converged"
+    samples = hardy.cutoff_norm(p).samples
+    assert len(samples) == len(DEEP_EPS_SEQUENCE)
+    assert all(x < y for x, y in zip(samples, samples[1:]))
+    assert samples[-1] < log_family_law(p, 0.3)
 
 
 def test_norm_gap_is_singularity_energy(dim3):

@@ -143,6 +143,61 @@ def test_classify_sequence_flat_with_rounding_jitter():
     assert cls == "converged" and limit == x
 
 
+@st.composite
+def known_sequences(draw):
+    """(samples, limit): c plus one of six families on 6 or 9 samples, j = 0,
+    1, ... or s = ln(1/eps) on the last radii of DEEP_EPS_SEQUENCE; the
+    limit is None where the family has none."""
+    n = draw(st.sampled_from([6, 9]))
+    c = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 10.0))
+    amp = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-2.0, 1.0))
+    j = np.arange(n)
+    s = np.log(1.0 / np.array(DEEP_EPS_SEQUENCE[-n:]))
+    family = draw(st.sampled_from(
+        ["geometric", "growing", "sinusoid", "log_growth", "log_decay", "damped"]))
+    if family == "geometric":
+        return c + amp * draw(st.floats(-0.95, 0.95)) ** j, c
+    if family == "growing":
+        return c + amp * draw(st.floats(1.01, 4.0)) ** j, None
+    if family == "sinusoid":
+        # w stays below pi - 0.14: nearer pi the samples are those of a
+        # slowly damped alternation (test_classify_sequence_known_misreadings)
+        return c + amp * np.sin(draw(st.floats(0.3, 3.0)) * j + 1.0), None
+    if family == "log_growth":
+        # b down to 1e-3: the last deep step, 1e-128 -> 1e-250, does not
+        # double s, so the last difference of a small b shrinks
+        return c + amp * s ** 10.0 ** draw(st.floats(-3.0, 0.0)), None
+    if family == "log_decay":
+        return c - amp * s ** -(10.0 ** draw(st.floats(-3.0, 0.3))), c
+    r, w = draw(st.floats(0.05, 0.9)), draw(st.floats(0.0, math.pi))
+    return c + amp * r**j * np.cos(w * j), c
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(known_sequences())
+def test_classify_sequence_converges_only_to_the_known_limit(seq):
+    values, limit = seq
+    cls, got = classify_sequence(values)
+    if cls == "converged":
+        assert limit is not None and abs(got - limit) <= 1e-6 * abs(limit)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the last two extrapolants agree by coincidence: nine samples of "
+           "sin(3.13 j + 1) are those of a slowly damped alternation, and a zero "
+           "of cos(2.54 j) in the tail of 0.1 * 0.21^j cos(2.54 j) makes its "
+           "differences shrink, while two-stage Aitken is exact for one "
+           "geometric mode, not two (ROADMAP item 1: unresolved class, err_est)")
+@pytest.mark.parametrize("values, limit", [
+    (1.0 + np.sin(3.13 * np.arange(9) + 1.0), None),
+    (1.0 + 0.1 * 0.21 ** np.arange(6) * np.cos(2.54 * np.arange(6)), 1.0),
+], ids=["near_nyquist_sinusoid", "damped_zero_in_the_tail"])
+def test_classify_sequence_known_misreadings(values, limit):
+    cls, got = classify_sequence(values)
+    assert cls != "converged" or (limit is not None and abs(got - limit) <= 1e-6 * abs(limit))
+
+
 def test_fast_growth_with_small_early_steps_diverges():
     # the first steps of e^-3 lie within rel_tol of its largest value and
     # count as zero; they must not break the monotone run
