@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import hardy
-from .profiles import MOLLIFY_RADIUS, RadialProfile, cubic_step, make_e1
+from .profiles import MOLLIFY_RADIUS, ORIGIN_CLASSES, RadialProfile, cubic_step, make_e1
 from .quadrature import DEEP_EPS_SEQUENCE, integrate
 
 __all__ = ["smoothstep_energy", "naive_cutoff_defect", "naive_cutoff_limit",
@@ -30,8 +30,8 @@ def smoothstep_energy() -> float:
 
 
 def _require_origin_limit(p: RadialProfile) -> None:
-    """The naive cutoff experiment needs v(0): refuse profiles without it."""
-    if p.origin_class not in ("finite_limit", "vanishing"):
+    """The naive cutoff experiment needs v(0): refuse classes without it."""
+    if ORIGIN_CLASSES[p.origin_class] != "converged":
         raise ValueError("the cutoff obstruction experiment needs a bounded origin limit")
 
 

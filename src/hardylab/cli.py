@@ -19,10 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import approx, evolution, hardy, kelvin, spectrum, wholespace
-from .profiles import Dimension, make_e1, make_named, named_profile
+from .profiles import ORIGIN_CLASSES, Dimension, make_e1, make_named, named_profile
 from .specfun import bessel_zero
-
-COMMANDS = ("spectrum", "energy", "evolve", "kelvin", "poincare", "density", "all")
 
 MU_1 = 5.783185962946785  # z_{0,1}^2, pinned against the bisection oracle in tests
 
@@ -126,10 +124,8 @@ def suite_energy(dim: Dimension, profile_name: str, eps_min: float):
         got = hardy.singularity_energy(p, eps_read)
         checks.append(_check("singularity_energy_limit", got / lim, 1.0, 1e-5))
     pv = hardy.principal_value(p)
-    expected_cls = {"finite_limit": "converged", "vanishing": "converged",
-                    "log_divergent": "diverging", "oscillating": "oscillating"}
-    checks.append(_check_true(f"bare_functional_{expected_cls[p.origin_class]}",
-                              pv.classification == expected_cls[p.origin_class]))
+    expected = ORIGIN_CLASSES[p.origin_class]
+    checks.append(_check_true(f"bare_functional_{expected}", pv.classification == expected))
     if p.member:
         cn = hardy.cutoff_norm(p)
         checks.append(_check_true("cutoff_norm_converged",
@@ -314,26 +310,30 @@ def suite_density(dim: Dimension):
     return ("eps_or_N,value,reference,extra", rows, checks)
 
 
-def run(command: str, dim_n: int, profile: str, eps_min: float, modes: int,
-        t_final: float, grid_m: int, out_dir: str) -> int:
-    dim = Dimension(dim_n)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+#: suite name -> its run on the dimension and the parsed flags, in the order of
+#: ``all``; an entry looks its suite_* function up when called, so it runs a rebound one
+SUITES = {
+    "spectrum": lambda dim, args: suite_spectrum(dim, args.modes),
+    "energy": lambda dim, args: suite_energy(dim, args.profile, args.eps_min),
+    "evolve": lambda dim, args: suite_evolve(dim, args.profile, args.t_final, args.grid),
+    "kelvin": lambda dim, args: suite_kelvin(dim),
+    "poincare": lambda dim, args: suite_poincare(dim),
+    "density": lambda dim, args: suite_density(dim),
+}
 
-    suites = {
-        "spectrum": lambda: suite_spectrum(dim, modes),
-        "energy": lambda: suite_energy(dim, profile, eps_min),
-        "evolve": lambda: suite_evolve(dim, profile, t_final, grid_m),
-        "kelvin": lambda: suite_kelvin(dim),
-        "poincare": lambda: suite_poincare(dim),
-        "density": lambda: suite_density(dim),
-    }
-    names = list(suites) if command == "all" else [command]
+COMMANDS = (*SUITES, "all")
+
+
+def run(args: argparse.Namespace) -> int:
+    dim = Dimension(args.dim)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    names = list(SUITES) if args.command == "all" else [args.command]
 
     all_ok = True
     combined = []
     for name in names:
-        header, rows, checks = suites[name]()
+        header, rows, checks = SUITES[name](dim, args)
         _write_csv(out / f"{name}.csv", header.split(","), rows)
         ok = all(c["pass"] for c in checks)
         all_ok = all_ok and ok
@@ -347,7 +347,7 @@ def run(command: str, dim_n: int, profile: str, eps_min: float, modes: int,
         (out / f"{name}.json").write_text(
             json.dumps(report, indent=2, allow_nan=False) + "\n")
         combined.append(report)
-    if command == "all":
+    if args.command == "all":
         (out / "all.json").write_text(json.dumps(combined, indent=2) + "\n")
     return 0 if all_ok else 1
 
@@ -367,8 +367,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="hardylab_out")
     args = parser.parse_args(argv)
     try:
-        code = run(args.command, args.dim, args.profile, args.eps_min,
-                   args.modes, args.t_final, args.grid, args.out)
+        code = run(args)
     except ArithmeticError as exc:  # NonConvergenceError among them
         print(f"numerical failure: {exc}", file=sys.stderr)
         code = 1

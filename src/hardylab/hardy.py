@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .profiles import MOLLIFY_RADIUS, Dimension, RadialProfile
+from .profiles import MOLLIFY_RADIUS, ORIGIN_CLASSES, Dimension, RadialProfile
 from .quadrature import (
     DEEP_EPS_SEQUENCE,
     DEFAULT_EPS_SEQUENCE,
@@ -140,7 +140,10 @@ def weighted_dirichlet(p: RadialProfile, eps: float, R: float | None = None) -> 
 
 def singularity_energy(p: RadialProfile, eps: float) -> float:
     r"""Surface term N(N-2)/2 * omega_N * v(eps)^2 (radial reduction of the
-    sphere integral with \int_{S_eps} f dS = N omega_N eps^{N-1} f(eps))."""
+    sphere integral with \int_{S_eps} f dS = N omega_N eps^{N-1} f(eps)) at
+    eps >= 0, where 0 reads the origin limit."""
+    if not eps >= 0.0:
+        raise ValueError(f"need a radius eps >= 0, got eps={eps}")
     return p.dim.hs_constant * p.v(eps) ** 2
 
 
@@ -190,14 +193,13 @@ def breakdown(p: RadialProfile, eps: float) -> HardyBreakdown:
 
 
 def eps_grid(p: RadialProfile):
-    """Default eps grid per origin class: fast classes contract at least
-    geometrically on 10^-1..10^-6; powers of log(1/r), and profiles outside
-    the weighted Dirichlet space, need log(1/eps) itself sampled
-    geometrically to reveal their behavior.  A profile that declares a flat
-    radius takes the deep grid too, whose slices below that radius are 0.0
-    without an evaluation: its limit is reached wherever the radius lies."""
-    if p.origin_class in ("oscillating", "log_divergent") or not p.member \
-            or p.flat_below > 0.0:
+    """Default eps grid per origin class: classes with an origin limit contract
+    at least geometrically on 10^-1..10^-6; the others, and profiles outside
+    the weighted Dirichlet space, need log(1/eps) itself sampled geometrically
+    to reveal their behavior.  A profile that declares a flat radius takes the
+    deep grid too, whose slices below that radius are 0.0 without an
+    evaluation: its limit is reached wherever the radius lies."""
+    if ORIGIN_CLASSES[p.origin_class] != "converged" or not p.member or p.flat_below > 0.0:
         return DEEP_EPS_SEQUENCE
     return DEFAULT_EPS_SEQUENCE
 

@@ -69,9 +69,11 @@ def exterior_functional(q: RadialProfile, S: float) -> float:
 
 
 def exterior_singularity_energy(q: RadialProfile, S: float) -> float:
-    """Surface term at radius S (the image of the interior one at 1/S):
+    """Surface term at radius S >= 1 (the image of the interior one at 1/S):
     N(N-2)/2 omega_N S^{N-2} w(S)^2, evaluated from the public u; an
     OverflowError names S and N where S^{N-2} leaves the float range."""
+    if not S >= 1.0:
+        raise ValueError(f"need a radius S >= 1 outside the ball, got S={S}")
     dim = q.dim
     try:
         return dim.hs_constant * S ** (dim.n - 2) * q.u(S) ** 2

@@ -49,7 +49,10 @@ __all__ = [
     "cubic_step",
 ]
 
-ORIGIN_CLASSES = ("vanishing", "finite_limit", "oscillating", "log_divergent")
+#: origin class -> verdict of the bare functional's eps -> 0 limit, which
+#: follows v(eps)^2: a class "has an origin limit" when it reads converged
+ORIGIN_CLASSES = {"vanishing": "converged", "finite_limit": "converged",
+                  "oscillating": "oscillating", "log_divergent": "diverging"}
 
 #: radius below which log-type regular parts are frozen to a constant
 MOLLIFY_RADIUS = 1e-290
@@ -65,6 +68,8 @@ class Dimension:
     n: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"dimension must be a whole number, got {self.n!r}")
         if self.n < 3:
             raise ValueError(f"dimension must be >= 3, got {self.n}")
         if self.n > 341:  # Gamma(N/2 + 1) in ball_volume overflows from 342 on

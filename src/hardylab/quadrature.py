@@ -122,12 +122,15 @@ class QuadResult:
     value: float
     err_est: float
     converged: bool = True
+    interval: tuple[float, float] = (math.nan, math.nan)  # the (a, b) integrated over
 
     def value_or_raise(self) -> float:
-        """The value, or NonConvergenceError when it carries no verdict."""
+        """The value, or NonConvergenceError naming the interval when it
+        carries no verdict: the one not-converged raise for integrals."""
         if not self.converged:
-            raise NonConvergenceError(
-                f"integral did not converge: value {self.value}, error {self.err_est}")
+            a, b = self.interval
+            raise NonConvergenceError(f"integral did not converge on ({a:g}, {b:g}): "
+                                      f"value {self.value}, error {self.err_est}")
         return self.value
 
 
@@ -188,9 +191,9 @@ def integrate(f, a: float, b: float) -> QuadResult:
         with np.errstate(all="ignore"):
             total, err_total, short = _refine(f, a, b)
     except ArithmeticError:
-        return QuadResult(math.nan, math.inf, converged=False)
+        return QuadResult(math.nan, math.inf, False, (a, b))
     finite = math.isfinite(total) and math.isfinite(err_total)
-    return QuadResult(total, err_total, converged=finite and not short)
+    return QuadResult(total, err_total, finite and not short, (a, b))
 
 
 def _refine(f, a: float, b: float):

@@ -44,9 +44,9 @@ def bessel_j(nu: float, x):
     return float(out) if arr.ndim == 0 else out
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)  # typed: a cached k = 2 must not admit k = 2.0
 def bessel_zero(nu: float, k: int) -> float:
-    """k-th positive zero of J_nu (k >= 1), to about 1e-12 absolute.
+    """k-th positive zero of J_nu (a whole k >= 1), to about 1e-12 absolute.
 
     Where k >= nu the zero lies within pi/4 of McMahon's estimate.  Where
     k < nu the estimate can lie several zeros too high, so the bracket is
@@ -58,6 +58,8 @@ def bessel_zero(nu: float, k: int) -> float:
     """
     if nu < 0.0:
         raise BesselError(f"order must be nonnegative, got nu={nu}")
+    if not isinstance(k, (int, np.integer)):
+        raise BesselError(f"zero index must be a whole number, got k={k!r}")
     if k < 1:
         raise BesselError(f"zero index must be >= 1, got k={k}")
 

@@ -86,6 +86,8 @@ def rayleigh(p: RadialProfile) -> float:
 def expand(p: RadialProfile, K: int) -> SpectralField:
     r"""Project onto the first K radial modes in the weighted L^2 pairing:
     c_k = s_N \int v(r) J_0(z_k r) r dr / norm2_k."""
+    if not isinstance(K, (int, np.integer)):
+        raise ValueError(f"the mode count must be a whole number, got K={K!r}")
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
     dim = p.dim

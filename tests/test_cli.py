@@ -18,6 +18,44 @@ ALL_POINT_BOUNDS = {3: 16_989, 4: 15_687}
 #: of 7 panels split in one round
 ALL_LARGEST_CALL = 294
 
+#: the report ledger: |value - expected| of each tolerance-bearing check of
+#: ``hardylab all`` at the CLI defaults, as measured when the ledger landed
+#: (rounded up to two digits; subcritical_final_gap reads 7.4e-4 against
+#: 1e-3 by construction and is left out).  A check may drift to 100 times
+#: its entry, floored at 1e-15 max(1, |expected|); the entries may only fall
+REPORT_LEDGER = {
+    3: {"spectrum.mu_1": 0.0, "spectrum.mu_1_printed_2dp": 0.0,
+        "spectrum.mode_orthonormality": 7e-14,
+        "energy.decomposition_residual": 3.2e-16, "energy.singularity_energy_limit": 2.9e-12,
+        "energy.norm_gap_vs_singularity_energy": 0.0,
+        "evolve.energy_law": 3.3e-06, "evolve.fd_vs_spectral_L2": 9e-07,
+        "evolve.semigroup_exact": 2e-31, "evolve.long_time_log_slope": 0.0,
+        "kelvin.inversion_identity_defect": 3.6e-15, "kelvin.surface_term_defect": 8.9e-16,
+        "kelvin.unitary_equivalence": 3.6e-15, "kelvin.hidden_energy_additive": 1.2e-08,
+        "kelvin.exterior_functional_identity": 1.2e-08,
+        "poincare.hardy_poincare_defect": 4.7e-14, "poincare.norm_decomposition_defect": 9.1e-12,
+        "density.naive_cutoff_limit_match": 1.2e-16, "density.naive_cutoff_limit_match_e1": 3.8e-08,
+        "density.log_cutoff_constant_stable": 1.5e-16,
+        "density.dim_reduction_N3_R1": 4.5e-16, "density.dim_reduction_N3_R7": 4.5e-16,
+        "density.dim_reduction_N4_R1": 2.8e-16, "density.dim_reduction_N4_R7": 1.7e-16,
+        "density.dim_reduction_N5_R1": 2.8e-16, "density.dim_reduction_N5_R7": 1.2e-16},
+    4: {"spectrum.mu_1": 0.0, "spectrum.mu_1_printed_2dp": 0.0,
+        "spectrum.mode_orthonormality": 7e-14,
+        "energy.decomposition_residual": 6e-16, "energy.singularity_energy_limit": 2.9e-12,
+        "energy.norm_gap_vs_singularity_energy": 0.0,
+        "evolve.energy_law": 3.3e-06, "evolve.fd_vs_spectral_L2": 1.2e-06,
+        "evolve.semigroup_exact": 2e-31, "evolve.long_time_log_slope": 0.0,
+        "kelvin.inversion_identity_defect": 2.2e-14, "kelvin.surface_term_defect": 0.0,
+        "kelvin.unitary_equivalence": 1.8e-15, "kelvin.hidden_energy_additive": 3.6e-08,
+        "kelvin.exterior_functional_identity": 3.6e-08,
+        "poincare.hardy_poincare_defect": 7.9e-14, "poincare.norm_decomposition_defect": 1.8e-11,
+        "density.naive_cutoff_limit_match": 0.0, "density.naive_cutoff_limit_match_e1": 3.8e-08,
+        "density.log_cutoff_constant_stable": 1.8e-16,
+        "density.dim_reduction_N3_R1": 4.5e-16, "density.dim_reduction_N3_R7": 4.5e-16,
+        "density.dim_reduction_N4_R1": 2.8e-16, "density.dim_reduction_N4_R7": 1.7e-16,
+        "density.dim_reduction_N5_R1": 2.8e-16, "density.dim_reduction_N5_R7": 1.2e-16},
+}
+
 #: traced heap peak (tracemalloc, bytes) of that run after a warm-up run;
 #: a change may lower these bounds, never raise them
 ALL_PEAK_BYTES = {3: 160 * 1024, 4: 160 * 1024}
@@ -337,3 +375,21 @@ def test_all_command_heap_peak(tmp_path, n):
     finally:
         tracemalloc.stop()
     assert peak <= ALL_PEAK_BYTES[n]
+
+
+@pytest.mark.parametrize("n", sorted(REPORT_LEDGER))
+def test_report_ledger(tmp_path, n):
+    # every tolerance-bearing check stays within 100 times its error at the
+    # ledger's landing, so a change that is not byte-identical must stay
+    # close to the numbers, not merely within the check's tolerance
+    out = tmp_path / "out"
+    assert main(["all", "--dim", str(n), "--out", str(out)]) == 0
+    seen = {}
+    for suite in json.loads((out / "all.json").read_text()):
+        for row in suite["rows"]:
+            if row["tolerance"] > 0.0 and row["name"] != "subcritical_final_gap":
+                seen[f"{suite['suite']}.{row['name']}"] = row
+    assert set(seen) == set(REPORT_LEDGER[n])
+    for key, row in seen.items():
+        bound = max(100.0 * REPORT_LEDGER[n][key], 1e-15 * max(1.0, abs(row["expected"])))
+        assert abs(row["value"] - row["expected"]) <= bound, (key, row["value"], bound)

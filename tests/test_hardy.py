@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 
 from hardylab import approx, hardy, kelvin
-from hardylab.profiles import MOLLIFY_RADIUS, Dimension, make_e1, make_named, named_profile
+from hardylab.profiles import (
+    MOLLIFY_RADIUS,
+    ORIGIN_CLASSES,
+    Dimension,
+    make_e1,
+    make_named,
+    named_profile,
+)
 from hardylab.quadrature import (
     DEEP_EPS_SEQUENCE,
     DEFAULT_EPS_SEQUENCE,
+    LimitResult,
     NonConvergenceError,
     integrate,
     integrate_to_limit,
@@ -110,6 +118,16 @@ def test_singularity_energy_limits(dim3):
     assert hardy.singularity_energy(vanishing, 1e-12) < 1e-8
 
 
+def test_singularity_energy_refuses_a_radius_below_zero(dim3):
+    # a negative radius read the bump's plateau (2 pi), and nan gave nan;
+    # eps = 0 reads the origin
+    bump = make_named(dim3, "bump")
+    for eps in (-1.0, -1e-300, math.nan):
+        with pytest.raises(ValueError, match="eps >= 0"):
+            hardy.singularity_energy(bump, eps)
+    assert hardy.singularity_energy(bump, 0.0) == dim3.hs_constant
+
+
 def test_singularity_energy_diverges_for_log_class(dim3):
     p = named_profile(dim3, "log_power(0.3)")
     res = integrate_to_limit(lambda e: hardy.singularity_energy(p, e),
@@ -174,9 +192,15 @@ LIMIT_SWEEP = (
 @pytest.mark.parametrize("name", LIMIT_SWEEP)
 def test_limits_classify_like_the_dirichlet_oracle(n, name):
     # each sample of both limits is D(eps) reached through the Hardy
-    # functional; the oracle sums weighted_dirichlet slices on the deep grid
+    # functional.  Where the class has an origin limit the oracle is D(0, R)
+    # itself, one integral that takes no eps-limit, so a misread limit shows;
+    # for the log families no eps-free route gives the verdict, and the
+    # oracle sums weighted_dirichlet slices on the deep grid
     p = named_profile(Dimension(n), name)
-    want = dirichlet_limit(p)
+    if ORIGIN_CLASSES[p.origin_class] == "converged":
+        want = LimitResult(hardy.weighted_dirichlet(p, 0.0), "converged")
+    else:
+        want = dirichlet_limit(p)
     for res in (hardy.cutoff_norm(p), kelvin.exterior_norm(kelvin.kelvin_map(p))):
         assert res.classification == want.classification
         if res.classification == "converged":

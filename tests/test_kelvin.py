@@ -13,6 +13,16 @@ from oracles import Z01, central_diff, simpson
 MU1 = Z01 * Z01
 
 
+def test_exterior_singularity_energy_refuses_a_radius_inside_the_ball(dim3):
+    # S = 0.5 read 0.0 and nan read nan; S = 1 is the unit sphere, where
+    # the image of e1 vanishes to rounding
+    q = kelvin.kelvin_map(make_e1(dim3))
+    for S in (0.5, 1.0 - 1e-12, math.nan):
+        with pytest.raises(ValueError, match="S >= 1"):
+            kelvin.exterior_singularity_energy(q, S)
+    assert abs(kelvin.exterior_singularity_energy(q, 1.0)) <= 1e-30
+
+
 def test_ground_mode_image_formula(dim3):
     q = kelvin.kelvin_map(make_e1(dim3))
     for s in (1.0, 1.7, 3.2, 11.0):

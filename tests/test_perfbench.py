@@ -34,3 +34,20 @@ def test_traced_fdrun_reads_its_attributes(dim3):
     assert t.counts["evolution.FDRun.steps"] == run.steps == 10
     assert t.counts["evolution.FDRun.state_bytes"] > 0
     assert evolution.energy_trace(run, (0.005,))[0].energy > 0.0
+
+
+def test_traced_all_records_every_suite(tmp_path):
+    # the tracer rebinds cli.suite_* to time them, and the suite table must
+    # look them up when it runs: one span per suite, and integrals beneath
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    since = t.mark()
+    t.install()
+    try:
+        assert tracer.cli.main(["all", "--dim", "3", "--out", str(tmp_path / "out")]) == 0
+    finally:
+        t.uninstall()
+    spans = t.summary(since)
+    assert {name: spans[f"cli.{name}.calls"] for name in tracer.TIMED[tracer.cli]} == {
+        name: 1 for name in tracer.TIMED[tracer.cli]}
+    assert spans["quadrature.integrate.calls"] > 0

@@ -36,6 +36,12 @@ def test_dimension_validation():
     assert math.isfinite(Dimension(341).surface_factor)
     with pytest.raises(ValueError, match="341"):
         Dimension(342)
+    # the dimension is a whole number: N = 3.5 was accepted, and its
+    # constants computed
+    for n in (3.5, 3.0, "3"):
+        with pytest.raises(ValueError, match=f"dimension must be a whole number, got {n!r}"):
+            Dimension(n)
+    assert Dimension(np.int64(3)).surface_factor == Dimension(3).surface_factor
 
 
 def test_e1_regular_part(dim3):

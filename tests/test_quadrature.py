@@ -247,6 +247,12 @@ def test_value_or_raise():
     assert QuadResult(1.5, 1e-12).value_or_raise() == 1.5
     with pytest.raises(NonConvergenceError):
         QuadResult(math.nan, math.inf, converged=False).value_or_raise()
+    # integrate records its interval, and the raise names it
+    res = integrate(lambda x: 1.0 / x, 0.0, 0.5)
+    assert res.interval == (0.0, 0.5) and not res.converged
+    with pytest.raises(NonConvergenceError,
+                       match=r"^integral did not converge on \(0, 0\.5\): value "):
+        res.value_or_raise()
     # an ArithmeticError, so integrate_to_limit drops such a sample
     assert issubclass(NonConvergenceError, ArithmeticError)
 

@@ -150,6 +150,15 @@ def test_domain_errors():
         bessel_zero(0.0, 0)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, math.nan])
+def test_zero_index_must_be_a_whole_number(k):
+    # zero 1.5 of J_0 was searched for, and failed as "could not bracket";
+    # the index is refused by name, and the cache the tracer reads stays
+    with pytest.raises(BesselError, match=r"zero index must be a whole number, got k="):
+        bessel_zero(0.0, k)
+    assert bessel_zero.cache_info().maxsize == 4096
+
+
 def test_against_mpmath_reference():
     # independent route: mpmath's own series and asymptotics, not scipy
     mpmath = pytest.importorskip("mpmath")

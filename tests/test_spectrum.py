@@ -68,6 +68,21 @@ def test_rayleigh_without_a_limit_raises(dim3):
         spectrum.rayleigh(named_profile(dim3, "log_power(0.6)"))
 
 
+def test_mode_indices_and_counts_are_whole_numbers(dim3):
+    # eigenmode(dim, 1.5) failed to bracket a zero, and expand(p, 2.5) raised
+    # a TypeError from range: both refuse the argument by name
+    with pytest.raises(ValueError, match="zero index must be a whole number, got k=1.5"):
+        spectrum.eigenmode(dim3, 1.5)
+    with pytest.raises(ValueError, match="mode count must be a whole number, got K=2.5"):
+        spectrum.expand(make_e1(dim3), 2.5)
+
+
+def test_expand_failure_names_its_interval(dim3):
+    # the first coefficient of oscillating(50) does not converge on (0, 1)
+    with pytest.raises(NonConvergenceError, match=r"did not converge on \(0, 1\)"):
+        spectrum.expand(named_profile(dim3, "oscillating(50)"), 40)
+
+
 def test_expand_ground_mode(dim3):
     f = spectrum.expand(make_e1(dim3), 5)
     assert abs(f.coeffs[0] - 1.0) < 1e-8

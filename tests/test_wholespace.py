@@ -219,6 +219,14 @@ def test_zero_energy_eps_too_large_rejected(dim3):
         wholespace.zero_singularity_energies(p, 1, 3.2)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
+def test_zero_energy_eps_must_be_positive(dim3, eps):
+    # nan slipped past an eps <= 0 test and gave (nan, nan)
+    p = wholespace.bessel_weighted(smooth_cap(2.0, 9.0))
+    with pytest.raises(ValueError, match="eps must be positive"):
+        wholespace.zero_singularity_energies(p, 1, eps)
+
+
 def test_zero_energy_trace_rates(dim3):
     # u ~ |r - z_1|^a near the first zero: the one-sided energies scale like
     # eps^{2a-1}: vanishing for a = 1, diverging for a = 1/4
