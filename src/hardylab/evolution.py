@@ -38,6 +38,8 @@ class FDGrid:
     theta: float = 0.5
 
     def __post_init__(self) -> None:
+        if not isinstance(self.m, (int, np.integer)):
+            raise ValueError(f"node count must be a whole number, got {self.m!r}")
         if self.m < 64:
             raise ValueError(f"need at least 64 interior nodes, got {self.m}")
         if not self.dt > 0.0:

@@ -55,20 +55,21 @@ class HardyBreakdown:
     residual: float
 
 
-def energy_density(dim: Dimension, u: Callable[[float], float],
-                   du: Callable[[float], float]) -> Callable[[float], float]:
-    r"""The u-form Hardy density (u'^2 - c* u^2/r^2) r^{N-1} as a function of r.
+def energy_density(dim: Dimension, v: Callable[[float], float],
+                   dv: Callable[[float], float]) -> Callable[[float], float]:
+    r"""The Hardy density (u'^2 - c* u^2/r^2) r^{N-1} of u = r^-lam v, written
+    in v as ((v' - lam v/r) sqrt(r))^2 - c* (v/sqrt(r))^2.
 
-    Each square carries half the radial weight, so the two terms stay
-    representable wherever u and u' do.
+    The two squares keep the lam^2 v^2/r cancellation near the origin that
+    the direct form probes, and neither forms r^(+-lam), so they stay
+    representable in every dimension.
     """
-    n = dim.n
+    lam = dim.singular_exponent
     c_star = dim.critical_coefficient
 
     def f(r: float) -> float:
-        grad = (du(r) * r ** (0.5 * (n - 1))) ** 2
-        pot = c_star * (u(r) * r ** (0.5 * (n - 3))) ** 2
-        return grad - pot
+        vr = v(r)
+        return ((dv(r) - lam * vr / r) * np.sqrt(r)) ** 2 - c_star * (vr / np.sqrt(r)) ** 2
 
     return f
 
@@ -151,10 +152,10 @@ def annulus_functional(p: RadialProfile, eps: float, R: float | None = None,
                        method: str = "direct") -> float:
     r"""\int |grad u|^2 - c* \int u^2/|x|^2 over the annulus eps < r < R.
 
-    method="direct" integrates the u-form integrand built from u and du; the
-    two terms cancel strongly near the origin, which is exactly what the
-    decomposition identity probes.  method="reduced" expands the square
-    pointwise (no integration by parts) into  v'^2 r - 2 lam v v'  and stays
+    method="direct" integrates ``energy_density``, the u-form density written
+    in v; its two terms cancel strongly near the origin, which is exactly
+    what the decomposition identity probes.  method="reduced" expands the
+    square pointwise (no integration by parts) into  v'^2 r - 2 lam v v'  and stays
     representable down to eps ~ 1e-250; every eps -> 0 limit takes its
     samples in this form.  That integrand vanishes with v', so it starts no
     lower than p.flat_below.  The direct form is split at p.flat_below,
@@ -169,7 +170,7 @@ def annulus_functional(p: RadialProfile, eps: float, R: float | None = None,
         raise ValueError(f"need 0 < eps < R, got eps={eps}, R={R}")
     lo, hi = max(eps, p.support[0]), min(R, p.support[1])
     if method == "direct":
-        f = energy_density(p.dim, p.u, p.du)
+        f = energy_density(p.dim, p.v, p.dv)
     elif method == "reduced":
         f = reduced_density(p.dim, p.v, p.dv)
         lo = max(lo, p.flat_below)

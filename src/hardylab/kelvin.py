@@ -2,12 +2,14 @@
 
 The inversion y = x/|x|^2 with u(x) = |y|^{N-2} w(y) maps radial profiles on
 (0, 1] to exterior profiles on [1, oo).  In regular parts it is simply
-omega(s) = v(1/s): an involution whose image is again a RadialProfile, with
-u = s^{-(N-2)/2} omega.  The interior origin becomes the exterior infinity,
-and the singularity energy of u at 0 reappears as a surface term of w at
-infinity.  The exterior squared norm is the limit of I_exterior + L_exterior,
-which stays finite (and equals the interior cutoff norm) even where the
-exterior Hardy functional alone is negative, oscillating, or divergent.
+omega(s) = v(1/s): an involution whose image is again a RadialProfile, whose
+regular part omega stands for w = s^{-(N-2)/2} omega.  The interior origin
+becomes the exterior infinity, and the singularity energy of u at 0
+reappears as a surface term of w at infinity, hs omega(S)^2 at radius S:
+``hardy.singularity_energy`` of the image, as inside the ball.  The exterior
+squared norm is the limit of I_exterior + L_exterior, which stays finite
+(and equals the interior cutoff norm) even where the exterior Hardy
+functional alone is negative, oscillating, or divergent.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from . import hardy
 from .profiles import RadialProfile
 from .quadrature import LimitResult, integrate_to_limit
 
-__all__ = ["kelvin_map", "exterior_functional", "exterior_singularity_energy",
-           "identity_check", "exterior_norm", "IdentityCheck"]
+__all__ = ["kelvin_map", "exterior_functional", "identity_check", "exterior_norm",
+           "IdentityCheck"]
 
 
 def kelvin_map(p: RadialProfile) -> RadialProfile:
@@ -56,30 +58,17 @@ def exterior_functional(q: RadialProfile, S: float) -> float:
     r"""Hardy functional on the truncated exterior annulus 1 < s < S:
     s_N \int_1^S (w'^2 - c* w^2/s^2) s^{N-1} ds.
 
-    q is a Kelvin image: q.u = w, q.v = omega, and q.origin_class names the
-    behaviour at infinity.  This is the annulus functional of q on (1, S) in
-    its u-form; the reduced form, which stays representable for truncations
-    beyond ~1e100 where w' underflows, is ``hardy.annulus_functional`` with
+    q is a Kelvin image: q.v = omega is the regular part of
+    w = s^{-(N-2)/2} omega, and q.origin_class names the behaviour at
+    infinity.  This is the annulus functional of q on (1, S) in its direct
+    form; the reduced form, whose integrand vanishes with omega' where the
+    direct form's two terms cancel, is ``hardy.annulus_functional`` with
     method="reduced", the form ``exterior_norm`` takes.  For S >= 16 it is
     integrated in ln s, where energy spread over dozens of decades is smooth.
     """
     if not S > 1.0:
         raise ValueError(f"need S > 1, got {S}")
     return hardy.annulus_functional(q, 1.0, S)
-
-
-def exterior_singularity_energy(q: RadialProfile, S: float) -> float:
-    """Surface term at radius S >= 1 (the image of the interior one at 1/S):
-    N(N-2)/2 omega_N S^{N-2} w(S)^2, evaluated from the public u; an
-    OverflowError names S and N where S^{N-2} leaves the float range."""
-    if not S >= 1.0:
-        raise ValueError(f"need a radius S >= 1 outside the ball, got S={S}")
-    dim = q.dim
-    try:
-        return dim.hs_constant * S ** (dim.n - 2) * q.u(S) ** 2
-    except OverflowError:
-        raise OverflowError(f"exterior singularity energy: S^(N-2) overflows "
-                            f"at S={S:g}, N={dim.n}") from None
 
 
 @dataclass
@@ -94,10 +83,14 @@ class IdentityCheck:
 
 
 def identity_check(p: RadialProfile, eps: float) -> IdentityCheck:
-    """Both sides of the inversion identities, each by its own quadrature:
+    """Both sides of the inversion identities, each functional by its own
+    quadrature:
 
         I_interior(eps, 1) = I_exterior(1, 1/eps) + 2 L_exterior(1/eps)
         L_interior(eps)    = L_exterior(1/eps)
+
+    The exterior surface term at S is ``hardy.singularity_energy`` of the
+    image at S, hs omega(S)^2, which equals hs S^{N-2} w(S)^2.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
@@ -105,7 +98,7 @@ def identity_check(p: RadialProfile, eps: float) -> IdentityCheck:
     interior = hardy.annulus_functional(p, eps, 1.0)
     exterior = exterior_functional(q, 1.0 / eps)
     l_int = hardy.singularity_energy(p, eps)
-    l_ext = exterior_singularity_energy(q, 1.0 / eps)
+    l_ext = hardy.singularity_energy(q, 1.0 / eps)
     return IdentityCheck(
         eps=eps,
         interior=interior,

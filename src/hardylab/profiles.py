@@ -2,7 +2,7 @@
 
 A profile represents u(r) = r^{-(N-2)/2} v(r) on a radial support interval,
 with v the regular part.  Everything downstream (energies, spectra, maps)
-works with v and dv; u is reconstructed on demand.
+works with v and dv alone, and never forms the powers r^(+-(N-2)/2).
 
 Origin behavior is tagged with one of four classes:
 
@@ -61,9 +61,8 @@ MOLLIFY_RADIUS = 1e-290
 @dataclass(frozen=True)
 class Dimension:
     """Ambient dimension 3 <= N <= 341 with the constants attached to it.
-    ``all`` and ``energy`` pass up to N = 102, ``kelvin`` up to 104 and
-    ``poincare`` up to 153, above which a u-form or S^(N-2) overflows;
-    ``spectrum``, ``evolve`` and ``density`` pass up to 341."""
+    Every command runs over the whole range, since every energy is computed
+    from the regular part."""
 
     n: int
 
@@ -103,7 +102,7 @@ class Dimension:
 
 @dataclass
 class RadialProfile:
-    """Radial function stored via its regular part v, with u = r^-lam * v.
+    """Radial function u = r^-lam * v stored as its regular part v alone.
 
     ``flat_below`` is a fact about dv: dv(r) == 0.0 for every r below it.
     """
@@ -125,13 +124,6 @@ class RadialProfile:
             raise ValueError(f"bad support interval {self.support}")
         if not 0.0 <= self.flat_below < hi:
             raise ValueError(f"flat_below={self.flat_below} outside [0, {hi})")
-
-    def u(self, r: float) -> float:
-        return r ** (-self.dim.singular_exponent) * self.v(r)
-
-    def du(self, r: float) -> float:
-        lam = self.dim.singular_exponent
-        return r ** (-lam) * (self.dv(r) - lam * self.v(r) / r)
 
 
 def make_e1(dim: Dimension) -> RadialProfile:

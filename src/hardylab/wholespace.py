@@ -175,10 +175,12 @@ def infimum_sequence(n: int) -> float:
 def zero_singularity_energies(p: RadialProfile, m: int, eps: float) -> tuple[float, float]:
     """One-sided surface energies at the m-th zero:
 
-        L(+/-) = s_N s^{N-1} (J_0'/J_0)(s) u(s)^2   at  s = z_m +/- eps.
+        L(+/-) = s_N s (J_0'/J_0)(s) v(s)^2   at  s = z_m +/- eps,
 
-    J_0 and J_0' have opposite signs just past a zero and equal signs just
-    before it, so L(+) >= 0 and -L(-) >= 0 whenever they are finite.
+    the surface term s_N s^{N-1} (J_0'/J_0) u^2 of u = s^{-(N-2)/2} v written
+    in the regular part.  J_0 and J_0' have opposite signs just past a zero
+    and equal signs just before it, so L(+) >= 0 and -L(-) >= 0 whenever they
+    are finite.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -190,11 +192,10 @@ def zero_singularity_energies(p: RadialProfile, m: int, eps: float) -> tuple[flo
     if z - eps <= z_prev or z + eps >= z_next:
         raise ValueError(f"eps={eps} too large: J_0 vanishes inside the bracket")
     sfac = p.dim.surface_factor
-    n = p.dim.n
     out = []
     for s in (z + eps, z - eps):
         ratio = -bessel_j(1.0, s) / bessel_j(0.0, s)  # J_0'/J_0
-        out.append(sfac * s ** (n - 1) * ratio * p.u(s) ** 2)
+        out.append(sfac * s * ratio * p.v(s) ** 2)
     return out[0], out[1]
 
 
@@ -206,13 +207,14 @@ def norm_decomposition(p: RadialProfile, energies: JEnergy,
     ``j_functional(p)``: a caller that has already integrated them (as
     ``hardy_poincare_check`` does) does not pay for them twice.  The
     reassembled side removes eps-balls around the origin and every zero,
-    evaluates the Hardy functional there in the u-form, subtracts the origin
-    surface energy and adds the zero-circle pair of each zero it cut.  Raises
-    NonConvergenceError naming the first piece of the u-form integral that
-    misses its tolerance.
+    evaluates the Hardy functional there in the direct form
+    (``hardy.energy_density``), subtracts the origin surface energy and adds
+    the zero-circle pair of each zero it cut.  Raises NonConvergenceError
+    naming the first piece of the direct-form integral that misses its
+    tolerance.
     """
     lo, hi = p.support
-    f = hardy.energy_density(p.dim, p.u, p.du)
+    f = hardy.energy_density(p.dim, p.v, p.dv)
     i_total, cut = _integrate_between_zeros(f, lo, hi, eps)
     i_total *= p.dim.surface_factor
 

@@ -271,6 +271,22 @@ def log_family_law(p: RadialProfile, a: float) -> float:
     return p.dim.surface_factor * (bridge + tail)
 
 
+def u_and_du(p: RadialProfile):
+    """(u, u') of the function that p stands for, rebuilt from its regular
+    part: u = r^-lam v and u' = r^-lam (v' - lam v / r).  The package never
+    forms them; the tests check the Kelvin map and the exterior flow in u
+    through this route, the inverse of ``profile_from_u``."""
+    lam = p.dim.singular_exponent
+
+    def u(r):
+        return r ** -lam * p.v(r)
+
+    def du(r):
+        return r ** -lam * (p.dv(r) - lam * p.v(r) / r)
+
+    return u, du
+
+
 def profile_from_u(dim, u, du, support) -> RadialProfile:
     """The profile of the function u itself: v = r^lam u and
     dv = r^lam (du + lam u / r), origin class ``vanishing``."""

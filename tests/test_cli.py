@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from hardylab import approx, hardy, spectrum, wholespace
-from hardylab.cli import energy_law_defect, main
+from hardylab.cli import energy_law_defect, main, suite_density
 from hardylab.evolution import EnergySample
+from hardylab.profiles import Dimension
 
 #: integrand points of one ``hardylab all`` run at the CLI defaults; a change
 #: may lower these bounds, never raise them
@@ -243,13 +244,12 @@ def test_number_that_cannot_be_computed_exits_1(tmp_path, capsys):
     assert err.startswith("numerical failure: ") and "Traceback" not in err
 
 
-def test_float_overflow_exits_1(tmp_path, capsys):
-    # the exterior singularity energy needs S^(N-2) at S = 1e3, which
-    # overflows a float from N = 105 on
-    assert main(["kelvin", "--dim", "120", "--out", str(tmp_path / "x")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ") and "Traceback" not in err
-    assert "N=120" in err
+@pytest.mark.parametrize("n", [103, 120, 154, 341])
+def test_all_passes_in_high_dimensions(tmp_path, capsys, n):
+    # every energy is computed from the regular part v: no r^(N-2)/2 and no
+    # S^(N-2) is formed, so nothing overflows up to the largest dimension
+    assert main(["all", "--dim", str(n), "--out", str(tmp_path / "x")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_bad_profile_exits_2(tmp_path):
@@ -328,6 +328,16 @@ def test_main_freezes_the_heap_before_it_returns(tmp_path, argv, code):
         assert gc.get_freeze_count() > 0
     finally:
         gc.unfreeze()
+
+
+def test_obstruction_check_scales_with_the_bound(tmp_path, monkeypatch):
+    # at N = 60 the bound hs is 5.4e-15, so an absolute slack of 1e-9 would
+    # pass an obstruction of half the bound; the slack is relative to it
+    hs = Dimension(60).hs_constant
+    monkeypatch.setattr(approx, "e1_obstruction", lambda p: 0.5 * hs)
+    _, _, checks = suite_density(Dimension(60))
+    row, = [c for c in checks if c["name"] == "obstruction_above_bound"]
+    assert row["pass"] is False
 
 
 def test_dimension_four(tmp_path):

@@ -13,7 +13,7 @@ from hardylab.profiles import Dimension, make_e1, make_named, named_profile
 from hardylab.specfun import bessel_j
 
 from oracles import (Z01, theta_operator, theta_scheme_banded, theta_scheme_longdouble,
-                     theta_scheme_symmetric)
+                     theta_scheme_symmetric, u_and_du)
 
 MU1 = Z01 * Z01
 
@@ -90,6 +90,12 @@ def test_fd_grid_validation():
         FDGrid(m=128, dt=-1e-4)
     with pytest.raises(ValueError):
         FDGrid(m=128, dt=1e-4, theta=0.7)
+    # a fractional m puts nodes past r = 1: m = 100.5 reads E = 1.51002 for
+    # e1 (N = 3), where the exact value is 1.50844
+    for m in (100.5, 128.0, "128"):
+        with pytest.raises(ValueError, match=f"node count must be a whole number, got {m!r}"):
+            FDGrid(m=m, dt=1e-4)
+    assert FDGrid(m=np.int64(128), dt=1e-4).nodes[-1] == 1.0
 
 
 def test_fd_time_zero_returns_samples(dim3):
@@ -365,15 +371,17 @@ def test_exterior_eigenmode_decay(dim3):
     e1 = make_e1(dim3)
     q = kelvin.kelvin_map(e1)
     w1 = evolution.evolve_exterior(q, 0.1, modes=5)
+    (w, _), (w0, _) = u_and_du(w1), u_and_du(q)
     for s in (1.5, 2.5, 7.0):
-        assert abs(w1.u(s) - math.exp(-MU1 * 0.1) * q.u(s)) < 1e-10
+        assert abs(w(s) - math.exp(-MU1 * 0.1) * w0(s)) < 1e-10
 
 
 def test_exterior_roundtrip_identity(dim3):
     q = kelvin.kelvin_map(make_e1(dim3))
     back = kelvin.kelvin_map(kelvin.kelvin_map(q))
+    (w_back, _), (w, _) = u_and_du(back), u_and_du(q)
     for s in (1.1, 2.0, 5.0, 40.0):
-        assert abs(back.u(s) - q.u(s)) < 1e-12
+        assert abs(w_back(s) - w(s)) < 1e-12
 
 
 def test_exterior_fd_route_agrees_with_spectral(dim3):
@@ -382,7 +390,7 @@ def test_exterior_fd_route_agrees_with_spectral(dim3):
     f0 = spectrum.SpectralField(modes, np.array([0.8, 0.5]))
     q0 = kelvin.kelvin_map(f0.profile())
     t = 0.05
-    w_spec = evolution.evolve_exterior(q0, t, modes=4)
+    w_spec, _ = u_and_du(evolution.evolve_exterior(q0, t, modes=4))
     # the FD route: march the pullback on the grid, interpolate the final
     # samples linearly and push forward, u(s) = s^-lam v(1/s)
     grid = FDGrid(m=512, dt=1e-4)
@@ -390,4 +398,4 @@ def test_exterior_fd_route_agrees_with_spectral(dim3):
     lam = dim3.singular_exponent
     for s in (1.2, 2.0, 4.0, 10.0):
         w_fd = s ** -lam * np.interp(1.0 / s, grid.nodes, v)
-        assert abs(w_fd - w_spec.u(s)) < 1e-4
+        assert abs(w_fd - w_spec(s)) < 1e-4

@@ -299,7 +299,7 @@ def _cases(dim3):
         "near_pole_ungraded": (
             lambda r: np.sin(3.0 * (r - 1.0)) + 1.0 / np.sqrt(r - 1.0 + 1e-6), 1.0, 2.0),
         # cutoff_norm integrands: a first slice and a deep one
-        "e1_direct_1e-6": (hardy.energy_density(dim3, e1.u, e1.du), 1e-6, 1.0),
+        "e1_direct_1e-6": (hardy.energy_density(dim3, e1.v, e1.dv), 1e-6, 1.0),
         "log_power_reduced_1e-32": (hardy.reduced_density(dim3, lp.v, lp.dv), 1e-32, 1.0),
         # a slice with a nonzero left end: the log variable spans ln(b / a)
         "log_power_reduced_slice": (hardy.reduced_density(dim3, lp.v, lp.dv), 1e-32, 1e-16),
