@@ -42,8 +42,8 @@ class FDGrid:
             raise ValueError(f"node count must be a whole number, got {self.m!r}")
         if self.m < 64:
             raise ValueError(f"need at least 64 interior nodes, got {self.m}")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if self.theta not in (0.5, 1.0):
             raise ValueError("theta must be 1/2 (trapezoidal) or 1 (implicit)")
 
@@ -58,8 +58,8 @@ class FDGrid:
 
 def evolve_spectral(f: SpectralField, t: float) -> SpectralField:
     """Decay every coefficient by exp(-mu_k t); exact semigroup."""
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
+    if not t >= 0.0:
+        raise ValueError(f"time must be nonnegative, got {t!r}")
     factors = np.array([math.exp(-m.eigenvalue * t) for m in f.modes])
     return SpectralField(f.modes, f.coeffs * factors)
 
@@ -105,13 +105,14 @@ class FDRun:
     buffers' interior views, the factors, the right-side weight and the
     solver once per query, and each step is then a product into the buffer,
     the solve in place and, for Crank-Nicolson, a subtraction in place.
-    ``energy`` and ``dirichlet`` write their products into two scratch
-    arrays the constructor allocates, so neither stepping nor an energy
-    read allocates an array of the grid's size.  ``state(t)`` returns a
-    copy, which later steps leave alone.  Each state comes from the same
-    arithmetic on the same previous state, so a state is bitwise the same
-    whatever the order of the queries.  Query times must lie on the time
-    grid, within the rule the constructor applies to ``t_final``.
+    ``energy`` is the norm of W, in which the scheme keeps its energy law
+    exactly (``law_defect``); the energy reads write into scratch arrays, so
+    neither stepping nor an energy read allocates an array of the grid's
+    size.  ``state(t)`` returns a copy, which later steps leave alone.  Each
+    state comes from the same arithmetic on the same previous state, so a
+    state is bitwise the same whatever the order of the queries.  Query
+    times must lie on the time grid, within the rule the constructor
+    applies to ``t_final``.
     """
 
     HELD = 3
@@ -125,7 +126,6 @@ class FDRun:
         self.steps = steps
 
         r = grid.nodes
-        self._nodes = r
         self._midpoints = 0.5 * (r[:-1] + r[1:])
         state = np.array(p.v(r), dtype=float)
         state[-1] = 0.0
@@ -147,6 +147,7 @@ class FDRun:
         if info != 0:
             raise ValueError(f"theta-scheme matrix is not positive definite (dpttrf info={info})")
         self._factors = factors
+        self._mass = grid.h * mass  # W itself: h/8, then h j = r_j to the bit
         # the right side carries 1/theta (1 or 2, an exact scaling), so the
         # solve returns y/theta
         self._rhs_weight = mass / th
@@ -158,8 +159,9 @@ class FDRun:
         # the stepped entries; the boundary entry is never written and stays 0
         self._interiors = [buf[:-1] for buf in self.states]
         # scratch of the energy reads
-        self._cell_sq = np.empty(state.size)
+        self._cell_sq = np.empty(state.size - 1)
         self._slope_sq = np.empty(state.size - 1)
+        self._mean = np.empty(state.size)
         self._restart()
 
     def _restart(self) -> None:
@@ -207,17 +209,22 @@ class FDRun:
         """The grid samples at t, in a fresh array."""
         return self._held(t).copy()
 
-    def energy(self, t: float) -> float:
-        """Weighted L^2 norm^2 by the trapezoid rule (both endpoints drop)."""
-        v = self._held(t)
+    def norm_sq(self, v: np.ndarray) -> float:
+        """s_N h sum_j W_j v_j^2 over the grid samples v_0..v_m of v."""
         sq = self._cell_sq
-        np.multiply(v, v, sq)
-        np.multiply(sq, self._nodes, sq)
+        np.multiply(v[:-1], v[:-1], sq)
+        np.multiply(sq, self._mass, sq)
         return self.profile.dim.surface_factor * self.grid.h * float(np.sum(sq))
+
+    def energy(self, t: float) -> float:
+        """Weighted L^2 norm^2 in the cell masses W the scheme factors."""
+        return self.norm_sq(self._held(t))
 
     def dirichlet(self, t: float) -> float:
         """Weighted Dirichlet energy with midpoint radii."""
-        v = self._held(t)
+        return self._dirichlet(self._held(t))
+
+    def _dirichlet(self, v: np.ndarray) -> float:
         h = self.grid.h
         sq = self._slope_sq
         # np.diff(v) / h, squared, times the midpoint radii
@@ -236,13 +243,18 @@ class FDRun:
             return (self.energy(dt) - self.energy(0.0)) / dt
         return (self.energy(idx * dt) - self.energy((idx - 1) * dt)) / dt
 
-    def flux_diag(self, t: float) -> float:
-        """Innermost-cell boundary flux  s_N * r1 * v(r1) * v'(r1); the term
-        the weak formulation drops, monitored rather than assumed small."""
-        v = self._held(t)
-        h = self.grid.h
-        dv1 = (v[2] - v[0]) / (2.0 * h)
-        return self.profile.dim.surface_factor * h * v[1] * dv1
+    def law_defect(self, t: float) -> float:
+        """Relative defect of E(t) - E(t - dt) = -2 dt B(v_theta, vbar), which the
+        scheme keeps exactly: vbar is the mean of the two states, B the form of
+        ``dirichlet``, B(v_theta, vbar) = D(vbar) + (theta - 1/2)(D(t) - D(t - dt))/2."""
+        # the earlier state first: the later one is then at most one step on
+        v0 = self._held((self._index(t) - 1) * self.grid.dt)
+        v1 = self._held(t)
+        vbar = np.multiply(np.add(v0, v1, out=self._mean), 0.5, out=self._mean)
+        split = (self.grid.theta - 0.5) * (self._dirichlet(v1) - self._dirichlet(v0)) / 2.0
+        rhs = -2.0 * self.grid.dt * (self._dirichlet(vbar) + split)
+        gap = abs(self.norm_sq(v1) - self.norm_sq(v0) - rhs)
+        return gap / abs(rhs) if rhs != 0.0 else math.inf
 
 
 @dataclass
@@ -251,7 +263,6 @@ class EnergySample:
     energy: float
     dEdt_est: float
     minus_twice_dirichlet: float
-    flux_diag: float
 
 
 def energy_trace(run, times) -> list[EnergySample]:
@@ -264,7 +275,6 @@ def energy_trace(run, times) -> list[EnergySample]:
             energy=run.energy(t),
             dEdt_est=run.energy_rate(t),
             minus_twice_dirichlet=-2.0 * run.dirichlet(t),
-            flux_diag=run.flux_diag(t),
         ))
     return rows
 

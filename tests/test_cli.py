@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hardylab import approx, hardy, spectrum, wholespace
-from hardylab.cli import energy_law_defect, main, suite_density
+from hardylab import approx, evolution, hardy, spectrum, wholespace
+from hardylab.cli import energy_law_defect, main, suite_density, suite_evolve
 from hardylab.evolution import EnergySample
 from hardylab.profiles import Dimension
 
@@ -29,7 +29,8 @@ REPORT_LEDGER = {
         "spectrum.mode_orthonormality": 7e-14,
         "energy.decomposition_residual": 3.2e-16, "energy.singularity_energy_limit": 2.9e-12,
         "energy.norm_gap_vs_singularity_energy": 0.0,
-        "evolve.energy_law": 3.3e-06, "evolve.fd_vs_spectral_L2": 9e-07,
+        "evolve.energy_law": 2.6e-07, "evolve.discrete_energy_law": 2.9e-13,
+        "evolve.fd_vs_spectral_L2": 9e-07,
         "evolve.semigroup_exact": 2e-31, "evolve.long_time_log_slope": 0.0,
         "kelvin.inversion_identity_defect": 3.6e-15, "kelvin.surface_term_defect": 8.9e-16,
         "kelvin.unitary_equivalence": 3.6e-15, "kelvin.hidden_energy_additive": 1.2e-08,
@@ -44,7 +45,8 @@ REPORT_LEDGER = {
         "spectrum.mode_orthonormality": 7e-14,
         "energy.decomposition_residual": 6e-16, "energy.singularity_energy_limit": 2.9e-12,
         "energy.norm_gap_vs_singularity_energy": 0.0,
-        "evolve.energy_law": 3.3e-06, "evolve.fd_vs_spectral_L2": 1.2e-06,
+        "evolve.energy_law": 2.6e-07, "evolve.discrete_energy_law": 4.4e-13,
+        "evolve.fd_vs_spectral_L2": 1.2e-06,
         "evolve.semigroup_exact": 2e-31, "evolve.long_time_log_slope": 0.0,
         "kelvin.inversion_identity_defect": 2.2e-14, "kelvin.surface_term_defect": 0.0,
         "kelvin.unitary_equivalence": 1.8e-15, "kelvin.hidden_energy_additive": 3.6e-08,
@@ -101,12 +103,11 @@ def test_evolve_suite(tmp_path):
     out = tmp_path / "out"
     assert main(["evolve", "--grid", "256", "--out", str(out)]) == 0
     rows = (out / "evolve.csv").read_text().splitlines()
-    assert rows[0] == "t,energy,dEdt_est,minus2dirichlet,flux_diag"
+    assert rows[0] == "t,energy,dEdt_est,minus2dirichlet,law_defect"
 
 
 def _sample(dEdt, minus2d):
-    return EnergySample(t=1.0, energy=1.0, dEdt_est=dEdt,
-                        minus_twice_dirichlet=minus2d, flux_diag=0.0)
+    return EnergySample(t=1.0, energy=1.0, dEdt_est=dEdt, minus_twice_dirichlet=minus2d)
 
 
 def test_energy_law_defect_on_synthetic_rows():
@@ -118,6 +119,24 @@ def test_energy_law_defect_on_synthetic_rows():
     assert energy_law_defect(rows + [_sample(0.0, 0.0)]) == math.inf
     # -2D is 0 but the rate is not: the law cannot hold, the check fails
     assert energy_law_defect([_sample(1e-300, 0.0)] + rows) == math.inf
+
+
+def test_discrete_energy_law_sees_a_perturbed_axis_flux(monkeypatch):
+    # the factored matrix with its axis off-diagonal scaled by 1 + 1e-9: the
+    # states keep a neighbouring scheme's law, 1e-9 off the one the check
+    # writes, while every comparison with the continuous flow still passes
+    dpttrf = evolution.lapack.dpttrf
+
+    def perturbed(d, e):
+        e = e.copy()
+        e[0] *= 1.0 + 1e-9
+        return dpttrf(d, e)
+
+    monkeypatch.setattr(evolution.lapack, "dpttrf", perturbed)
+    _, _, checks = suite_evolve(Dimension(3), "e1", 0.1, 512)
+    law = next(c for c in checks if c["name"] == "discrete_energy_law")
+    assert not law["pass"] and law["value"] > 1e-10
+    assert all(c["pass"] for c in checks if c is not law)
 
 
 @pytest.mark.parametrize("n", [3, 4])

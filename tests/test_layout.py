@@ -29,7 +29,7 @@ UNREACHED_MEMBERS = {
 
 #: member names that more than one public class defines; a read of such a
 #: name reaches every class that defines it, so the set is pinned
-SHARED = {"defect", "dim", "dirichlet", "dv", "energy", "eps", "flux_diag", "profile",
+SHARED = {"defect", "dim", "dirichlet", "dv", "energy", "eps", "norm_sq", "profile",
           "v"}
 
 
