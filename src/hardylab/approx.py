@@ -128,7 +128,10 @@ def dim_reduction(p: RadialProfile, R: float) -> float:
     r(t) = R exp(-t^{-(N-2)}) and return the ratio of the two Dirichlet
     energies, weighted s_N \int_0^R v'^2 r dr over flat
     s_N \int_0^inf w'(t)^2 t^{N-1} dt, each by its own quadrature.  The
-    ratio is 1/(N-2), independent of R."""
+    ratio is 1/(N-2), independent of R, for every finite R above
+    p.flat_below; at or below it both energies are 0, and R is refused."""
+    if not p.flat_below < R < math.inf:
+        raise ValueError(f"need R above the flat radius {p.flat_below:g}, got R={R}")
     dim = p.dim
     n = dim.n
     nm2 = float(n - 2)

@@ -118,6 +118,8 @@ class FDRun:
     HELD = 3
 
     def __init__(self, p: RadialProfile, grid: FDGrid, t_final: float):
+        if p.support[1] > 1.0:
+            raise ValueError("the heat flow lives on the unit ball")
         self.profile = p
         self.grid = grid
         steps = time_index(t_final, grid.dt)

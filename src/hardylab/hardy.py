@@ -195,12 +195,12 @@ def breakdown(p: RadialProfile, eps: float) -> HardyBreakdown:
 
 def eps_grid(p: RadialProfile):
     """Default eps grid per origin class: classes with an origin limit contract
-    at least geometrically on 10^-1..10^-6; the others, and profiles outside
-    the weighted Dirichlet space, need log(1/eps) itself sampled geometrically
-    to reveal their behavior.  A profile that declares a flat radius takes the
-    deep grid too, whose slices below that radius are 0.0 without an
-    evaluation: its limit is reached wherever the radius lies."""
-    if ORIGIN_CLASSES[p.origin_class] != "converged" or not p.member or p.flat_below > 0.0:
+    at least geometrically on 10^-1..10^-6; the others need log(1/eps) itself
+    sampled geometrically to reveal their behavior.  A profile that declares
+    a flat radius takes the deep grid too, whose slices below that radius
+    are 0.0 without an evaluation: its limit is reached wherever the radius
+    lies."""
+    if ORIGIN_CLASSES[p.origin_class] != "converged" or p.flat_below > 0.0:
         return DEEP_EPS_SEQUENCE
     return DEFAULT_EPS_SEQUENCE
 

@@ -176,24 +176,14 @@ def make_subcritical(dim: Dimension, c: float) -> RadialProfile:
     )
 
 
-def _step_parts(t):
-    """(t, exp(-1/t), exp(-1/(1-t))) with t clipped into (0, 1): at the clip
-    ends one exponential is exactly 0, so the step is exactly 0 or 1 there."""
-    t = np.minimum(np.maximum(t, 1e-150), np.nextafter(1.0, 0.0))
-    return t, np.exp(-1.0 / t), np.exp(-1.0 / (1.0 - t))
-
-
 def _smooth_step(t):
-    """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""
-    _, a, b = _step_parts(t)
-    return a / (a + b)
-
-
-def _smooth_step_and_deriv(t):
-    """The smooth step and its derivative in t, from one pair of exponentials."""
-    t, a, b = _step_parts(t)
-    da = a / (t * t)
-    db = -b / ((1.0 - t) * (1.0 - t))
+    """The C-infinity monotone step, 0 for t <= 0 and 1 for t >= 1, and its
+    slope in t, from one pair of exponentials.  t is clipped into (0, 1): at
+    the clip ends one exponential is exactly 0, so the step is exactly 0 or
+    1 there."""
+    t = np.minimum(np.maximum(t, 1e-150), np.nextafter(1.0, 0.0))
+    a, b = np.exp(-1.0 / t), np.exp(-1.0 / (1.0 - t))
+    da, db = a / (t * t), -b / ((1.0 - t) * (1.0 - t))
     return a / (a + b), (da * (a + b) - a * (da + db)) / (a + b) ** 2
 
 
@@ -278,17 +268,17 @@ def _bump(dim: Dimension, fall: tuple[float, float],
         raise ValueError("bad fall window")
 
     def v(r):
-        out = height * _smooth_step((b1 - r) / (b1 - b0))
+        out = height * _smooth_step((b1 - r) / (b1 - b0))[0]
         if rise is not None:
-            out = out * _smooth_step((r - rise[0]) / (rise[1] - rise[0]))
+            out = out * _smooth_step((r - rise[0]) / (rise[1] - rise[0]))[0]
         return out
 
     def dv(r):
-        down, ddown = _smooth_step_and_deriv((b1 - r) / (b1 - b0))
+        down, ddown = _smooth_step((b1 - r) / (b1 - b0))
         ddown = -ddown / (b1 - b0)
         if rise is None:
             return height * ddown
-        up, dup = _smooth_step_and_deriv((r - rise[0]) / (rise[1] - rise[0]))
+        up, dup = _smooth_step((r - rise[0]) / (rise[1] - rise[0]))
         dup = dup / (rise[1] - rise[0])
         return height * (dup * down + up * ddown)
 

@@ -252,19 +252,21 @@ class LimitResult:
 def _aitken(seq):
     """One stage of Aitken's delta-squared process: the extrapolant of each
     three consecutive values (the last of them where the second difference
-    vanishes)."""
+    vanishes).  The ratio is taken before the product, so no squared
+    difference under- or overflows."""
     out = []
     for x0, x1, x2 in zip(seq, seq[1:], seq[2:]):
         d1, d2 = x1 - x0, x2 - x1
-        out.append(x2 if d2 == d1 else x2 - d2 * d2 / (d2 - d1))
+        out.append(x2 if d2 == d1 else x2 - d2 * (d2 / (d2 - d1)))
     return out
 
 
-def classify_sequence(values, abs_tol: float = 1e-10, rel_tol: float = 1e-9):
+def classify_sequence(values):
     """(classification, limit) for a sequence sampled along eps -> 0.
 
-    With tol = max(abs_tol, rel_tol * max|v|), a difference within tol is
-    rounding noise and counts as 0.
+    With tol = 1e-9 max|v|, a difference within tol is rounding noise and
+    counts as 0.  The rule has no absolute scale: multiplying the samples
+    by a power of 2 multiplies the limit by it and keeps the verdict.
     converged:   the last three samples agree within tol (the limit is the
                  last sample), or the last three differences shrink in size
                  and the last two two-stage Aitken extrapolants agree within
@@ -275,7 +277,7 @@ def classify_sequence(values, abs_tol: float = 1e-10, rel_tol: float = 1e-9):
     v = [float(x) for x in values]
     if len(v) < 4:
         raise InsufficientSamplesError(f"need >= 4 samples, got {len(v)}")
-    tol = max(abs_tol, rel_tol * max(max(abs(x) for x in v), 1e-300))
+    tol = 1e-9 * max(max(abs(x) for x in v), 1e-300)  # 1e-300: all zero
     d = [x if abs(x) > tol else 0.0 for x in (b - a for a, b in zip(v, v[1:]))]
     if d[-2] == d[-1] == 0.0:
         return "converged", v[-1]

@@ -344,7 +344,7 @@ def classify_origin(p) -> str:
     non-convergent behavior is ``oscillating``.
     """
     vals = p.v(np.array([10.0**-g for g in CLASSIFY_EXPONENTS]))
-    cls, limit = classify_sequence(vals, abs_tol=1e-12, rel_tol=1e-9)
+    cls, limit = classify_sequence(vals)
     if cls == "converged":
         scale = max(max(abs(x) for x in vals), 1e-300)
         return "vanishing" if abs(limit) <= 1e-6 * max(scale, 1.0) else "finite_limit"

@@ -202,3 +202,14 @@ def test_dim_reduction_radius_independent(dim4):
 
 def test_dim_reduction_on_ground_mode(dim3):
     assert abs(approx.dim_reduction(make_e1(dim3), 1.0) - 1.0) < 1e-7
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("profile, radius", [("bump", 0.3), ("bump", 0.4),
+                                             ("log_ramp(1e-6)", 1e-7), ("e1", math.inf)])
+def test_dim_reduction_refuses_a_flat_radius(n, profile, radius):
+    # at or below the flat radius both energies are 0: the bump at R = 0.3
+    # returned a clean 0/0 at N = 3 and raised TypeError at N = 4 and 5
+    p = named_profile(Dimension(n), profile)
+    with pytest.raises(ValueError, match=f"flat radius {p.flat_below:g}"):
+        approx.dim_reduction(p, radius)

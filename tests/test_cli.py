@@ -193,6 +193,16 @@ def test_member_next_to_the_critical_exponent_converges(tmp_path):
     assert abs(rows["cutoff_norm_converged"]["value"] - 39.5218590882) <= 1e-9
 
 
+@pytest.mark.parametrize("profile, verdict", [("log_power(0.3)", "diverging"),
+                                              ("oscillating(0.7)", "oscillating")])
+def test_bare_functional_keeps_its_verdict_at_n60(tmp_path, profile, verdict):
+    # hs is 5.4e-15 at N = 60: the classifier's tolerance scales with the
+    # samples, so their differences are not read as noise
+    code, rows = _energy_rows(tmp_path, 60, profile)
+    assert code == 0
+    assert rows[f"bare_functional_{verdict}"]["pass"] is True
+
+
 def test_predicate_without_measurement_writes_one(tmp_path):
     out = tmp_path / "out"
     assert main(["spectrum", "--out", str(out)]) == 0

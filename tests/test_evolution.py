@@ -352,6 +352,16 @@ def test_fd_rejects_non_finite_initial_data(dim3):
         FDRun(replace(p, v=v), grid, 0.01)
 
 
+
+def test_fd_rejects_data_beyond_the_unit_ball(dim3):
+    # the grid ends at r = 1, where the scheme sets v = 0: a bump falling on
+    # (2, 9) lost its value 1 there, and the spectral route refuses it too
+    p = make_named(dim3, "bump", fall=(2.0, 9.0))
+    with pytest.raises(ValueError, match="unit ball"):
+        FDRun(p, FDGrid(64, 1e-3), 0.01)
+    with pytest.raises(ValueError, match="unit ball"):
+        spectrum.expand(p, 4)
+
 #: the named member profiles of CI's evolve runs, every origin class among them
 EVOLVED_MEMBERS = ["e1", "mode(2)", "bump", "annular_bump", "constant_plateau",
                    "subcritical(0.1)", "oscillating(0.3)", "log_ramp(1e-3)",

@@ -182,6 +182,28 @@ def test_classify_sequence_converges_only_to_the_known_limit(seq):
         assert limit is not None and abs(got - limit) <= 1e-6 * abs(limit)
 
 
+@st.composite
+def scalable_sequences(draw):
+    """A known sequence, or an arbitrary one of magnitudes 1e-3 to 1e3."""
+    if draw(st.booleans()):
+        return [float(x) for x in draw(known_sequences())[0]]
+    size = draw(st.integers(4, 9))
+    mags = draw(st.lists(st.floats(-3.0, 3.0), min_size=size, max_size=size))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size))
+    return [sign * 10.0**m for sign, m in zip(signs, mags)]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(scalable_sequences(), st.integers(-900, 900))
+def test_classify_sequence_is_scale_free(values, k):
+    # a factor 2^k is exact on every sample, difference and ratio, so the
+    # verdict must not move and the limit must scale exactly
+    cls, limit = classify_sequence(values)
+    cls_k, limit_k = classify_sequence([math.ldexp(x, k) for x in values])
+    assert cls_k == cls
+    assert limit_k == math.ldexp(limit, k) or math.isnan(limit) and math.isnan(limit_k)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the last two extrapolants agree by coincidence: nine samples of "
@@ -199,8 +221,8 @@ def test_classify_sequence_known_misreadings(values, limit):
 
 
 def test_fast_growth_with_small_early_steps_diverges():
-    # the first steps of e^-3 lie within rel_tol of its largest value and
-    # count as zero; they must not break the monotone run
+    # the first steps of e^-3 lie within the tolerance, 1e-9 of its largest
+    # value, and count as zero; they must not break the monotone run
     res = integrate_to_limit(lambda e: e ** -3, DEFAULT_EPS_SEQUENCE)
     assert res.classification == "diverging"
     res = integrate_to_limit(lambda e: e ** -0.1, DEEP_EPS_SEQUENCE)
