@@ -31,7 +31,7 @@ for t in [0.0125 * j for j in range(1, 8)]:
           f"{row.minus_twice_dirichlet:>14.6f} {run.law_defect(t):>12.2e}")
 
 field = spectrum.expand(p, 40)
-f_t = evolution.evolve_spectral(field, 0.1)
+f_t = evolution.evolve_spectral(field, 0.1).profile()
 v_sp = np.array([f_t.v(rj) for rj in grid.nodes])
 dist = math.sqrt(run.norm_sq(run.state(0.1) - v_sp))
 print()

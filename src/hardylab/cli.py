@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import approx, evolution, hardy, kelvin, spectrum, wholespace
-from .profiles import ORIGIN_CLASSES, Dimension, make_e1, make_named, named_profile
+from .profiles import ORIGIN_CLASSES, Dimension, make_e1, make_mode, make_named, named_profile
 from .specfun import bessel_zero
 
 MU_1 = 5.783185962946785  # z_{0,1}^2, pinned against the bisection oracle in tests
@@ -81,7 +81,7 @@ def suite_spectrum(dim: Dimension, modes: int):
     worst = 0.0
     kk = min(4, modes)
     for i in range(1, kk + 1):
-        f = spectrum.expand(spectrum.eigenmode(dim, i).profile(), kk)
+        f = spectrum.expand(make_mode(dim, i), kk)
         for j0, c in enumerate(f.coeffs, start=1):
             want = 1.0 if j0 == i else 0.0
             worst = max(worst, abs(c - want))
@@ -169,7 +169,7 @@ def suite_evolve(dim: Dimension, profile_name: str, t_final: float, grid_m: int)
               _check("discrete_energy_law", max(row[-1] for row in rows), 0.0, 1e-11)]
 
     # cross-solver agreement in the weighted L^2 metric at t_final
-    v_sp = evolution.evolve_spectral(field0, t_final).v(grid.nodes)
+    v_sp = evolution.evolve_spectral(field0, t_final).profile().v(grid.nodes)
     dist = math.sqrt(frun.norm_sq(frun.state(t_final) - v_sp))
     checks.append(_check("fd_vs_spectral_L2", dist, 0.0, 1e-4))
 

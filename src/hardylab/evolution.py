@@ -239,11 +239,9 @@ class FDRun:
     def energy_rate(self, t: float) -> float:
         idx = self._index(t)
         dt = self.grid.dt
-        if 0 < idx < self.steps:
-            return (self.energy((idx + 1) * dt) - self.energy((idx - 1) * dt)) / (2 * dt)
-        if idx == 0:
-            return (self.energy(dt) - self.energy(0.0)) / dt
-        return (self.energy(idx * dt) - self.energy((idx - 1) * dt)) / dt
+        # central inside the run, one-sided at its ends; E(hi) is read first
+        lo, hi = max(idx - 1, 0), min(idx + 1, self.steps)
+        return (self.energy(hi * dt) - self.energy(lo * dt)) / ((hi - lo) * dt)
 
     def law_defect(self, t: float) -> float:
         """Relative defect of E(t) - E(t - dt) = -2 dt B(v_theta, vbar), which the

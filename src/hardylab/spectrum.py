@@ -4,6 +4,8 @@ The regular part of the k-th radial eigenfunction is v_k(r) = J_0(z_k r)
 with z_k the k-th positive zero of J_0; the eigenvalue is mu_k = z_k^2 for
 every dimension N >= 3 (the regular-part problem is the 2-d radial one).
 Modes are normalized by v_k(0) = 1, with the weighted L^2 norm recorded.
+A ``SpectralField`` holds coefficients only; its regular part is read through
+``profile()``, a ``RadialProfile`` like every other function of the package.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hardy
-from .profiles import Dimension, RadialProfile, make_mode
+from .profiles import Dimension, RadialProfile
 from .quadrature import integrate
 from .specfun import bessel_j, bessel_zero
 
@@ -29,9 +31,6 @@ class EigenMode:
     zero: float
     eigenvalue: float
     norm2: float  # weighted L^2 norm^2 of v_k: N omega_N J_1(z_k)^2 / 2
-
-    def profile(self) -> RadialProfile:
-        return make_mode(self.dim, self.k)
 
 
 def eigenmode(dim: Dimension, k: int) -> EigenMode:
@@ -53,15 +52,14 @@ class SpectralField:
 
     def __post_init__(self) -> None:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
+        if not self.modes:
+            raise ValueError("a spectral field needs at least one mode")
+        dims = sorted({m.dim.n for m in self.modes})
+        if len(dims) > 1:
+            raise ValueError(f"the modes of a spectral field must share one dimension, "
+                             f"got N = {dims}")
         if len(self.modes) != self.coeffs.size:
             raise ValueError("one coefficient per mode required")
-
-    def v(self, r):
-        return sum(c * bessel_j(0.0, m.zero * r) for m, c in zip(self.modes, self.coeffs))
-
-    def dv(self, r):
-        return sum(-c * m.zero * bessel_j(1.0, m.zero * r)
-                   for m, c in zip(self.modes, self.coeffs))
 
     def norm_sq(self) -> float:
         """Weighted L^2 norm^2 by Parseval: sum c_k^2 norm2_k."""
@@ -73,9 +71,12 @@ class SpectralField:
                          for c, m in zip(self.coeffs, self.modes)))
 
     def profile(self) -> RadialProfile:
-        dim = self.modes[0].dim
-        return RadialProfile(dim=dim, v=self.v, dv=self.dv, support=(0.0, 1.0),
-                             origin_class="finite_limit", name="spectral_field")
+        pairs = list(zip(self.modes, self.coeffs))
+        return RadialProfile(
+            dim=self.modes[0].dim,
+            v=lambda r: sum(c * bessel_j(0.0, m.zero * r) for m, c in pairs),
+            dv=lambda r: sum(-c * m.zero * bessel_j(1.0, m.zero * r) for m, c in pairs),
+            support=(0.0, 1.0), origin_class="finite_limit", name="spectral_field")
 
 
 def rayleigh(p: RadialProfile) -> float:

@@ -135,7 +135,7 @@ def test_fd_matches_spectral_for_bump(dim3):
     p = make_named(dim3, "bump")
     g = FDGrid(m=512, dt=1e-4)
     v = FDRun(p, g, 0.1).state(0.1)
-    f = evolve_spectral(spectrum.expand(p, 40), 0.1)
+    f = evolve_spectral(spectrum.expand(p, 40), 0.1).profile()
     r = g.nodes
     vs = np.array([f.v(rj) for rj in r])
     dist2 = dim3.surface_factor * g.h * float(np.sum((v - vs) ** 2 * r))

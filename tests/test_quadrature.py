@@ -234,6 +234,15 @@ def test_non_integrable_pole_flagged():
     assert not res.converged
 
 
+def test_integrable_singularity_at_the_far_end_is_flagged():
+    # the split guard near b is measured in the log variable, so on a span
+    # of 290 decades the pieces stop short of the singularity at 1; the
+    # shortfall must be flagged, not returned as a clean-looking value
+    res = integrate(lambda x: 1.0 / np.sqrt(1.0 - x), 1e-290, 1.0)
+    assert res.converged is False
+    assert abs(res.value - 2.0) <= 1e-6
+
+
 def test_panel_budget_with_summed_error_above_tolerance_is_not_converged():
     # 1.6 million periods use up the 6,000 panels while every single panel's
     # estimate is below half the tolerance; their sum is over 30 times above it

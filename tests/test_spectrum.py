@@ -170,3 +170,14 @@ def test_spectral_field_parseval(dim3):
     assert abs(f.norm_sq() - direct) < 1e-14
     p = f.profile()
     assert abs(hardy.weighted_l2_sq(p) - f.norm_sq()) < 1e-8
+
+
+def test_spectral_field_needs_a_mode():
+    with pytest.raises(ValueError, match="needs at least one mode"):
+        spectrum.SpectralField([], [])
+
+
+def test_spectral_field_modes_share_one_dimension(dim3, dim4):
+    modes = [spectrum.eigenmode(dim3, 1), spectrum.eigenmode(dim4, 1)]
+    with pytest.raises(ValueError, match=r"share one dimension, got N = \[3, 4\]"):
+        spectrum.SpectralField(modes, [1.0, 1.0])
